@@ -5,6 +5,16 @@
 
 namespace objrpc::load {
 
+namespace {
+
+/// Arrivals one refill draws ahead.  Each refill is one control-lane
+/// event (a fleet-wide barrier in a parallel run), so the batch sets the
+/// barrier rate; each drawn-ahead arrival holds one pending event
+/// (~200 B) until it fires.
+constexpr std::size_t kRefillBatch = 64;
+
+}  // namespace
+
 std::string TenantSlo::to_string() const {
   char buf[256];
   std::snprintf(buf, sizeof buf,
@@ -39,6 +49,9 @@ LoadGenerator::LoadGenerator(Cluster& cluster, LoadConfig cfg)
         ZipfTable(spec.object_count, spec.zipf_s), root.fork(label + 1));
     TenantState& t = *ts;
     t.home_addr = cluster_.addr_of(t.spec.home_host);
+    for (std::size_t h : t.spec.client_hosts) {
+      t.clients.emplace_back().node = cluster_.host(h).id();
+    }
     for (std::size_t i = 0; i < t.spec.object_count; ++i) {
       auto obj =
           cluster_.create_object(t.spec.home_host, t.spec.object_bytes);
@@ -56,65 +69,75 @@ void LoadGenerator::start() {
   start_ = cluster_.loop().now();
   deadline_ = start_ + cfg_.duration;
   for (std::size_t ti = 0; ti < tenants_.size(); ++ti) {
-    schedule_next_arrival(ti, start_);
+    tenants_[ti]->drawn_until = start_;
+    refill(ti);
   }
 }
 
 std::uint64_t LoadGenerator::in_flight() const {
   std::uint64_t n = 0;
-  for (const auto& t : tenants_) n += t->in_flight + t->backlog.size();
+  for (const auto& t : tenants_) {
+    for (const ClientState& c : t->clients) n += c.in_flight + c.backlog.size();
+  }
   return n;
 }
 
-void LoadGenerator::schedule_next_arrival(std::size_t ti, SimTime after) {
+void LoadGenerator::refill(std::size_t ti) {
   TenantState& t = *tenants_[ti];
-  const SimTime at = t.arrivals.next_after(after);
-  if (at >= deadline_) return;  // stream ends; in-flight ops still drain
-  cluster_.loop().schedule_at(at, [this, ti, at] { on_arrival(ti, at); });
-}
-
-void LoadGenerator::on_arrival(std::size_t ti, SimTime at) {
-  TenantState& t = *tenants_[ti];
-  // Chain the next arrival FIRST: the stream's schedule must not depend
-  // on what this operation does (that is what open-loop means).
-  schedule_next_arrival(ti, at);
-
-  Op op;
-  op.intended = at;
-  // Fixed draw count per operation (kind, object, user) keeps each
-  // tenant's random stream position a pure function of its op index.
+  // The stream is drawn ahead of time, but each draw is still a pure
+  // function of the tenant's op index: arrival times come from their own
+  // substream and every op takes a fixed number of draws (kind, object,
+  // user), so batching changes nothing about WHAT is issued or when.
   const OpMix& mix = t.spec.mix;
   const double total = mix.read + mix.write + mix.invoke;
-  const double pick = t.rng.next_double() * (total > 0 ? total : 1.0);
-  op.kind = pick < mix.read                ? OpKind::read
-            : pick < mix.read + mix.write  ? OpKind::write
-                                           : OpKind::invoke;
-  op.object = t.zipf.sample(t.rng);
-  op.user = t.rng.next_below(t.spec.users ? t.spec.users : 1);
+  for (std::size_t n = 0; n < kRefillBatch; ++n) {
+    const SimTime at = t.arrivals.next_after(t.drawn_until);
+    if (at >= deadline_) return;  // stream ends; in-flight ops still drain
+    t.drawn_until = at;
+    Op op;
+    op.intended = at;
+    const double pick = t.rng.next_double() * (total > 0 ? total : 1.0);
+    op.kind = pick < mix.read                ? OpKind::read
+              : pick < mix.read + mix.write  ? OpKind::write
+                                             : OpKind::invoke;
+    op.object = t.zipf.sample(t.rng);
+    op.user = t.rng.next_below(t.spec.users ? t.spec.users : 1);
 
-  ++t.issued;
-  digest_.fold(t.spec.tenant);
-  digest_.fold(static_cast<std::uint64_t>(op.kind));
-  digest_.fold(op.object);
-  digest_.fold(op.user);
-  digest_.fold(static_cast<std::uint64_t>(op.intended));
+    ++t.issued;
+    digest_.fold(t.spec.tenant);
+    digest_.fold(static_cast<std::uint64_t>(op.kind));
+    digest_.fold(op.object);
+    digest_.fold(op.user);
+    digest_.fold(static_cast<std::uint64_t>(op.intended));
 
-  if (t.spec.max_in_flight > 0 && t.in_flight >= t.spec.max_in_flight) {
+    const std::size_t ci = op.user % t.clients.size();
+    cluster_.fabric().network().schedule_on(
+        t.clients[ci].node, at, [this, ti, ci, op] { on_arrival(ti, ci, op); });
+  }
+  // Every later arrival is strictly after the last one drawn, so a
+  // refill at that time (control events precede shard events at equal
+  // times) is never late.
+  cluster_.loop().schedule_at(t.drawn_until, [this, ti] { refill(ti); });
+}
+
+void LoadGenerator::on_arrival(std::size_t ti, std::size_t ci, const Op& op) {
+  TenantState& t = *tenants_[ti];
+  if (t.spec.max_in_flight_per_client > 0 &&
+      t.clients[ci].in_flight >= t.spec.max_in_flight_per_client) {
     // Window full: the arrival queues client-side.  Its intended time
     // is already fixed — the wait it is about to suffer will be charged
     // to the response-time series, not dropped (coordinated omission).
-    t.backlog.push_back(op);
+    t.clients[ci].backlog.push_back(op);
     return;
   }
-  issue(ti, op);
+  issue(ti, ci, op);
 }
 
-void LoadGenerator::issue(std::size_t ti, Op op) {
+void LoadGenerator::issue(std::size_t ti, std::size_t ci, const Op& op) {
   TenantState& t = *tenants_[ti];
-  ++t.in_flight;
+  ++t.clients[ci].in_flight;
   const SimTime sent = cluster_.loop().now();
-  const std::size_t client =
-      t.spec.client_hosts[op.user % t.spec.client_hosts.size()];
+  const std::size_t client = t.spec.client_hosts[ci];
   const ObjectId object =
       t.objects.empty() ? ObjectId{} : t.objects[op.object % t.objects.size()];
 
@@ -127,8 +150,8 @@ void LoadGenerator::issue(std::size_t ti, Op op) {
       const std::uint32_t len = t.spec.read_bytes;
       cluster_.service(client).read(
           GlobalPtr{object, Object::kDataStart}, len,
-          [this, ti, op, sent, len](Result<Bytes> r, const AccessStats&) {
-            complete(ti, op, sent, r.has_value(), r ? len : 0);
+          [this, ti, ci, op, sent, len](Result<Bytes> r, const AccessStats&) {
+            complete(ti, ci, op, sent, r.has_value(), r ? len : 0);
           },
           opts);
       break;
@@ -142,8 +165,8 @@ void LoadGenerator::issue(std::size_t ti, Op op) {
       Bytes data(len, static_cast<std::uint8_t>(t.spec.tenant));
       cluster_.service(client).write(
           GlobalPtr{object, Object::kDataStart}, std::move(data),
-          [this, ti, op, sent, len](Status s, const AccessStats&) {
-            complete(ti, op, sent, s.is_ok(), s ? len : 0);
+          [this, ti, ci, op, sent, len](Status s, const AccessStats&) {
+            complete(ti, ci, op, sent, s.is_ok(), s ? len : 0);
           },
           opts);
       break;
@@ -158,8 +181,8 @@ void LoadGenerator::issue(std::size_t ti, Op op) {
       const std::uint64_t len = payload.size();
       cluster_.invoke_at(
           client, t.home_addr, echo_fn_, {}, std::move(payload),
-          [this, ti, op, sent, len](Result<Bytes> r, const InvokeStats&) {
-            complete(ti, op, sent, r.has_value(), r ? len : 0);
+          [this, ti, ci, op, sent, len](Result<Bytes> r, const InvokeStats&) {
+            complete(ti, ci, op, sent, r.has_value(), r ? len : 0);
           },
           opts);
       break;
@@ -167,25 +190,36 @@ void LoadGenerator::issue(std::size_t ti, Op op) {
   }
 }
 
-void LoadGenerator::complete(std::size_t ti, const Op& op, SimTime sent,
-                             bool ok, std::uint64_t payload_bytes) {
+void LoadGenerator::complete(std::size_t ti, std::size_t ci, const Op& op,
+                             SimTime sent, bool ok,
+                             std::uint64_t payload_bytes) {
   TenantState& t = *tenants_[ti];
   const SimTime now = cluster_.loop().now();
-  ++t.completed;
-  if (!ok) {
-    ++t.errors;
-  } else {
-    t.goodput_bytes += payload_bytes;
-  }
   // Failures are recorded at their failure time: a timed-out operation
   // occupied its window slot and its user's patience until then.
-  t.resp_us->add(static_cast<std::uint64_t>(now - op.intended) / 1000);
-  t.svc_us->add(static_cast<std::uint64_t>(now - sent) / 1000);
-  --t.in_flight;
-  if (!t.backlog.empty()) {
-    Op next = t.backlog.front();
-    t.backlog.pop_front();
-    issue(ti, next);
+  const auto resp_us = static_cast<std::uint64_t>(now - op.intended) / 1000;
+  const auto svc_us = static_cast<std::uint64_t>(now - sent) / 1000;
+  // The tenant row is shared by every client host, and hosts of one
+  // tenant may run on different shards: record through the observer
+  // journal (inline when serial, canonical-order replay at the barrier
+  // in a parallel epoch).
+  cluster_.fabric().network().observer_journal().run_or_defer(
+      [&t, ok, payload_bytes, resp_us, svc_us] {
+        ++t.completed;
+        if (!ok) {
+          ++t.errors;
+        } else {
+          t.goodput_bytes += payload_bytes;
+        }
+        t.resp_us->add(resp_us);
+        t.svc_us->add(svc_us);
+      });
+  ClientState& c = t.clients[ci];
+  --c.in_flight;
+  if (!c.backlog.empty()) {
+    const Op next = c.backlog.front();
+    c.backlog.pop_front();
+    issue(ti, ci, next);
   }
 }
 

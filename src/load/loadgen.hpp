@@ -62,15 +62,17 @@ struct TenantSpec {
   /// Host index whose store homes this tenant's objects.
   std::size_t home_host = 0;
   /// Host indices issuing this tenant's operations (empty = home_host).
+  /// Each operation executes on its client host's shard.
   std::vector<std::size_t> client_hosts{};
   /// Per-access transport knobs (the tenant tag is stamped on top).
   SimDuration access_timeout = 500 * kMillisecond;
   int max_attempts = 2;
-  /// Client-side concurrency window; 0 = unlimited (pure open-loop).
-  /// With a window, arrivals beyond it queue client-side with their
+  /// Client-side concurrency window of EACH client host (a tenant with
+  /// N clients has N windows); 0 = unlimited (pure open-loop).  With a
+  /// window, arrivals beyond it queue at their client host with their
   /// intended timestamps — the configuration that makes the
   /// coordinated-omission gap between resp and svc visible.
-  std::uint64_t max_in_flight = 0;
+  std::uint64_t max_in_flight_per_client = 0;
 };
 
 struct LoadConfig {
@@ -110,17 +112,18 @@ class LoadGenerator {
   LoadGenerator(Cluster& cluster, LoadConfig cfg);
 
   /// Schedule every tenant's arrival stream, starting from loop.now().
-  /// The caller pumps the loop (settle()/run()); all arrivals land in
-  /// [now, now + cfg.duration).
+  /// Call from setup or control-lane code.  The caller pumps the loop
+  /// (settle()/run()); all arrivals land in [now, now + cfg.duration).
   void start();
 
-  /// Operations whose reply (or final failure) has not landed yet.
+  /// Arrived operations whose reply (or final failure) has not landed
+  /// yet, backlogged ones included.  Read between loop runs.
   std::uint64_t in_flight() const;
 
   /// Order-sensitive fold over every ISSUED operation (tenant, kind,
-  /// object, user, intended time) — the op stream identity, compared
-  /// byte-for-byte by the determinism tests.  Completion order does not
-  /// fold here; the wire digest covers it.
+  /// object, user, intended time), in draw order — the op stream
+  /// identity, compared byte-for-byte by the determinism tests.
+  /// Completion order does not fold here; the wire digest covers it.
   std::uint64_t stream_digest() const { return digest_.value(); }
 
   /// Per-tenant SLO rows, in config order.  Call after the loop drains.
@@ -138,6 +141,16 @@ class LoadGenerator {
     std::uint64_t user = 0;
   };
 
+  /// One client host's share of a tenant.  Touched only by events that
+  /// execute as that host (arrivals and completions), so a tenant's
+  /// clients on different shards never share a window.
+  struct ClientState {
+    NodeId node = kInvalidNode;
+    /// Arrivals waiting for an in-flight slot (max_in_flight_per_client > 0).
+    std::deque<Op> backlog;
+    std::uint64_t in_flight = 0;
+  };
+
   struct TenantState {
     TenantSpec spec;
     ArrivalProcess arrivals;
@@ -145,9 +158,11 @@ class LoadGenerator {
     Rng rng;  // op-shaping draws (kind, object, user)
     std::vector<ObjectId> objects;
     HostAddr home_addr = kUnspecifiedHost;
-    /// Arrivals waiting for an in-flight slot (max_in_flight > 0).
-    std::deque<Op> backlog;
-    std::uint64_t in_flight = 0;
+    std::vector<ClientState> clients;  // parallel to spec.client_hosts
+    /// Latest arrival drawn so far (the refill cursor).
+    SimTime drawn_until = 0;
+    // Tenant rows: written by refills (issued) and by journaled
+    // completion records, both on the control lane in a parallel run.
     std::uint64_t issued = 0;
     std::uint64_t completed = 0;
     std::uint64_t errors = 0;
@@ -159,11 +174,13 @@ class LoadGenerator {
         : spec(std::move(s)), arrivals(a), zipf(std::move(z)), rng(r) {}
   };
 
-  void schedule_next_arrival(std::size_t ti, SimTime after);
-  void on_arrival(std::size_t ti, SimTime at);
-  void issue(std::size_t ti, Op op);
-  void complete(std::size_t ti, const Op& op, SimTime sent, bool ok,
-                std::uint64_t payload_bytes);
+  /// Draw the tenant's next batch of arrivals, inject each on its
+  /// client host, and chain the next refill (control lane).
+  void refill(std::size_t ti);
+  void on_arrival(std::size_t ti, std::size_t ci, const Op& op);
+  void issue(std::size_t ti, std::size_t ci, const Op& op);
+  void complete(std::size_t ti, std::size_t ci, const Op& op, SimTime sent,
+                bool ok, std::uint64_t payload_bytes);
 
   Cluster& cluster_;
   LoadConfig cfg_;

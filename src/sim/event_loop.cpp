@@ -101,11 +101,19 @@ void TimingWheel::place(std::uint32_t idx, bool cascading) {
     // event, which can park an idle wheel's cursor well past the global
     // execution point; a cross-wheel schedule may then land behind it.
     // Moving the cursor back is safe — nothing between `at` and the old
-    // cursor has executed — but level-0 slots become window-ambiguous,
-    // which next_time resolves by checking entry times (and place by
-    // sorting on (at, key)).
+    // cursor has executed.  Level-0 entries were filed within one lap of
+    // the OLD cursor, so re-file them against the new one: left in place,
+    // an entry several windows ahead keeps its slot bit set in every
+    // window, and next_time would step the cursor there one 1024-tick
+    // window at a time (a ~1 ms rollback cost ~1000 window scans).
+    // Higher levels need nothing: a slot met early just cascades early.
     tick_ = at;
     sorted_tick_ = kNoTick;
+    for (std::size_t w = 0; w < kWords; ++w) {
+      for (std::uint64_t word = bits_[0][w]; word != 0; word &= word - 1) {
+        cascade(0, (w << 6) + static_cast<std::size_t>(std::countr_zero(word)));
+      }
+    }
   }
   const std::uint64_t delta = at - tick_;  // at >= tick_ by invariant
   std::size_t level = 0;
@@ -344,6 +352,7 @@ SimTime TimingWheel::next_time(SimTime limit) {
       return kNoEventTime;
     }
     tick_ = target;
+    ++window_advances_;
     for (std::size_t lv = kLevels - 1; lv >= 1; --lv) {
       const std::uint64_t mask =
           (std::uint64_t{1} << (kWheelBits * lv)) - 1;

@@ -119,6 +119,7 @@ class TimingWheel {
   bool empty() const { return size_ == 0; }
   std::size_t pending() const { return size_; }
   std::uint64_t events_executed() const { return executed_; }
+  std::uint64_t window_advances() const { return window_advances_; }
   std::uint64_t clamped_past_schedules() const {
     return clamped_past_schedules_;
   }
@@ -220,6 +221,7 @@ class TimingWheel {
   SimTime min_bound_ SHARD_GUARDED_BY(shard_) = 0;
   std::size_t size_ = 0;
   std::uint64_t executed_ = 0;
+  std::uint64_t window_advances_ = 0;
   std::uint64_t clamped_past_schedules_ = 0;
   bool strict_past_schedules_ = false;
   ShardCap shard_;
@@ -415,6 +417,13 @@ class EventLoop {
   std::uint64_t events_executed() const {
     std::uint64_t n = control_.events_executed();
     for (const auto& w : wheels_) n += w->events_executed();
+    return n;
+  }
+  /// Times a wheel cursor left an exhausted 1024-tick window for a later
+  /// one (the scan cost next_time pays beyond the events themselves).
+  std::uint64_t window_advances() const {
+    std::uint64_t n = control_.window_advances();
+    for (const auto& w : wheels_) n += w->window_advances();
     return n;
   }
 

@@ -11,6 +11,18 @@ namespace objrpc {
 
 namespace {
 
+/// A multi-shard window runs on the workers only when the previous one
+/// executed at least this many events; smaller windows cost less run
+/// serially on the coordinator than one worker round.  Measured on a
+/// 4-vCPU VM (perfbench, objmix-4shard-armed with every multi-shard
+/// window on the workers): a round costs ~12 us of coordinator time
+/// (barrier wait p50 9.1 us, drain 3.2 us mean) for windows whose ~9
+/// events take a lane 1.1 us.  Host ops/s is flat from 16 to 256 on
+/// both objmix-4shard-armed and fabric-forward; at 8 and below the
+/// object workload loses 39-86 %, at 4096 and above fabric-forward
+/// loses 17-42 % (DESIGN.md §16).
+constexpr std::uint64_t kMinParallelEvents = 64;
+
 /// Default per-lane handoff ring: sized so steady-state cross-shard
 /// traffic of one epoch (bounded by lookahead * per-link rate) stays on
 /// the lock-free path; bursts beyond it degrade to the spill mutex.
@@ -138,7 +150,8 @@ ShardRunner::ShardRunner(Network& net, SimDuration lookahead,
       lookahead_(lookahead < 1 ? 1 : lookahead),
       shards_(shards),
       rings_(shards),
-      ring_capacity_(kDefaultRingCapacity) {
+      ring_capacity_(kDefaultRingCapacity),
+      next_at_(shards, kNoEventTime) {
   for (Ring& r : rings_) r.buf.reserve(ring_capacity_);
   if (env_truthy("OBJRPC_SHARDS_SERIAL")) serial_forced_ = true;
   threads_.reserve(shards_);
@@ -172,8 +185,9 @@ void ShardRunner::run_until(SimTime deadline) {
     // path makes this scan cheap for idle wheels.
     SimTime ms = kNoEventTime;
     if (limit >= 0) {
-      for (auto& w : loop.wheels_) {
-        const SimTime t = w->next_time(limit);
+      for (std::uint32_t i = 0; i < shards_; ++i) {
+        const SimTime t = loop.wheels_[i]->next_time(limit);
+        next_at_[i] = t;
         if (t != kNoEventTime && (ms == kNoEventTime || t < ms)) ms = t;
       }
     }
@@ -191,9 +205,27 @@ void ShardRunner::run_until(SimTime deadline) {
     SimTime run_to = ms + la - 1;  // inclusive epoch limit
     if (run_to < ms) run_to = limit;  // SimTime overflow (deadline = max)
     if (run_to > limit) run_to = limit;
+    // Shards with work inside the window.  With one, nothing can reach
+    // it inside the window, so waking the workers buys nothing; with
+    // several, the workers pay off only once windows carry enough work.
+    std::uint32_t active = 0;
+    for (std::uint32_t i = 0; i < shards_; ++i) {
+      if (next_at_[i] != kNoEventTime && next_at_[i] <= run_to) ++active;
+    }
+    const std::uint64_t events_before = loop.events_executed();
+    if (!force_workers_ &&
+        (active == 1 || last_window_events_ < kMinParallelEvents)) {
+      run_on_coordinator(run_to);
+      if (active > 1) {
+        last_window_events_ = loop.events_executed() - events_before;
+      }
+      net_.on_epoch_barrier();
+      continue;
+    }
     obs::ShardProfiler& prof = net_.shard_profiler_;
     if (prof.armed()) prof.begin_epoch(epoch_seq_ + 1);
     run_epoch(run_to);
+    last_window_events_ = loop.events_executed() - events_before;
     // Barrier work, workers parked: land cross-shard frames (keys
     // intact), fold the buffered digest lanes, and replay journaled
     // observer records — both in canonical order.
@@ -241,6 +273,16 @@ void ShardRunner::run_epoch(SimTime limit) {
     net_.journal_.set_deferring(false);
   }
   ++epochs_;
+}
+
+void ShardRunner::run_on_coordinator(SimTime limit) {
+  // The serial driver's run of the window: events in key order, and
+  // with in_epoch_ false nothing journals or buffers — observers and
+  // the wire digest run inline (every earlier window was replayed at
+  // its barrier) and cross-shard frames insert straight into their
+  // destination wheels.
+  net_.loop_.merge_run(limit);
+  ++coordinator_windows_;
 }
 
 void ShardRunner::worker_main(std::uint32_t lane) {

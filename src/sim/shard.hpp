@@ -13,6 +13,12 @@
 // release workers to H-1, park them at a barrier, drain the cross-shard
 // handoff rings, merge the wire-digest lanes, repeat.
 //
+// Windows that cannot pay for the round trip skip it: the coordinator
+// runs them itself, exactly as the serial driver would, with no worker
+// woken and nothing to replay.  That covers every window in which ONE
+// shard has all the work, and multi-shard windows while the previous
+// one was too small to gain from the workers (a few dozen events).
+//
 // Determinism (the non-negotiable): event ORDER is a pure function of
 // the canonical key set (see sim/event_loop.hpp), and every key is
 // assigned by its sender's own clock and seq counter — identical in
@@ -123,8 +129,11 @@ class ShardRunner final : public EventLoop::ParallelDriver {
   std::uint64_t overflow_count() const {
     return overflow_count_.load(std::memory_order_relaxed);
   }
-  /// Completed epochs (BSP rounds) so far.
+  /// Completed epochs (BSP rounds on the workers) so far.
   std::uint64_t epochs() const { return epochs_; }
+  /// Windows the coordinator ran itself, no worker woken (see the file
+  /// header).
+  std::uint64_t coordinator_windows() const { return coordinator_windows_; }
   /// Cross-shard frames handed through the rings so far.
   std::uint64_t cross_frames() const { return cross_frames_; }
 
@@ -136,6 +145,10 @@ class ShardRunner final : public EventLoop::ParallelDriver {
   /// behind the destination wheel's clock, which the wheel reports as a
   /// lookahead violation — the abort path shard_test exercises).
   void set_horizon_override_for_test(SimDuration h) { horizon_override_ = h; }
+  /// Send every window to the workers, however little it holds: keeps
+  /// the epoch machinery (rings, journal, replay) under test on
+  /// workloads whose windows the coordinator would otherwise run.
+  void force_worker_epochs_for_test() { force_workers_ = true; }
 
  private:
   /// One cross-shard frame in flight between epochs: the delivery plus
@@ -162,6 +175,9 @@ class ShardRunner final : public EventLoop::ParallelDriver {
   /// Run one BSP epoch: every worker drives its wheel to `limit`
   /// (inclusive), then parks.  Caller drains rings and merges digests.
   void run_epoch(SimTime limit);
+  /// Run one window to `limit` (inclusive) on the coordinator thread by
+  /// key-merge, workers parked.
+  void run_on_coordinator(SimTime limit);
   /// Insert every ring/spill frame into its destination wheel with its
   /// stamped key (coordinator only, workers parked).
   CROSS_SHARD void drain_rings();
@@ -178,6 +194,7 @@ class ShardRunner final : public EventLoop::ParallelDriver {
   /// laned allocators) but never go concurrent — the serial key-merge
   /// escape hatch for debugging.
   bool serial_forced_ = false;
+  bool force_workers_ = false;
 
   /// CROSS_SHARD by construction: every field below the rings is either
   /// written only at barriers (coordinator, workers parked) or guarded
@@ -202,7 +219,17 @@ class ShardRunner final : public EventLoop::ParallelDriver {
   bool in_epoch_ = false;
   bool stop_ = false;
 
+  /// Per-lane next event time of the current window scan.
+  std::vector<SimTime> next_at_;
+  /// Events the last multi-shard window executed.  Starts "enough":
+  /// the first multi-shard window has nothing to be judged by and goes
+  /// to the workers, so any run with multi-shard work shows at least one
+  /// worker epoch (perfbench's selftest takes `epochs() > 0` as its
+  /// evidence that a 4-shard run went concurrent).
+  std::uint64_t last_window_events_ = ~std::uint64_t{0};
+
   std::uint64_t epochs_ = 0;
+  std::uint64_t coordinator_windows_ = 0;
   std::uint64_t cross_frames_ = 0;
   std::vector<std::thread> threads_;
 };

@@ -21,6 +21,7 @@
 
 #include "common/log.hpp"
 #include "core/cluster.hpp"
+#include "sim/shard.hpp"
 
 namespace objrpc {
 namespace {
@@ -28,10 +29,12 @@ namespace {
 /// One complete service/netsync workload on a private Cluster: create,
 /// fetch, write-invalidate, atomics.  The counter word sits at
 /// kDataStart, so the write stores `seed` and the atomics add 4*7 on
-/// top: the deterministic result is seed + 28.
+/// top: the deterministic result is seed + 28.  `epochs` receives the
+/// worker rounds of a sharded run.
 std::uint64_t run_service_workload(std::uint64_t seed, bool* ok,
                                    int check_invariants = 1,
-                                   bool arm_tracer = false) {
+                                   bool arm_tracer = false,
+                                   std::uint64_t* epochs = nullptr) {
   *ok = false;
   ClusterConfig cfg;
   cfg.fabric.scheme = DiscoveryScheme::controller;
@@ -40,6 +43,12 @@ std::uint64_t run_service_workload(std::uint64_t seed, bool* ok,
                                             // isolated as the protocol state
                                             // they observe
   auto cluster = Cluster::build(cfg);
+  // Sharded runs (OBJRPC_SHARDS): run every window on the workers;
+  // left to itself the runner would keep this workload's windows (one
+  // op in flight, mostly one busy shard) on the coordinator.
+  if (ShardRunner* run = cluster->fabric().network().runner()) {
+    run->force_worker_epochs_for_test();
+  }
   if (arm_tracer) cluster->tracer().arm();
   auto obj = cluster->create_object(1, 4096);
   if (!obj) return 0;
@@ -85,6 +94,10 @@ std::uint64_t run_service_workload(std::uint64_t seed, bool* ok,
   if (!value) return 0;
   *ok = check_invariants == 0 ||
         (cluster->checker() != nullptr && cluster->checker()->clean());
+  if (const ShardRunner* run = cluster->fabric().network().runner();
+      run != nullptr && epochs != nullptr) {
+    *epochs = run->epochs();
+  }
   return *value;
 }
 
@@ -151,10 +164,13 @@ TEST(ConcurrencyTest, ShardedLoopWorkloadMatchesSequential) {
 
   setenv("OBJRPC_SHARDS", "4", /*overwrite=*/1);
   bool sharded_ok = false;
+  std::uint64_t epochs = 0;
   const std::uint64_t sharded =
-      run_service_workload(/*seed=*/33, &sharded_ok, /*check_invariants=*/0);
+      run_service_workload(/*seed=*/33, &sharded_ok, /*check_invariants=*/0,
+                           /*arm_tracer=*/false, &epochs);
   unsetenv("OBJRPC_SHARDS");
   ASSERT_TRUE(sharded_ok);
+  EXPECT_GT(epochs, 10u) << "the workers barely ran";
   EXPECT_EQ(sharded, serial) << "sharded run diverged from sequential";
 }
 
@@ -175,10 +191,13 @@ TEST(ConcurrencyTest, ArmedObserversOnShardedLoopRaceFree) {
 
   setenv("OBJRPC_SHARDS", "4", /*overwrite=*/1);
   bool sharded_ok = false;
-  const std::uint64_t sharded = run_service_workload(
-      /*seed=*/53, &sharded_ok, /*check_invariants=*/1, /*arm_tracer=*/true);
+  std::uint64_t epochs = 0;
+  const std::uint64_t sharded =
+      run_service_workload(/*seed=*/53, &sharded_ok, /*check_invariants=*/1,
+                           /*arm_tracer=*/true, &epochs);
   unsetenv("OBJRPC_SHARDS");
   ASSERT_TRUE(sharded_ok);
+  EXPECT_GT(epochs, 10u) << "the workers barely ran";
   EXPECT_EQ(sharded, serial) << "armed sharded run diverged";
 }
 

@@ -9,7 +9,11 @@
 // collapse when they are not.
 #include <gtest/gtest.h>
 
+#include <cinttypes>
 #include <cmath>
+#include <cstdio>
+#include <cstdlib>
+#include <string>
 #include <vector>
 
 #include "core/cluster.hpp"
@@ -19,6 +23,7 @@
 #include "obs/metrics.hpp"
 #include "sim/event_loop.hpp"
 #include "sim/fair_queue.hpp"
+#include "sim/shard.hpp"
 
 using namespace objrpc;
 using namespace objrpc::load;
@@ -363,7 +368,7 @@ TEST(LoadGen, WindowedTenantChargesClientSideQueueing) {
   t.object_count = 4;
   t.home_host = 0;
   t.client_hosts = {1};
-  t.max_in_flight = 1;  // far below what 10k/s needs -> backlog builds
+  t.max_in_flight_per_client = 1;  // far below what 10k/s needs -> backlog builds
   lcfg.tenants.push_back(t);
   const RunResult r = run_loadgen(ccfg, lcfg);
   ASSERT_EQ(r.slo.size(), 1u);
@@ -403,6 +408,131 @@ TEST(LoadGen, FairQueueingBoundsVictimTailUnderAggression) {
   // stays clean on both runs.
   EXPECT_EQ(off.violations, 0u);
   EXPECT_EQ(armed.violations, 0u);
+}
+
+// --- shard affinity ------------------------------------------------------
+
+/// Two tenants whose clients sit behind every switch, so at 4 shards each
+/// tenant's completions arrive from every shard at once.
+LoadConfig spread_clients_load() {
+  LoadConfig lc;
+  lc.duration = 60 * kMillisecond;
+  lc.seed = 0x5EED;
+  const OpMix mixes[2] = {OpMix{0.7, 0.2, 0.1}, OpMix{0.2, 0.5, 0.3}};
+  for (std::uint32_t k = 0; k < 2; ++k) {
+    TenantSpec t;
+    t.tenant = k + 1;
+    t.name = k == 0 ? "alpha" : "beta";
+    t.arrival.rate_per_sec = 15'000.0;
+    t.object_count = 32;
+    t.mix = mixes[k];
+    t.home_host = k;
+    t.client_hosts = {2, 3, 4, 5, 6, 7};
+    t.max_in_flight_per_client = 4;  // backlogs re-issue too
+    lc.tenants.push_back(t);
+  }
+  return lc;
+}
+
+/// Every SLO field at full precision plus the op-stream digest.
+std::string fingerprint(const std::vector<TenantSlo>& rows,
+                        std::uint64_t stream_digest) {
+  std::string fp;
+  char buf[512];
+  for (const TenantSlo& s : rows) {
+    std::snprintf(buf, sizeof buf,
+                  "%s %" PRIu64 " %" PRIu64 " %" PRIu64
+                  " %.17g %.17g %.17g %.17g %.17g %.17g %.17g|",
+                  s.name.c_str(), s.issued, s.completed, s.errors,
+                  s.goodput_bytes_per_sec, s.resp_p50_us, s.resp_p99_us,
+                  s.resp_p999_us, s.svc_p50_us, s.svc_p99_us, s.svc_p999_us);
+    fp += buf;
+  }
+  std::snprintf(buf, sizeof buf, "%016" PRIx64, stream_digest);
+  return fp + buf;
+}
+
+struct ShardedLoadRun {
+  std::string fingerprint;
+  std::uint64_t check_digest = 0;
+  std::uint64_t control_events = 0;
+  std::uint64_t issued = 0;
+  std::uint64_t epochs = 0;
+  bool concurrent = false;
+};
+
+ShardedLoadRun run_spread_load(const char* shards) {
+  // Cluster::build reads OBJRPC_SHARDS; restore the caller's value after.
+  const char* outer = std::getenv("OBJRPC_SHARDS");
+  const bool had_outer = outer != nullptr;
+  const std::string saved = had_outer ? outer : "";
+  setenv("OBJRPC_SHARDS", shards, 1);
+  ClusterConfig ccfg;
+  ccfg.fabric.scheme = DiscoveryScheme::controller;
+  ccfg.fabric.num_hosts = 8;
+  ccfg.fabric.num_switches = 4;
+  ccfg.fabric.seed = 77;
+  ccfg.fabric.host_link.bandwidth_bps = 200e6;
+  // A long switch tier widens the lookahead, so windows hold enough
+  // events for the workers to run them concurrently.
+  ccfg.fabric.switch_link.latency = 200 * kMicrosecond;
+  ccfg.fabric.ctrl_link.latency = 200 * kMicrosecond;
+  ccfg.check_invariants = 1;
+  auto cluster = Cluster::build(ccfg);
+  if (had_outer) {
+    setenv("OBJRPC_SHARDS", saved.c_str(), 1);
+  } else {
+    unsetenv("OBJRPC_SHARDS");
+  }
+  if (cluster->checker()) cluster->checker()->set_abort_on_violation(false);
+  ShardedLoadRun r;
+  ShardRunner* runner = cluster->fabric().network().runner();
+  r.concurrent = runner != nullptr && runner->ready();
+  LoadGenerator gen(*cluster, spread_clients_load());
+  cluster->settle();
+  const std::uint64_t control_before =
+      cluster->loop().control_wheel().events_executed();
+  gen.start();
+  cluster->settle();
+  r.control_events =
+      cluster->loop().control_wheel().events_executed() - control_before;
+  if (runner != nullptr) r.epochs = runner->epochs();
+  const std::vector<TenantSlo> rows = gen.report();
+  for (const TenantSlo& s : rows) {
+    r.issued += s.issued;
+    EXPECT_EQ(s.completed, s.issued) << s.name;
+  }
+  EXPECT_EQ(gen.in_flight(), 0u);
+  r.fingerprint = fingerprint(rows, gen.stream_digest());
+  if (cluster->checker()) {
+    r.check_digest = cluster->checker()->digest();
+    EXPECT_TRUE(cluster->checker()->violations().empty());
+  }
+  return r;
+}
+
+TEST(LoadGen, SloRowsIdenticalAtEveryShardCount) {
+  // Clients of one tenant complete on different shards; the tenant rows
+  // (counts, goodput, histograms) must still come out exactly as the
+  // serial run's, because completions record through the observer
+  // journal in canonical order.
+  const ShardedLoadRun serial = run_spread_load("1");
+  EXPECT_GT(serial.issued, 1000u);
+  for (const char* n : {"2", "4"}) {
+    const ShardedLoadRun p = run_spread_load(n);
+    EXPECT_TRUE(p.concurrent) << "OBJRPC_SHARDS=" << n;
+    EXPECT_GT(p.epochs, 10u) << "OBJRPC_SHARDS=" << n;
+    EXPECT_EQ(p.fingerprint, serial.fingerprint) << "OBJRPC_SHARDS=" << n;
+    EXPECT_EQ(p.check_digest, serial.check_digest) << "OBJRPC_SHARDS=" << n;
+  }
+}
+
+TEST(LoadGen, ArrivalsStayOffTheControlLane) {
+  // Arrivals execute on their client hosts; the control lane carries one
+  // refill per batch of draws (64 per tenant), not one event per op.
+  const ShardedLoadRun r = run_spread_load("4");
+  EXPECT_GT(r.issued, 1000u);
+  EXPECT_LE(r.control_events, r.issued / 64 + 2 * 2);
 }
 
 }  // namespace

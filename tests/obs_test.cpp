@@ -16,6 +16,7 @@
 #include "core/cluster.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "sim/shard.hpp"
 
 using namespace objrpc;
 
@@ -99,6 +100,12 @@ std::unique_ptr<Cluster> run_fetch_scenario(std::uint64_t seed,
   cfg.fabric.seed = seed;
   cfg.check_invariants = check_invariants;
   auto cluster = Cluster::build(cfg);
+  // Sharded runs (OBJRPC_SHARDS): run every window on the workers;
+  // left to itself the runner would keep this workload's windows (one
+  // op in flight, mostly one busy shard) on the coordinator.
+  if (ShardRunner* run = cluster->fabric().network().runner()) {
+    run->force_worker_epochs_for_test();
+  }
   if (arm_tracer) cluster->tracer().arm();
 
   auto obj = cluster->create_object(1, 64 * 1024);

@@ -50,6 +50,13 @@ struct FabricOpts {
   bool arm_tracer = false;
   bool attach_tap = false;         // order-sensitive tap digest
   bool snapshot_each_epoch = false;
+  bool one_leaf = false;           // traffic stays behind leaf 0 (shard 0)
+  // Left to itself the runner sends a window to the workers only when
+  // several shards have work and the last such window was big enough
+  // (DESIGN.md §16).  The tests below want every window on the
+  // concurrent path, so they force it unless they test that choice.
+  bool force_workers = true;
+  SimDuration fabric_latency = 0;  // 0 = default leaf<->spine latency
 };
 
 constexpr std::uint32_t kPackets = 200;
@@ -61,6 +68,7 @@ void build_test_fabric(TestFabric& f, const FabricOpts& o) {
   params.hosts_per_leaf = 4;
   params.fabric_link.loss_rate = o.loss_rate;
   params.host_link.loss_rate = o.loss_rate;
+  if (o.fabric_latency != 0) params.fabric_link.latency = o.fabric_latency;
   SwitchConfig scfg;
   scfg.key_bits = 64;
   f.topo = build_leaf_spine(
@@ -108,6 +116,7 @@ struct RunResult {
   std::uint32_t shards = 0;
   bool concurrent = false;
   std::uint64_t epochs = 0;
+  std::uint64_t coordinator_windows = 0;
   std::uint64_t tap_digest = 0;
   std::uint64_t tap_events = 0;
   std::string trace_json;
@@ -152,6 +161,7 @@ RunResult run_fabric(std::uint64_t seed, std::uint32_t shards,
     if (o.horizon_override != 0) {
       run->set_horizon_override_for_test(o.horizon_override);
     }
+    if (o.force_workers) run->force_worker_epochs_for_test();
   }
   if (o.snapshot_each_epoch) {
     // Mid-run metrics reads at every epoch barrier: the SHARD_LANED
@@ -172,7 +182,8 @@ RunResult run_fabric(std::uint64_t seed, std::uint32_t shards,
     f.net.schedule_revive(f.topo.spines[1], 140 * kMicrosecond);
   }
   Rng workload(seed ^ 0xBEEF);
-  const std::uint64_t n = f.topo.host_count();
+  const std::uint64_t n =
+      o.one_leaf ? f.topo.params.hosts_per_leaf : f.topo.host_count();
   for (std::uint32_t i = 0; i < kPackets; ++i) {
     const auto src = static_cast<std::uint32_t>(workload.next_below(n));
     std::uint64_t dst = workload.next_below(n - 1);
@@ -200,6 +211,7 @@ RunResult run_fabric(std::uint64_t seed, std::uint32_t shards,
   if (const ShardRunner* runner = f.net.runner()) {
     r.overflow = runner->overflow_count();
     r.epochs = runner->epochs();
+    r.coordinator_windows = runner->coordinator_windows();
   }
   if (o.arm_tracer) r.trace_json = f.net.tracer().chrome_trace_json();
   if (o.obs_serial_env) unsetenv("OBJRPC_OBS_SERIAL");
@@ -266,6 +278,59 @@ TEST(ShardRunnerTest, SerialKillSwitchStillByteIdentical) {
   EXPECT_EQ(p.digest, base.digest);
 }
 
+TEST(ShardRunnerTest, OneShardWindowsRunOnTheCoordinator) {
+  // Traffic confined to leaf 0 keeps every window on one shard: the
+  // coordinator runs each of them itself, no worker ever wakes, and the
+  // observers (run inline instead of journaled) see the serial stream.
+  FabricOpts local;
+  local.one_leaf = true;
+  local.force_workers = false;
+  local.arm_tracer = true;
+  local.attach_tap = true;
+  const RunResult base = run_fabric(5, 1, local);
+  EXPECT_EQ(base.delivered, kPackets);
+  const RunResult p = run_fabric(5, 4, local);
+  EXPECT_TRUE(p.concurrent);
+  EXPECT_EQ(p.epochs, 0u);
+  EXPECT_GT(p.coordinator_windows, 0u);
+  EXPECT_EQ(p.digest, base.digest);
+  EXPECT_EQ(p.tap_digest, base.tap_digest);
+  EXPECT_EQ(p.trace_json, base.trace_json);
+  EXPECT_EQ(p.delivered, base.delivered);
+}
+
+TEST(ShardRunnerTest, WorkersWakeOnlyForWindowsWithEnoughWork) {
+  // Left to choose, the runner keeps this workload on the coordinator
+  // when 1 us leaf<->spine links cut it into 1 us windows of a few
+  // events each: only the first multi-shard window, which has no
+  // predecessor to judge by, wakes the workers.  At the default 5 us
+  // the windows carry five times the work and the workers run all but
+  // the sparse tail.  Either way the run is the serial one.
+  FabricOpts choose;
+  choose.force_workers = false;
+  choose.arm_tracer = true;
+  choose.attach_tap = true;
+  choose.fabric_latency = 1 * kMicrosecond;
+  const RunResult base = run_fabric(7, 1, choose);
+  const RunResult small = run_fabric(7, 4, choose);
+  EXPECT_TRUE(small.concurrent);
+  EXPECT_EQ(small.epochs, 1u);
+  EXPECT_GT(small.coordinator_windows, 10u);
+  EXPECT_EQ(small.digest, base.digest);
+  EXPECT_EQ(small.tap_digest, base.tap_digest);
+  EXPECT_EQ(small.trace_json, base.trace_json);
+
+  choose.fabric_latency = 0;
+  const RunResult wide_base = run_fabric(7, 1, choose);
+  const RunResult wide = run_fabric(7, 4, choose);
+  EXPECT_GT(wide.epochs, 0u);
+  EXPECT_GT(wide.coordinator_windows, 0u);
+  EXPECT_EQ(wide.digest, wide_base.digest);
+  EXPECT_EQ(wide.tap_digest, wide_base.tap_digest);
+  EXPECT_EQ(wide.trace_json, wide_base.trace_json);
+  EXPECT_EQ(wide.delivered, kPackets);
+}
+
 // --- armed observers stay concurrent (DESIGN.md §17) ------------------------
 
 /// Tracer + tap armed no longer force the serial driver: the per-shard
@@ -286,9 +351,10 @@ TEST_P(ShardArmed, TracerAndTapByteIdenticalWhileConcurrent) {
   for (std::uint32_t shards : {2u, 4u, 8u}) {
     const RunResult p = run_fabric(GetParam(), shards, armed);
     EXPECT_EQ(p.shards, shards);
-    // The whole point: observers armed AND the parallel driver engaged.
+    // The whole point: observers armed AND the parallel driver engaged
+    // for every window of the run (~15).
     EXPECT_TRUE(p.concurrent) << shards << " shards";
-    EXPECT_GT(p.epochs, 0u) << shards << " shards";
+    EXPECT_GT(p.epochs, 10u) << shards << " shards";
     EXPECT_EQ(p.digest, base.digest) << shards << " shards";
     EXPECT_EQ(p.tap_events, base.tap_events) << shards << " shards";
     EXPECT_EQ(p.tap_digest, base.tap_digest) << shards << " shards";
@@ -387,6 +453,7 @@ TEST(ShardMetrics, SnapshotAtEveryEpochBarrierIsCoherent) {
   snap.snapshot_each_epoch = true;
   const RunResult p = run_fabric(13, 4, snap);
   EXPECT_TRUE(p.concurrent);
+  EXPECT_GT(p.epochs, 10u);
   EXPECT_GT(p.epoch_frames.size(), 4u) << "hook saw too few epochs";
   std::uint64_t prev = 0;
   for (std::uint64_t v : p.epoch_frames) {
@@ -421,6 +488,7 @@ void run_with_unsound_horizon() {
   build_test_fabric(f, o);
   f.net.enable_sharding(ShardPlan::leaf_spine(f.net, f.topo, 4));
   f.net.runner()->set_horizon_override_for_test(5 * kMillisecond);
+  f.net.runner()->force_worker_epochs_for_test();
   f.net.loop().set_strict_past_schedules(true);
   f.net.arm_wire_digest();
   Rng workload(5 ^ 0xBEEF);
@@ -479,6 +547,9 @@ ClusterRun run_cluster_workload(const char* shards_env, bool armed = false) {
   // barrier in canonical order.
   cfg.check_invariants = armed ? 1 : 0;
   auto cluster = Cluster::build(cfg);
+  if (ShardRunner* run = cluster->fabric().network().runner()) {
+    run->force_worker_epochs_for_test();
+  }
   if (armed) cluster->tracer().arm();
   cluster->fabric().network().arm_wire_digest();
   ClusterRun out;

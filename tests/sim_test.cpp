@@ -132,6 +132,36 @@ TEST(EventLoop, EventsCanScheduleEvents) {
   EXPECT_EQ(loop.events_executed(), 100u);
 }
 
+TEST(EventLoop, CursorRollbackRefilesFarEntries) {
+  // Two wheels under the serial key-merge: peeking parks wheel 1's
+  // cursor at its first event, 5 ms out, with a burst filed in level 0
+  // next to it.  A frame from wheel 0 then lands on wheel 1 far earlier
+  // and rolls its cursor back; the burst must still run at its own
+  // times, after the early arrival, and reaching it must cost a few
+  // cursor jumps — not one per 1024-tick window of the ~5 ms rolled
+  // back over (~5000 when level 0 is left filed against the old cursor).
+  EventLoop loop;
+  loop.register_source(0);
+  loop.register_source(1);
+  loop.configure_shards(2, {0, 1});
+  constexpr SimTime kFar = 5 * kMillisecond;
+  std::vector<std::pair<int, SimTime>> ran;
+  auto note = [&](int tag) { ran.emplace_back(tag, loop.now()); };
+  for (int i = 0; i < 4; ++i) {
+    loop.schedule_on_source(1, kFar + 100 * i, [&, i] { note(10 + i); });
+  }
+  loop.schedule_on_source(0, 10, [&] {
+    note(0);
+    loop.schedule_routed(1, 20, [&] { note(1); });
+  });
+  loop.run();
+  const std::vector<std::pair<int, SimTime>> want = {
+      {0, 10}, {1, 20}, {10, kFar}, {11, kFar + 100},
+      {12, kFar + 200}, {13, kFar + 300}};
+  EXPECT_EQ(ran, want);
+  EXPECT_LT(loop.window_advances(), 16u);
+}
+
 // --- MatchActionTable ---------------------------------------------------------
 
 TEST(MatchActionTable, InsertLookupErase) {
