@@ -35,6 +35,7 @@
 #include <chrono>
 #include <cinttypes>
 #include <cstdio>
+#include <cstdlib>
 #include <functional>
 #include <optional>
 #include <queue>
@@ -353,7 +354,7 @@ struct ArmedOpts {
   bool tracer = false;
   bool checker = false;
   bool profile = false;
-  bool serial_observers = false;  // OBJRPC_OBS_SERIAL-style fallback
+  bool serial_driver = false;  // OBJRPC_SHARDS_SERIAL=1 for this run
 };
 
 /// One sweep run: build the fabric, partition it, arm the wire digest,
@@ -364,10 +365,12 @@ SweepPoint run_sweep_point(std::uint32_t shards, std::uint64_t packets,
                            BuildFn build, const ArmedOpts& armed = {}) {
   Network net(2026);
   if (armed.profile) net.arm_shard_profiler();  // before enable_sharding
-  if (armed.serial_observers) net.set_observer_serial(true);
   std::optional<check::InvariantChecker> checker;
   if (armed.checker) checker.emplace(net);
+  // The runner reads the kill switch when enable_sharding builds it.
+  if (armed.serial_driver) setenv("OBJRPC_SHARDS_SERIAL", "1", 1);
   const std::vector<NodeId> hosts = build(net, shards);
+  if (armed.serial_driver) unsetenv("OBJRPC_SHARDS_SERIAL");
   if (armed.tracer) net.tracer().arm();
   net.arm_wire_digest();
   inject_open_loop(net, hosts, packets);
@@ -535,8 +538,9 @@ int main() {
   // --- armed-observer overhead at 4 shards (DESIGN.md §17) ------------------
   // Three legs, all 4-shard on the leaf-spine workload:
   //   unarmed      — wire digest only (the sweep's configuration);
-  //   armed+serial — tracer + checker + profiler with the observers
-  //                  forced onto the serial driver (the pre-§17 world);
+  //   armed+serial — tracer + checker under OBJRPC_SHARDS_SERIAL=1: the
+  //                  same partition on the serial key-merge driver, with
+  //                  observers inline (the pre-§17 world);
   //   armed        — same observers on the concurrent driver, deferring
   //                  into the per-shard journal.
   // `shards_armed_overhead_4` is armed-concurrent time over armed-serial
@@ -566,7 +570,7 @@ int main() {
     if (!a.metrics_json.empty()) profile_metrics = std::move(a.metrics_json);
     ArmedOpts serial = all;
     serial.profile = false;  // profiler needs the concurrent driver
-    serial.serial_observers = true;
+    serial.serial_driver = true;
     const SweepPoint s = run_sweep_point(4, kSweepPackets, ls_build, serial);
     armed_serial_eps = std::max(armed_serial_eps, s.events_per_sec);
     serial_digest = s.digest;

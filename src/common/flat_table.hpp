@@ -11,7 +11,7 @@
 // Contracts (identical to the unordered_map they replace):
 //   - iteration order is UNSPECIFIED and hash/layout dependent — any
 //     iteration feeding wire output must go through a sorted view, the
-//     same rule tools/lint_conventions.py enforces for unordered_map;
+//     same rule fablint's `hash-fanout` enforces for unordered_map;
 //   - pointers/references/iterators into the table are invalidated by
 //     insert (rehash) and erase (backshift) — look up again after
 //     mutating, exactly as the call sites already do via tokens/keys;

@@ -114,11 +114,10 @@ std::unique_ptr<Cluster> Cluster::build(const ClusterConfig& cfg) {
   // Multi-core opt-in (OBJRPC_SHARDS=N): partition the fabric with the
   // generic switch-group planner.  Last build step, after every node
   // exists.  Armed observers (the invariant checker's taps, an armed
-  // tracer) no longer force the serial driver: their observations defer
+  // tracer) do not force the serial driver: their observations defer
   // into the per-shard journal and replay in canonical order at each
   // barrier, so the run stays concurrent and the event order, wire
-  // bytes, and trace files are identical either way (DESIGN.md §17;
-  // OBJRPC_OBS_SERIAL=1 restores the old serialized behaviour).
+  // bytes, and trace files are identical either way (DESIGN.md §17).
   cluster->fabric_->network().maybe_shard_from_env();
   return cluster;
 }

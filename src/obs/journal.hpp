@@ -5,32 +5,27 @@
 // append, a checker tap, or a node-liveness callback that grabbed a
 // lock — or worse, forced the driver back to serial — would make the
 // fabric unobservable at the one speed that matters.  The journal
-// generalizes the wire digest's per-lane/merge-at-barrier trick to
-// arbitrary observer callbacks: during an epoch each worker appends
-// closures to its OWN lane (SPSC, no synchronization), every record
-// stamped with the executing event's canonical key (at, key_a, key_b).
-// At the BSP barrier, with all workers parked, the coordinator merges
-// the lanes, sorts by key, and replays the closures in canonical order
-// — the exact order the serial driver would have executed them in — so
-// every observer sees the identical fabric-global event sequence and
-// armed parallel runs produce byte-identical traces and digests.
+// carries arbitrary observer callbacks through the same LanedLog as the
+// wire digest (common/laned_log.hpp): during an epoch each worker
+// appends closures to its OWN lane, every record stamped with the
+// executing event's canonical key (at, key_a, key_b).  At the BSP
+// barrier, with all workers parked, the coordinator merges the lanes in
+// canonical order and replays the closures — the exact order the serial
+// driver would have executed them in — so every observer sees the
+// identical fabric-global event sequence and armed parallel runs produce
+// byte-identical traces and digests.
 //
-// Why the sort reconstructs serial order (proof sketch in §17): the
-// serial driver executes events in ascending (at, key_a, key_b), each
-// executed event's key is globally unique, and all records of one
-// event land contiguously in exactly one lane — so a stable sort by
-// key both interleaves events canonically and preserves each event's
-// internal program order.
+// `deferring()` is the one "inside a concurrent epoch" flag: the wire
+// digest, the packet taps, the tracer and the runner's cross-shard
+// handoff all read it.
 #pragma once
 
-#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <utility>
-#include <vector>
 
 #include "common/annotations.hpp"
-#include "common/exec_lane.hpp"
+#include "common/laned_log.hpp"
 #include "common/small_fn.hpp"
 #include "common/time.hpp"
 
@@ -48,13 +43,11 @@ class ShardJournal {
 
   /// One lane per execution lane (shards + control).  Called by
   /// Network::enable_sharding before any worker thread exists.
-  void configure_lanes(std::uint32_t n) {
-    if (n == 0) n = 1;
-    lanes_.resize(n);
-  }
+  void configure_lanes(std::uint32_t n) { log_.configure_lanes(n); }
 
-  /// Toggled by the parallel driver around each epoch (workers parked
-  /// both times); everywhere else records run inline.
+  /// True exactly while workers run a concurrent epoch.  Toggled by the
+  /// parallel driver under its epoch mutex (workers parked both times);
+  /// everywhere else records run inline.
   void set_deferring(bool on) { deferring_ = on; }
   bool deferring() const { return deferring_; }
 
@@ -62,11 +55,11 @@ class ShardJournal {
   /// event's canonical key.  MAY_ALLOC: lane vector growth — amortized,
   /// and only on armed runs.
   HOT_PATH MAY_ALLOC void defer(SmallFn fn) {
-    Rec r;
-    stamp_(r.at, r.ka, r.kb);
-    r.fn = std::move(fn);
-    lanes_[exec_lane_below(static_cast<std::uint32_t>(lanes_.size()))]
-        .recs.push_back(std::move(r));
+    SimTime at = 0;
+    std::uint64_t ka = 0;
+    std::uint64_t kb = 0;
+    stamp_(at, ka, kb);
+    log_.append(at, ka, kb, std::move(fn));
   }
 
   /// Run `f` now (serial driver, control context, or disarmed run) or
@@ -83,38 +76,25 @@ class ShardJournal {
   }
 
   /// Any records pending?  Coordinator-only, workers parked.
-  bool empty() const {
-    for (const Lane& l : lanes_) {
-      if (!l.recs.empty()) return false;
-    }
-    return true;
-  }
+  bool empty() const { return log_.empty(); }
 
   /// Records replayed over the journal's lifetime (profiler/tests).
   std::uint64_t replayed_total() const { return replayed_total_; }
 
-  /// Merge all lanes, sort by canonical key, and invoke each record.
-  /// `clock(at)` runs before each record so observers that read the
-  /// simulation clock see the record's delivery time, exactly as they
-  /// would have inline.  Coordinator-only, workers parked.
-  void replay(const std::function<void(SimTime)>& clock);
+  /// Invoke every record in canonical key order.  `clock(at)` runs
+  /// before each record so observers that read the simulation clock see
+  /// the record's delivery time, exactly as they would have inline.
+  /// Coordinator-only, workers parked.
+  template <typename Clock>
+  void replay(Clock&& clock) {
+    replayed_total_ += log_.merge([&clock](SimTime at, SmallFn& fn) {
+      clock(at);
+      fn();
+    });
+  }
 
  private:
-  struct Rec {
-    SimTime at = 0;
-    std::uint64_t ka = 0;
-    std::uint64_t kb = 0;
-    SmallFn fn;
-  };
-  /// Padded: each lane is written by its owning worker during an epoch.
-  struct alignas(64) Lane {
-    std::vector<Rec> recs;
-  };
-
-  /// SHARD_LANED: lanes_[ExecLane::idx] is the only element a worker
-  /// touches; configure_lanes sizes it before threads exist.
-  SHARD_LANED std::vector<Lane> lanes_{1};
-  std::vector<Rec> scratch_;
+  LanedLog<SmallFn> log_;
   bool deferring_ = false;
   StampFn stamp_;
   std::uint64_t replayed_total_ = 0;

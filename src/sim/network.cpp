@@ -48,7 +48,6 @@ Network::Network(std::uint64_t seed)
         EventLoop::current_event_key(ka, kb);
       });
   tracer_.bind_journal(&journal_);
-  obs_serial_forced_ = env_truthy("OBJRPC_OBS_SERIAL");
   metrics_.add_source("net/frames_sent",
                       [this] { return stats().frames_sent; });
   metrics_.add_source("net/frames_delivered",
@@ -322,7 +321,7 @@ void Network::deliver_now(NodeId from, NodeId dst, PortId dst_port,
   st.bytes_delivered += pkt.wire_size();
   ++pkt.hops;
   if (wire_digest_armed_) fold_wire_digest(from, dst, pkt);
-  if (tap_ || !extra_taps_.empty()) {
+  if (!taps_.empty()) {
     if (journal_.deferring()) {
       // Concurrent epoch: taps replay at the barrier in canonical
       // order, against a pooled copy of the frame (the receiver is
@@ -330,13 +329,11 @@ void Network::deliver_now(NodeId from, NodeId dst, PortId dst_port,
       Packet copy = pkt.header_copy();
       copy.data = payload_pool_.copy_of(pkt.data);
       journal_.defer(SmallFn([this, from, dst, copy = std::move(copy)]() mutable {
-        if (tap_) tap_(from, dst, copy);
-        for (auto& t : extra_taps_) t(from, dst, copy);
+        for (auto& t : taps_) t(from, dst, copy);
         payload_pool_.release(std::move(copy.data));
       }));
     } else {
-      if (tap_) tap_(from, dst, pkt);
-      for (auto& t : extra_taps_) t(from, dst, pkt);
+      for (auto& t : taps_) t(from, dst, pkt);
     }
   }
   nodes_[dst]->on_packet(dst_port, std::move(pkt));
@@ -365,42 +362,24 @@ void Network::fold_wire_digest(NodeId from, NodeId dst, const Packet& pkt) {
     tail |= static_cast<std::uint64_t>(d[i + b]) << (8 * b);
   }
   h = mix64(h ^ tail ^ (static_cast<std::uint64_t>(d.size()) << 48));
-  if (wire_digest_buffering_) {
-    // Concurrent epoch: buffer on the executing lane with the event's
-    // canonical key; the coordinator merges lanes at the next barrier.
+  if (journal_.deferring()) {
+    // Concurrent epoch: log on the executing lane with the event's
+    // canonical key; the coordinator folds the log at the barrier.
     std::uint64_t ka = 0;
     std::uint64_t kb = 0;
     EventLoop::current_event_key(ka, kb);
-    const std::uint32_t lane = exec_lane_below(
-        static_cast<std::uint32_t>(digest_lanes_.size()));
-    digest_lanes_[lane].recs.push_back(DigestRec{at, ka, kb, h});
+    wire_digest_log_.append(at, ka, kb, h);
     return;
   }
   wire_digest_chain_ = mix64(wire_digest_chain_ ^ h);
   ++wire_digest_count_;
 }
 
-void Network::merge_wire_digest_buffers() {
-  auto& scratch = digest_merge_scratch_;
-  scratch.clear();
-  for (DigestLane& lane : digest_lanes_) {
-    scratch.insert(scratch.end(), lane.recs.begin(), lane.recs.end());
-    lane.recs.clear();
-  }
-  if (scratch.empty()) return;
-  std::sort(scratch.begin(), scratch.end(),
-            [](const DigestRec& a, const DigestRec& b) {
-              if (a.at != b.at) return a.at < b.at;
-              if (a.key_a != b.key_a) return a.key_a < b.key_a;
-              return a.key_b < b.key_b;
-            });
-  for (const DigestRec& r : scratch) {
-    wire_digest_chain_ = mix64(wire_digest_chain_ ^ r.h);
-  }
-  wire_digest_count_ += scratch.size();
-}
-
-void Network::replay_observer_journal() {
+void Network::merge_epoch_logs() {
+  wire_digest_count_ += wire_digest_log_.merge(
+      [this](SimTime, std::uint64_t h) {
+        wire_digest_chain_ = mix64(wire_digest_chain_ ^ h);
+      });
   if (journal_.empty()) return;
   // Replay on the coordinator thread disguised as the control lane:
   // observers read now() as each record's delivery time, and pooled
@@ -454,7 +433,7 @@ std::uint32_t Network::enable_sharding(const ShardPlan& plan) {
   const TrafficStats merged = stats();
   stats_lanes_.assign(lanes, StatsLane{});
   stats_lanes_[0].s = merged;
-  digest_lanes_.assign(lanes, DigestLane{});
+  wire_digest_log_.configure_lanes(lanes);
   journal_.configure_lanes(lanes);
   loop_.set_parallel_driver(nullptr);
   runner_.reset();

@@ -18,6 +18,7 @@
 #include "common/annotations.hpp"
 #include "common/exec_lane.hpp"
 #include "common/flat_table.hpp"
+#include "common/laned_log.hpp"
 #include "common/pool.hpp"
 #include "common/result.hpp"
 #include "common/rng.hpp"
@@ -226,18 +227,14 @@ class Network {
     for (StatsLane& lane : stats_lanes_) lane.s = TrafficStats{};
   }
 
-  /// Observation hook for tests: sees every delivered frame.  Under the
-  /// concurrent driver taps run at barrier replay in canonical order
-  /// (observer_journal() below), so attaching one no longer serializes
-  /// the run; OBJRPC_OBS_SERIAL=1 restores the old behaviour.
+  /// Observation taps: each sees every delivered frame, in registration
+  /// order; they must not mutate the simulation.  Under the concurrent
+  /// driver taps run at barrier replay in canonical order
+  /// (observer_journal() below), so attaching one never serializes the
+  /// run.
   using PacketTap =
       std::function<void(NodeId from, NodeId to, const Packet&)>;
-  void set_tap(PacketTap tap) { tap_ = std::move(tap); }
-
-  /// Additional observation taps (the invariant checker attaches here so
-  /// it can coexist with a test's set_tap).  Taps run in registration
-  /// order, after the primary tap; they must not mutate the simulation.
-  void add_tap(PacketTap tap) { extra_taps_.push_back(std::move(tap)); }
+  void add_tap(PacketTap tap) { taps_.push_back(std::move(tap)); }
 
   // --- sharding (DESIGN.md §16) --------------------------------------
 
@@ -255,23 +252,12 @@ class Network {
 
   /// True when a run may execute shards on concurrent worker threads.
   /// Observers — taps (the invariant checker attaches as one), the node
-  /// observer, an armed tracer — no longer force the serial driver:
-  /// they see fabric-global event order via the observer journal, which
-  /// defers their callbacks during an epoch and replays them at the
-  /// barrier in canonical key order (DESIGN.md §17).  Escape hatches,
-  /// in precedence order: OBJRPC_SHARDS_SERIAL=1 serializes the whole
-  /// driver (ShardRunner::ready), and OBJRPC_OBS_SERIAL=1 (or
-  /// set_observer_serial) only gives up concurrency when observers are
-  /// attached — the pre-§17 behaviour.
-  bool concurrent_allowed() const {
-    if (shard_count() <= 1) return false;
-    if (!obs_serial_forced_) return true;
-    return !tap_ && extra_taps_.empty() && !node_observer_ &&
-           !tracer_.armed();
-  }
-  /// Force serialized execution whenever an observer is attached (the
-  /// OBJRPC_OBS_SERIAL escape hatch; tests use the setter).
-  void set_observer_serial(bool on) { obs_serial_forced_ = on; }
+  /// observer, an armed tracer — never force the serial driver: they see
+  /// fabric-global event order via the observer journal, which defers
+  /// their callbacks during an epoch and replays them at the barrier in
+  /// canonical key order (DESIGN.md §17).  OBJRPC_SHARDS_SERIAL=1 is the
+  /// one kill switch (ShardRunner::ready).
+  bool concurrent_allowed() const { return shard_count() > 1; }
 
   /// The shard-safe observer plane (DESIGN.md §17): concurrent epochs
   /// journal observer callbacks per lane; the coordinator replays them
@@ -295,9 +281,9 @@ class Network {
   /// Arm the wire digest: a running hash over every delivery (time,
   /// endpoints, size, full payload bytes) in canonical event order.
   /// This is the cheap, sim-native determinism witness the shard tests
-  /// and bench sweep compare across shard counts — unlike the taps it
-  /// works in concurrent mode (per-lane buffers, merged by canonical
-  /// key at every barrier).
+  /// and bench sweep compare across shard counts.  In a concurrent epoch
+  /// each delivery's hash goes to a LanedLog, merged by canonical key at
+  /// the barrier.
   void arm_wire_digest() { wire_digest_armed_ = true; }
   bool wire_digest_armed() const { return wire_digest_armed_; }
   /// Digest and delivery count so far (read at quiesce).
@@ -362,15 +348,12 @@ class Network {
   /// digest fold, taps, on_packet.
   HOT_PATH void deliver_now(NodeId from, NodeId dst, PortId dst_port,
                             Packet&& pkt);
-  /// Fold one delivery into the wire digest (or the executing lane's
-  /// buffer in a concurrent run).
+  /// Fold one delivery into the wire digest (or the digest log in a
+  /// concurrent epoch).
   HOT_PATH void fold_wire_digest(NodeId from, NodeId dst, const Packet& pkt);
-  /// Merge and fold every lane's buffered digest records in canonical
-  /// (at, key) order.  Runner-only, called at barriers (workers parked).
-  void merge_wire_digest_buffers();
-  /// Replay journaled observer records in canonical order (runner-only,
-  /// workers parked; see observer_journal()).
-  void replay_observer_journal();
+  /// Fold the epoch's digest log, then replay the observer journal, both
+  /// in canonical key order.  Runner-only, at barriers (workers parked).
+  void merge_epoch_logs();
   /// End-of-barrier notification from the runner: fires the user's
   /// barrier hook once clocks, digests, and journals are settled.
   void on_epoch_barrier();
@@ -403,8 +386,6 @@ class Network {
   obs::ShardJournal journal_;
   obs::ShardProfiler shard_profiler_;
   bool shard_profile_requested_ = false;
-  /// OBJRPC_OBS_SERIAL: observers force the serial driver (pre-§17).
-  bool obs_serial_forced_ = false;
   std::function<void()> barrier_hook_;
   std::vector<std::unique_ptr<NetworkNode>> nodes_;
   /// ports_[node][port] -> outgoing direction state.
@@ -423,8 +404,7 @@ class Network {
     TrafficStats s;
   };
   SHARD_LANED std::vector<StatsLane> stats_lanes_{1};
-  PacketTap tap_;
-  std::vector<PacketTap> extra_taps_;
+  std::vector<PacketTap> taps_;
   NodeObserver node_observer_;
   /// Frame ids: strided per-lane counters (id = base + c*stride +
   /// lane + 1), unique fabric-wide without synchronization.  Re-strided
@@ -436,26 +416,13 @@ class Network {
   std::uint64_t frame_id_stride_ = 1;
   std::uint64_t frame_id_base_ = 0;
 
-  // Wire digest state.  Serialized runs fold inline (chain/count);
-  // concurrent runs buffer per lane and the coordinator merges at
-  // barriers.
+  // Wire digest state.  Outside concurrent epochs deliveries fold
+  // inline (chain/count); inside one their hashes go to the log and the
+  // coordinator folds them at the barrier.
   bool wire_digest_armed_ = false;
-  /// Set by the runner for the duration of an epoch (workers parked at
-  /// both edges, so no torn reads).
-  bool wire_digest_buffering_ = false;
   std::uint64_t wire_digest_chain_;
   std::uint64_t wire_digest_count_ = 0;
-  struct DigestRec {
-    SimTime at;
-    std::uint64_t key_a;
-    std::uint64_t key_b;
-    std::uint64_t h;
-  };
-  struct alignas(64) DigestLane {
-    std::vector<DigestRec> recs;
-  };
-  SHARD_LANED std::vector<DigestLane> digest_lanes_{1};
-  std::vector<DigestRec> digest_merge_scratch_;
+  LanedLog<std::uint64_t> wire_digest_log_;
 
   std::unique_ptr<ShardRunner> runner_;
 };

@@ -227,8 +227,8 @@ void ShardRunner::run_until(SimTime deadline) {
     run_epoch(run_to);
     last_window_events_ = loop.events_executed() - events_before;
     // Barrier work, workers parked: land cross-shard frames (keys
-    // intact), fold the buffered digest lanes, and replay journaled
-    // observer records — both in canonical order.
+    // intact), fold the digest log, and replay journaled observer
+    // records — both in canonical order.
     if (prof.armed()) {
       prof.end_epoch();
       for (std::uint32_t i = 0; i < shards_; ++i) {
@@ -237,8 +237,7 @@ void ShardRunner::run_until(SimTime deadline) {
       prof.begin_drain();
     }
     drain_rings();
-    net_.merge_wire_digest_buffers();
-    net_.replay_observer_journal();
+    net_.merge_epoch_logs();
     for (auto& w : loop.wheels_) {
       if (w->now() > loop.global_now_) loop.global_now_ = w->now();
     }
@@ -254,12 +253,10 @@ void ShardRunner::run_epoch(SimTime limit) {
   {
     std::lock_guard<std::mutex> lk(mu_);
     epoch_limit_ = limit;
-    in_epoch_ = true;
-    // Deliveries during the epoch buffer per lane; every other digest
-    // fold (control events, serial segments) is inline.  Observer
-    // callbacks likewise journal during the epoch and run inline
-    // everywhere else.
-    net_.wire_digest_buffering_ = net_.wire_digest_armed_;
+    // The one epoch flag: during the epoch digest folds and observer
+    // callbacks go to their lane logs and cross-shard frames to the
+    // rings; everywhere else (control events, serial segments) they run
+    // inline.
     net_.journal_.set_deferring(true);
     running_ = shards_;
     ++epoch_seq_;
@@ -268,8 +265,6 @@ void ShardRunner::run_epoch(SimTime limit) {
   {
     std::unique_lock<std::mutex> lk(mu_);
     cv_done_.wait(lk, [this] { return running_ == 0; });
-    in_epoch_ = false;
-    net_.wire_digest_buffering_ = false;
     net_.journal_.set_deferring(false);
   }
   ++epochs_;
@@ -277,7 +272,7 @@ void ShardRunner::run_epoch(SimTime limit) {
 
 void ShardRunner::run_on_coordinator(SimTime limit) {
   // The serial driver's run of the window: events in key order, and
-  // with in_epoch_ false nothing journals or buffers — observers and
+  // with the journal not deferring nothing is logged — observers and
   // the wire digest run inline (every earlier window was replayed at
   // its barrier) and cross-shard frames insert straight into their
   // destination wheels.
@@ -316,7 +311,7 @@ void ShardRunner::worker_main(std::uint32_t lane) {
 
 bool ShardRunner::offer_cross(NodeId from, NodeId dst, PortId dst_port,
                               SimTime arrive, Packet&& pkt) {
-  if (!in_epoch_) return false;
+  if (!net_.journal_.deferring()) return false;
   const std::uint32_t lane = ExecLane::idx;
   if (lane >= shards_) return false;  // control/coordinator context
   if (net_.loop_.shard_of_source(dst) == lane) return false;  // own wheel

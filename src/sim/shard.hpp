@@ -11,7 +11,7 @@
 // the horizon H = min(M + L, next control time, deadline + 1) without
 // ever receiving a frame behind their clock.  Epochs are BSP rounds:
 // release workers to H-1, park them at a barrier, drain the cross-shard
-// handoff rings, merge the wire-digest lanes, repeat.
+// handoff rings, merge the digest and journal logs, repeat.
 //
 // Windows that cannot pay for the round trip skip it: the coordinator
 // runs them itself, exactly as the serial driver would, with no worker
@@ -93,11 +93,10 @@ struct ShardPlan {
 
 /// Drives K shard wheels on K worker threads in conservative-lookahead
 /// epochs.  Installed by Network::enable_sharding as the event loop's
-/// ParallelDriver; consulted only when Network::concurrent_allowed()
-/// holds (true even with armed observers since §17 — their
-/// observations defer into the shard journal and replay at the
-/// barrier), otherwise the loop's serial key-merge produces the
-/// identical order on one thread.
+/// ParallelDriver; armed observers do not stop it (their observations
+/// defer into the shard journal and replay at the barrier).  Under the
+/// OBJRPC_SHARDS_SERIAL kill switch the loop's serial key-merge
+/// produces the identical order on one thread instead.
 class ShardRunner final : public EventLoop::ParallelDriver {
  public:
   ShardRunner(Network& net, SimDuration lookahead, std::uint32_t shards);
@@ -207,16 +206,14 @@ class ShardRunner final : public EventLoop::ParallelDriver {
 
   // Epoch barrier.  epoch_seq_ bumps to release workers; running_
   // counts them back in.  All worker<->coordinator visibility (the
-  // epoch limit, in_epoch_, ring contents) is ordered by mu_.
+  // epoch limit, the journal's deferring flag, ring contents) is
+  // ordered by mu_.
   std::mutex mu_;
   std::condition_variable cv_work_;
   std::condition_variable cv_done_;
   std::uint64_t epoch_seq_ = 0;
   SimTime epoch_limit_ = 0;
   std::uint32_t running_ = 0;
-  /// True exactly while workers are running an epoch (offer_cross's
-  /// gate: outside an epoch every schedule is a direct wheel insert).
-  bool in_epoch_ = false;
   bool stop_ = false;
 
   /// Per-lane next event time of the current window scan.

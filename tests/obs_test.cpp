@@ -339,7 +339,7 @@ TEST(Trace, FragmentsOfOneMessageShareOneTraceId) {
   const NodeId dst_node = cluster->host(2).id();
   std::map<std::uint64_t, std::set<std::uint64_t>> traces_by_msg;
   std::map<std::uint64_t, std::set<std::uint64_t>> frags_by_msg;
-  cluster->fabric().network().set_tap(
+  cluster->fabric().network().add_tap(
       [&](NodeId, NodeId to, const Packet& pkt) {
         if (to != dst_node) return;
         auto frame = Frame::decode(pkt.data);

@@ -46,7 +46,6 @@ struct FabricOpts {
   std::size_t ring_capacity = 0;   // 0 = default
   SimDuration horizon_override = 0;
   bool force_serial_env = false;
-  bool obs_serial_env = false;     // OBJRPC_OBS_SERIAL=1
   bool arm_tracer = false;
   bool attach_tap = false;         // order-sensitive tap digest
   bool snapshot_each_epoch = false;
@@ -140,13 +139,12 @@ void fold_tap(std::uint64_t& d, NodeId from, NodeId to, const Packet& pkt) {
 RunResult run_fabric(std::uint64_t seed, std::uint32_t shards,
                      const FabricOpts& o = {}) {
   if (o.force_serial_env) setenv("OBJRPC_SHARDS_SERIAL", "1", 1);
-  if (o.obs_serial_env) setenv("OBJRPC_OBS_SERIAL", "1", 1);
   RunResult r;
   TestFabric f{Network(seed), {}};
   build_test_fabric(f, o);
   if (o.arm_tracer) f.net.tracer().arm();
   if (o.attach_tap) {
-    f.net.set_tap([&r](NodeId from, NodeId to, const Packet& pkt) {
+    f.net.add_tap([&r](NodeId from, NodeId to, const Packet& pkt) {
       fold_tap(r.tap_digest, from, to, pkt);
       ++r.tap_events;
     });
@@ -173,8 +171,8 @@ RunResult run_fabric(std::uint64_t seed, std::uint32_t shards,
       }
     });
   }
-  // ready() is the real gate the loop consults: observer policy
-  // (concurrent_allowed) AND the OBJRPC_SHARDS_SERIAL kill switch.
+  // ready() is the real gate the loop consults: more than one shard
+  // (concurrent_allowed) AND no OBJRPC_SHARDS_SERIAL kill switch.
   r.concurrent = f.net.runner() != nullptr && f.net.runner()->ready();
   f.net.arm_wire_digest();
   if (o.crash_spine) {
@@ -214,7 +212,6 @@ RunResult run_fabric(std::uint64_t seed, std::uint32_t shards,
     r.coordinator_windows = runner->coordinator_windows();
   }
   if (o.arm_tracer) r.trace_json = f.net.tracer().chrome_trace_json();
-  if (o.obs_serial_env) unsetenv("OBJRPC_OBS_SERIAL");
   if (o.force_serial_env) unsetenv("OBJRPC_SHARDS_SERIAL");
   return r;
 }
@@ -268,7 +265,9 @@ INSTANTIATE_TEST_SUITE_P(Seeds, ShardDigest,
 
 TEST(ShardRunnerTest, SerialKillSwitchStillByteIdentical) {
   // OBJRPC_SHARDS_SERIAL=1 keeps the partition but runs it on the
-  // serial key-merge driver — same keys, same digest.
+  // serial key-merge driver — same keys, same digest.  It is the one
+  // serial switch, armed or not: with tracer and tap attached the
+  // observers run inline and must see exactly the 1-shard stream.
   const RunResult base = run_fabric(7, 1);
   FabricOpts serial;
   serial.force_serial_env = true;
@@ -276,6 +275,23 @@ TEST(ShardRunnerTest, SerialKillSwitchStillByteIdentical) {
   EXPECT_EQ(p.shards, 4u);
   EXPECT_FALSE(p.concurrent);
   EXPECT_EQ(p.digest, base.digest);
+
+  FabricOpts armed;
+  armed.arm_tracer = true;
+  armed.attach_tap = true;
+  const RunResult armed_base = run_fabric(7, 1, armed);
+  ASSERT_GT(armed_base.tap_events, 0u);
+  ASSERT_FALSE(armed_base.trace_json.empty());
+  FabricOpts armed_serial = armed;
+  armed_serial.force_serial_env = true;
+  const RunResult q = run_fabric(7, 4, armed_serial);
+  EXPECT_EQ(q.shards, 4u);
+  EXPECT_FALSE(q.concurrent);
+  EXPECT_EQ(q.epochs, 0u);
+  EXPECT_EQ(q.digest, armed_base.digest);
+  EXPECT_EQ(q.tap_events, armed_base.tap_events);
+  EXPECT_EQ(q.tap_digest, armed_base.tap_digest);
+  EXPECT_EQ(q.trace_json, armed_base.trace_json);
 }
 
 TEST(ShardRunnerTest, OneShardWindowsRunOnTheCoordinator) {
@@ -401,31 +417,6 @@ TEST(ShardArmedTest, LossAndCrashWithObserversByteIdentical) {
   EXPECT_EQ(p.digest, base.digest);
   EXPECT_EQ(p.tap_digest, base.tap_digest);
   EXPECT_EQ(p.trace_json, base.trace_json);
-}
-
-TEST(ShardArmedTest, ObsSerialEnvRestoresSerialFallback) {
-  // OBJRPC_OBS_SERIAL=1 is the escape hatch: armed observers force the
-  // serial driver again (weaker than OBJRPC_SHARDS_SERIAL, which
-  // serializes even unobserved runs).  Output is identical either way.
-  FabricOpts armed;
-  armed.arm_tracer = true;
-  armed.attach_tap = true;
-  const RunResult base = run_fabric(9, 1, armed);
-  FabricOpts obs_serial = armed;
-  obs_serial.obs_serial_env = true;
-  const RunResult p = run_fabric(9, 4, obs_serial);
-  EXPECT_EQ(p.shards, 4u);
-  EXPECT_FALSE(p.concurrent);  // observers + kill switch => serial driver
-  EXPECT_EQ(p.digest, base.digest);
-  EXPECT_EQ(p.tap_digest, base.tap_digest);
-  EXPECT_EQ(p.trace_json, base.trace_json);
-
-  // Unobserved runs stay concurrent under OBJRPC_OBS_SERIAL: the switch
-  // only bites when something is actually armed.
-  FabricOpts bare;
-  bare.obs_serial_env = true;
-  const RunResult q = run_fabric(9, 4, bare);
-  EXPECT_TRUE(q.concurrent);
 }
 
 TEST(ShardArmedTest, RingOverflowWithObserversByteIdentical) {

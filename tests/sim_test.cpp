@@ -344,7 +344,7 @@ TEST(Network, TapSeesDeliveredFrames) {
   auto& b = net.add_node<SinkNode>("b");
   net.connect(a.id(), b.id());
   int taps = 0;
-  net.set_tap([&](NodeId from, NodeId to, const Packet&) {
+  net.add_tap([&](NodeId from, NodeId to, const Packet&) {
     EXPECT_EQ(from, a.id());
     EXPECT_EQ(to, b.id());
     ++taps;

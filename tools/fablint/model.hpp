@@ -13,6 +13,7 @@
 #include <map>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "lexer.hpp"
@@ -112,6 +113,8 @@ struct FileModel {
   std::vector<int> malformed_allows;
   /// True if the file mentions obs::SourceGroup (raw-counter rule).
   bool has_source_group = false;
+  /// `#include <header>` directives as (line, header) (load-numeric).
+  std::vector<std::pair<int, std::string>> system_includes;
 };
 
 /// The whole analyzed corpus, plus cross-file indexes.

@@ -77,6 +77,7 @@ class Parser {
     // the parser walk pure code tokens.
     for (const Token& t : all_tokens) {
       if (t.kind == Tok::kComment) scan_comment(t);
+      if (t.kind == Tok::kPreproc) scan_include(t);
     }
     fm_.tokens.reserve(all_tokens.size());
     for (Token& t : all_tokens) {
@@ -107,6 +108,20 @@ class Parser {
   }
   const Token& cur() const { return at(p_); }
   bool done() const { return p_ >= size() || cur().kind == Tok::kEof; }
+
+  /// Record `#include <header>`; the directive token runs to end of
+  /// line, trailing comment included.
+  void scan_include(const Token& t) {
+    std::string d;
+    for (char c : t.text) {
+      if (std::isspace(static_cast<unsigned char>(c)) == 0) d += c;
+    }
+    const std::string tag = "#include<";
+    const auto close = d.find('>');
+    if (d.rfind(tag, 0) != 0 || close == std::string::npos) return;
+    fm_.system_includes.emplace_back(
+        t.line, d.substr(tag.size(), close - tag.size()));
+  }
 
   void scan_comment(const Token& t) {
     const std::string tag = "fablint:allow(";

@@ -112,6 +112,15 @@ std::size_t skip_group(const FileModel& fm, std::size_t i, std::size_t end,
   return end;
 }
 
+/// `name(...)` at token i followed by a function-body opener is a
+/// DECLARATION of that name, not a call to the library one.
+bool declares_at(const FileModel& fm, std::size_t i) {
+  const std::size_t close = skip_group(fm, i + 1, fm.tokens.size(), "(", ")");
+  const std::string& after = tok_at(fm, close).text;
+  return after == "{" || after == "const" || after == "noexcept" ||
+         after == "override";
+}
+
 const FunctionDef* enclosing_function(const FileModel& fm, std::size_t tok) {
   for (const FunctionDef& fn : fm.functions) {
     if (fn.is_definition && tok >= fn.body_begin && tok < fn.body_end) {
@@ -257,17 +266,9 @@ void rule_entropy(const Ctx& ctx) {
       auto flag = [&](const std::string& msg) {
         ctx.report(fm, "entropy", t.line, msg, fn);
       };
-      // `name(...)` followed by a function-body opener is a DECLARATION
-      // of that name, not a call to the libc one.
-      auto is_decl = [&]() {
-        const std::size_t close =
-            skip_group(fm, i + 1, fm.tokens.size(), "(", ")");
-        const std::string& after = tok_at(fm, close).text;
-        return after == "{" || after == "const" || after == "noexcept" ||
-               after == "override";
-      };
       if ((t.text == "rand" || t.text == "srand") && !member_access &&
-          !other_qual && tok_at(fm, i + 1).text == "(" && !is_decl()) {
+          !other_qual && tok_at(fm, i + 1).text == "(" &&
+          !declares_at(fm, i)) {
         flag("raw " + t.text + "(): use common/rng");
       } else if (t.text == "random_device" && std_qual) {
         flag("std::random_device: use common/rng");
@@ -282,7 +283,7 @@ void rule_entropy(const Ctx& ctx) {
         }
       } else if (t.text == "clock" && !member_access && !other_qual &&
                  !std_qual && tok_at(fm, i + 1).text == "(" &&
-                 tok_at(fm, i + 2).text == ")" && !is_decl()) {
+                 tok_at(fm, i + 2).text == ")" && !declares_at(fm, i)) {
         flag("clock(): use EventLoop sim time");
       } else if ((t.text == "system_clock" || t.text == "steady_clock" ||
                   t.text == "high_resolution_clock") &&
@@ -291,6 +292,56 @@ void rule_entropy(const Ctx& ctx) {
         flag("std::chrono::" + t.text + ": use EventLoop sim time");
       } else if (t.text == "getentropy" || t.text == "getrandom") {
         flag("OS entropy: use common/rng");
+      }
+    }
+  }
+}
+
+// ---------------------------------------------------------------------
+// Rule: load-numeric
+//
+// src/load's arrival times and popularity draws feed the determinism
+// digest directly, so it is held to a stricter rule than `entropy`:
+// <random> distributions are implementation-defined (the same seed
+// draws differently on libstdc++ and libc++), and libm transcendentals
+// may differ at the last ulp between platforms.
+
+void rule_load_numeric(const Ctx& ctx) {
+  static const std::set<std::string> transcendental = {
+      "sin",  "sinf",  "cos",  "cosf",  "tan",   "tanf",   "exp", "expf",
+      "exp2", "exp2f", "log",  "logf",  "log2",  "log2f", "log10", "log10f",
+  };
+  const std::string suffix = "_distribution";
+  for (const FileModel& fm : ctx.corpus.files) {
+    if (!path_has_dir(fm.path, "load")) continue;
+    for (const auto& [line, header] : fm.system_includes) {
+      if (header == "random") {
+        ctx.report(fm, "load-numeric", line,
+                   "src/load: <random> distributions are "
+                   "implementation-defined; use common/rng");
+      }
+    }
+    for (std::size_t i = 0; i < fm.tokens.size(); ++i) {
+      const Token& t = tok_at(fm, i);
+      if (t.kind != Tok::kIdent) continue;
+      const FunctionDef* fn = enclosing_function(fm, i);
+      auto flag = [&](const std::string& msg) {
+        ctx.report(fm, "load-numeric", t.line, "src/load: " + msg, fn);
+      };
+      const std::string& prev = i > 0 ? tok_at(fm, i - 1).text : "";
+      const bool std_qual =
+          prev == "::" && i >= 2 && tok_at(fm, i - 2).text == "std";
+      if (std_qual && t.text.size() > suffix.size() &&
+          t.text.compare(t.text.size() - suffix.size(), suffix.size(),
+                         suffix) == 0) {
+        flag("std::" + t.text + " is a <random> distribution: use "
+             "common/rng");
+      } else if (transcendental.count(t.text) != 0 &&
+                 tok_at(fm, i + 1).text == "(" && prev != "." &&
+                 prev != "->" && (prev != "::" || std_qual) &&
+                 !declares_at(fm, i)) {
+        flag("libm " + t.text + "() varies across platforms at the last "
+             "ulp; use piecewise arithmetic shapes");
       }
     }
   }
@@ -888,6 +939,7 @@ std::vector<Finding> run_rules(const Corpus& corpus, const Options& opts) {
   std::vector<Finding> out;
   Ctx ctx{corpus, opts, &out};
   rule_entropy(ctx);
+  rule_load_numeric(ctx);
   rule_hash_fanout(ctx);
   rule_raw_counter(ctx);
   rule_node_map(ctx);

@@ -20,6 +20,7 @@ struct Options {
 
 /// Rule ids (README "Static analysis" lists one row per id):
 ///   entropy        ambient entropy / wall clocks
+///   load-numeric   <random> distributions / libm transcendentals in src/load
 ///   hash-fanout    hash-ordered iteration feeding sends or digests
 ///   raw-counter    Counters struct invisible to the metrics registry
 ///   node-map       node-based container under src/sim
