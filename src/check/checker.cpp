@@ -143,7 +143,8 @@ std::string InvariantChecker::node_name(NodeId n) const {
 }
 
 void InvariantChecker::on_tap(NodeId from, NodeId to, const Packet& pkt) {
-  auto frame = Frame::decode(pkt.data);
+  std::size_t payload_bytes = 0;
+  auto frame = Frame::decode_header(pkt.data, payload_bytes);
   if (!frame) return;  // not protocol traffic; nothing to validate
 
   WireEvent ev;
@@ -159,7 +160,7 @@ void InvariantChecker::on_tap(NodeId from, NodeId to, const Packet& pkt) {
   ev.length = frame->length;
   ev.epoch = frame->epoch;
   ev.obj_version = frame->obj_version;
-  ev.payload_bytes = frame->payload.size();
+  ev.payload_bytes = payload_bytes;
   ev.tenant = frame->tenant;
   if (auto it = addr_to_node_.find(ev.src);
       ev.src != kUnspecifiedHost && it != addr_to_node_.end()) {

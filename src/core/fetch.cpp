@@ -24,7 +24,7 @@ ObjectFetcher::ObjectFetcher(ObjNetService& service, FetchConfig cfg)
     if (it == copysets_.end()) return;
     // Version that obsoleted the replicas: the post-write counter.
     std::uint64_t version = 0;
-    if (auto obj = service_.host().store().get(id)) {
+    if (const ObjectPtr* obj = service_.host().store().find(id)) {
       version = (*obj)->version();
     }
     // Switch cache agents sit on the read path between us and every host

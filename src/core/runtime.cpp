@@ -5,7 +5,7 @@
 namespace objrpc {
 
 Result<ObjectPtr> InvokeContext::resolve(ObjectId id) {
-  if (auto obj = host_.store().get(id)) return obj;
+  if (const ObjectPtr* obj = host_.store().find(id)) return *obj;
   faults_.push_back(id);
   return Error{Errc::not_found, "object fault: " + id.to_string()};
 }

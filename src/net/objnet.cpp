@@ -94,6 +94,14 @@ Bytes Frame::encode() const {
 }
 
 Result<Frame> Frame::decode(ByteSpan data) {
+  std::size_t payload_size = 0;
+  auto f = decode_header(data, payload_size);
+  // A frame that decodes ends with its payload blob.
+  if (f) f->payload.assign(data.end() - payload_size, data.end());
+  return f;
+}
+
+Result<Frame> Frame::decode_header(ByteSpan data, std::size_t& payload_size) {
   BufReader r(data);
   Frame f;
   f.version = r.get_u8();
@@ -111,7 +119,7 @@ Result<Frame> Frame::decode(ByteSpan data) {
   f.trace.parent = r.get_u64();
   f.tenant = r.get_u32();
   (void)r.get_u32();  // reserved
-  f.payload = r.get_blob();
+  payload_size = r.get_span(r.get_varint()).size();
   if (!r.ok() || r.remaining() != 0) {
     return Error{Errc::malformed, "bad frame"};
   }

@@ -165,6 +165,11 @@ struct Frame {
 
   Bytes encode() const;
   static Result<Frame> decode(ByteSpan data);
+  /// decode without the payload copy: accepts exactly the frames decode
+  /// accepts and fills every header field, but leaves `payload` empty
+  /// and reports its length in `payload_size` (for observers that only
+  /// count bytes).
+  static Result<Frame> decode_header(ByteSpan data, std::size_t& payload_size);
 
   /// Decode only as far as the routing fields (what a switch parser
   /// does); cheaper than full decode and never touches the payload.

@@ -205,10 +205,12 @@ void ObjNetService::start_attempt(std::uint64_t token) {
   const bool redirected_away =
       p.kind != MsgType::read_req && write_redirector_ &&
       write_redirector_(p.ptr.object).has_value();
-  if (auto local = host_.store().get(p.ptr.object)) {
+  if (const ObjectPtr* found = host_.store().find(p.ptr.object)) {
+    // Hold the object itself: the guards below are user callbacks.
+    const ObjectPtr local = *found;
     if (p.kind == MsgType::read_req) {
       if (may_serve_read(p.ptr.object)) {
-        auto span = (*local)->read(p.ptr.offset, p.length);
+        auto span = local->read(p.ptr.offset, p.length);
         if (span) {
           finish_read(token, Bytes(span->begin(), span->end()));
         } else {
@@ -219,7 +221,7 @@ void ObjNetService::start_attempt(std::uint64_t token) {
       // Possibly-stale local copy (recovering home): read remotely.
     } else if (!redirected_away && is_authoritative(p.ptr.object)) {
       if (p.kind == MsgType::write_req) {
-        Status s = (*local)->write(p.ptr.offset, p.data);
+        Status s = local->write(p.ptr.offset, p.data);
         if (s) notify_write_observers(p.ptr.object);
         finish_write(token, s);
       } else {

@@ -41,7 +41,12 @@ class ObjectStore {
   Result<Object> remove(ObjectId id);
 
   bool contains(ObjectId id) const { return objects_.contains(id); }
+  /// Error on a miss, naming the object; for callers that report it.
   Result<ObjectPtr> get(ObjectId id) const;
+  /// Non-allocating probe (nullptr on a miss), for sites where a miss is
+  /// the normal case: a client asking whether it happens to hold the
+  /// object before going to the network.
+  const ObjectPtr* find(ObjectId id) const { return objects_.find(id); }
 
   std::size_t count() const { return objects_.size(); }
   std::uint64_t bytes_used() const { return bytes_used_; }

@@ -17,6 +17,16 @@ bool env_truthy(const char* name) {
   return v != nullptr && v[0] != '\0' && !(v[0] == '0' && v[1] == '\0');
 }
 
+/// Canonical execution order: ascending (at, key_a, key_b).  Takes any
+/// record carrying those three fields: wheel entries, sort records and
+/// the key-merge's cached heads.
+template <typename X, typename Y>
+bool key_less(const X& x, const Y& y) {
+  if (x.at != y.at) return x.at < y.at;
+  if (x.key_a != y.key_a) return x.key_a < y.key_a;
+  return x.key_b < y.key_b;
+}
+
 SimTime clamp_bound(std::uint64_t b) {
   const auto mx =
       static_cast<std::uint64_t>(std::numeric_limits<SimTime>::max());
@@ -107,12 +117,16 @@ void TimingWheel::place(std::uint32_t idx, bool cascading) {
     // window, and next_time would step the cursor there one 1024-tick
     // window at a time (a ~1 ms rollback cost ~1000 window scans).
     // Higher levels need nothing: a slot met early just cascades early.
+    // The summary skips empty words; it is re-read after each word, so
+    // a word that re-filed entries land in later is still visited.
     tick_ = at;
     sorted_tick_ = kNoTick;
-    for (std::size_t w = 0; w < kWords; ++w) {
+    for (std::uint32_t live = summary_[0]; live != 0;) {
+      const auto w = static_cast<std::size_t>(std::countr_zero(live));
       for (std::uint64_t word = bits_[0][w]; word != 0; word &= word - 1) {
         cascade(0, (w << 6) + static_cast<std::size_t>(std::countr_zero(word)));
       }
+      live = summary_[0] & (~std::uint32_t{0} << (w + 1));
     }
   }
   const std::uint64_t delta = at - tick_;  // at >= tick_ by invariant
@@ -143,12 +157,7 @@ void TimingWheel::place(std::uint32_t idx, bool cascading) {
     std::uint32_t cur = b.head;
     while (cur != kNoNode) {
       const Entry& e = entries_[cur];
-      if (e.at > n.at ||
-          (e.at == n.at &&
-           (e.key_a > n.key_a ||
-            (e.key_a == n.key_a && e.key_b > n.key_b)))) {
-        break;
-      }
+      if (key_less(n, e)) break;
       prev = cur;
       cur = e.next;
     }
@@ -159,7 +168,7 @@ void TimingWheel::place(std::uint32_t idx, bool cascading) {
       entries_[prev].next = idx;
     }
     if (cur == kNoNode) b.tail = idx;
-    bits_[0][slot >> 6] |= std::uint64_t{1} << (slot & 63);
+    set_bit(0, slot);
     return;
   }
   if (cascading) {
@@ -175,7 +184,7 @@ void TimingWheel::place(std::uint32_t idx, bool cascading) {
       b.tail = idx;
     }
   }
-  bits_[level][slot >> 6] |= std::uint64_t{1} << (slot & 63);
+  set_bit(level, slot);
 }
 
 void TimingWheel::cascade(std::size_t level, std::size_t slot) {
@@ -183,7 +192,7 @@ void TimingWheel::cascade(std::size_t level, std::size_t slot) {
   std::uint32_t head = b.head;
   if (head == kNoNode) return;
   b.head = b.tail = kNoNode;
-  bits_[level][slot >> 6] &= ~(std::uint64_t{1} << (slot & 63));
+  clear_bit(level, slot);
   // Reverse the list, then re-place front-first: every target bucket
   // receives its share as a prepended block in the original order.
   // Arrival order within a bucket no longer matters for execution (the
@@ -214,11 +223,7 @@ void TimingWheel::sort_bucket(std::size_t slot) {
     sort_scratch_.push_back(SortRec{e.at, e.key_a, e.key_b, i});
   }
   std::sort(sort_scratch_.begin(), sort_scratch_.end(),
-            [](const SortRec& x, const SortRec& y) {
-              if (x.at != y.at) return x.at < y.at;
-              if (x.key_a != y.key_a) return x.key_a < y.key_a;
-              return x.key_b < y.key_b;
-            });
+            key_less<SortRec, SortRec>);
   for (std::size_t i = 0; i + 1 < sort_scratch_.size(); ++i) {
     entries_[sort_scratch_[i].idx].next = sort_scratch_[i + 1].idx;
   }
@@ -229,26 +234,24 @@ void TimingWheel::sort_bucket(std::size_t slot) {
 
 std::uint64_t TimingWheel::first_set_from(std::size_t level,
                                           std::size_t from) const {
-  std::size_t w = from >> 6;
-  std::uint64_t word =
-      bits_[level][w] & (~std::uint64_t{0} << (from & 63));
-  for (std::size_t i = 0;; ++i) {
-    if (word != 0) {
-      const std::size_t slot =
-          (w << 6) + static_cast<std::size_t>(std::countr_zero(word));
-      return (slot + kSlots - from) & (kSlots - 1);
-    }
-    if (i == kWords) return kNoDist;
-    w = (w + 1) & (kWords - 1);
-    word = bits_[level][w];
-    if (i + 1 == kWords) {
-      // Wrapped back to the starting word: only the bits below `from`
-      // are new.
-      word &= (from & 63) != 0
-                  ? ~(~std::uint64_t{0} << (from & 63))
-                  : 0;
-    }
+  const std::size_t w = from >> 6;
+  std::size_t slot;
+  if (const std::uint64_t rest =
+          bits_[level][w] & (~std::uint64_t{0} << (from & 63));
+      rest != 0) {
+    slot = (w << 6) + static_cast<std::size_t>(std::countr_zero(rest));
+  } else {
+    // The words after w, else the wrap: the lowest occupied word of the
+    // level.  That may be w itself, whose bits at or above `from` are
+    // clear, so whatever it holds lies behind `from`.
+    std::uint32_t live = summary_[level] & (~std::uint32_t{0} << (w + 1));
+    if (live == 0) live = summary_[level];
+    if (live == 0) return kNoDist;
+    const auto lw = static_cast<std::size_t>(std::countr_zero(live));
+    slot = (lw << 6) +
+           static_cast<std::size_t>(std::countr_zero(bits_[level][lw]));
   }
+  return (slot + kSlots - from) & (kSlots - 1);
 }
 
 SimTime TimingWheel::next_time(SimTime limit) {
@@ -302,13 +305,7 @@ SimTime TimingWheel::next_time(SimTime limit) {
                i = entries_[i].next) {
             const Entry& e = entries_[i];
             mn = std::min(mn, static_cast<std::uint64_t>(e.at));
-            if (prev != nullptr &&
-                (prev->at > e.at ||
-                 (prev->at == e.at &&
-                  (prev->key_a > e.key_a ||
-                   (prev->key_a == e.key_a && prev->key_b > e.key_b))))) {
-              in_order = false;
-            }
+            if (prev != nullptr && key_less(e, *prev)) in_order = false;
             prev = &e;
           }
           if (in_order && mn == at) sorted_tick_ = at;
@@ -325,7 +322,11 @@ SimTime TimingWheel::next_time(SimTime limit) {
         min_skip = std::min(min_skip, mn);
         word &= word - 1;  // future-window slot: keep scanning
       }
-      if (++w == kWords) break;
+      // Jump to the next occupied word of the window, if any.
+      const std::uint32_t later =
+          summary_[0] & (~std::uint32_t{0} << (w + 1));
+      if (later == 0) break;
+      w = static_cast<std::size_t>(std::countr_zero(later));
       word = bits_[0][w];
     }
     // Window exhausted: jump to the next tick where anything can
@@ -378,7 +379,7 @@ void TimingWheel::pop_run_raw() {
   b.head = entries_[idx].next;
   if (b.head == kNoNode) {
     b.tail = kNoNode;
-    bits_[0][slot >> 6] &= ~(std::uint64_t{1} << (slot & 63));
+    clear_bit(0, slot);
   } else {
     // Hide the next node's cache miss behind this callback's execution.
     __builtin_prefetch(&entries_[b.head]);
@@ -453,6 +454,7 @@ void TimingWheel::extract_all(std::vector<Extracted>& out) {
   for (auto& words : bits_) {
     for (auto& word : words) word = 0;
   }
+  for (auto& live : summary_) live = 0;
   entries_.clear();
   fn_chunks_.clear();
   free_head_ = kNoNode;
@@ -593,36 +595,44 @@ void EventLoop::run_shards_serial(SimTime limit) {
   merge_run(limit);
 }
 
+void EventLoop::read_head(TimingWheel& w, SimTime limit, Head& h) {
+  h.pending = w.pending();
+  h.at = w.next_time(limit);
+  if (h.at != kNoEventTime) w.head_key(h.key_a, h.key_b);
+}
+
 void EventLoop::merge_run(SimTime limit) {
   // Serialized-canonical execution across K wheels: repeatedly run the
   // event with the globally smallest (at, key_a, key_b).  This is the
   // order the key design defines for EVERY mode, so observers (taps,
   // the invariant checker, the tracer) see exactly the 1-shard stream.
+  // A head can only move on the wheel that just popped, or on one a
+  // schedule landed in (its pending count moved — a cross-wheel frame,
+  // possibly below the cached head, and unbounded by any lookahead on
+  // the serial kill-switch path); every other head is reused.
+  constexpr std::size_t kStale = ~std::size_t{0};
+  const std::size_t k = wheels_.size();
+  heads_.resize(k);
+  for (Head& h : heads_) h.pending = kStale;
+  const SchedCtx saved = tls_ctx_;
+  const std::uint32_t saved_lane = ExecLane::idx;
   for (;;) {
-    TimingWheel* best = nullptr;
-    SimTime best_at = 0;
-    std::uint64_t best_a = 0;
-    std::uint64_t best_b = 0;
-    for (auto& up : wheels_) {
-      TimingWheel* w = up.get();
-      const SimTime t = w->next_time(limit);
-      if (t == kNoEventTime) continue;
-      std::uint64_t a = 0;
-      std::uint64_t b = 0;
-      w->head_key(a, b);
-      if (best == nullptr || t < best_at ||
-          (t == best_at &&
-           (a < best_a || (a == best_a && b < best_b)))) {
-        best = w;
-        best_at = t;
-        best_a = a;
-        best_b = b;
+    std::size_t best = k;
+    for (std::size_t i = 0; i < k; ++i) {
+      Head& h = heads_[i];
+      if (h.pending != wheels_[i]->pending()) read_head(*wheels_[i], limit, h);
+      if (h.at != kNoEventTime && (best == k || key_less(h, heads_[best]))) {
+        best = i;
       }
     }
-    if (best == nullptr) return;
-    best->pop_run();
-    if (best_at > global_now_) global_now_ = best_at;
+    if (best == k) break;
+    const SimTime at = heads_[best].at;
+    wheels_[best]->pop_run_raw();
+    heads_[best].pending = kStale;
+    if (at > global_now_) global_now_ = at;
   }
+  ExecLane::idx = saved_lane;
+  tls_ctx_ = saved;
 }
 
 void EventLoop::drain_control_at(SimTime tc) {
@@ -676,28 +686,20 @@ void EventLoop::settle_clocks(SimTime t) {
 bool EventLoop::step() {
   constexpr SimTime kLim = std::numeric_limits<SimTime>::max();
   TimingWheel* best = nullptr;
-  SimTime best_at = 0;
-  std::uint64_t best_a = 0;
-  std::uint64_t best_b = 0;
-  auto consider = [&](TimingWheel* w) {
-    const SimTime t = w->next_time(kLim);
-    if (t == kNoEventTime) return;
-    std::uint64_t a = 0;
-    std::uint64_t b = 0;
-    w->head_key(a, b);
-    if (best == nullptr || t < best_at ||
-        (t == best_at && (a < best_a || (a == best_a && b < best_b)))) {
-      best = w;
-      best_at = t;
-      best_a = a;
-      best_b = b;
+  Head best_head;
+  auto consider = [&](TimingWheel& w) {
+    Head h;
+    read_head(w, kLim, h);
+    if (h.at != kNoEventTime && (best == nullptr || key_less(h, best_head))) {
+      best = &w;
+      best_head = h;
     }
   };
-  consider(&control_);
-  for (auto& w : wheels_) consider(w.get());
+  consider(control_);
+  for (auto& w : wheels_) consider(*w);
   if (best == nullptr) return false;
   best->pop_run();
-  if (best_at > global_now_) global_now_ = best_at;
+  if (best_head.at > global_now_) global_now_ = best_head.at;
   return true;
 }
 

@@ -180,9 +180,23 @@ class TimingWheel {
   /// the next slot arrival / cascade boundary instead of walking every
   /// 1024-tick window (a 2^40 ns timer would otherwise cost 2^30 empty
   /// scans).
+  /// Two-level occupancy search: at most three countr_zero's (the rest
+  /// of `from`'s word, the words after it via the level summary, then
+  /// the wrap), never a walk over the level's words.
   static constexpr std::uint64_t kNoDist = ~std::uint64_t{0};
   std::uint64_t first_set_from(std::size_t level, std::size_t from) const
       REQUIRES_SHARD(shard_);
+  /// The only writers of the occupancy bitmaps: each keeps the level's
+  /// summary word (bit w set iff bits_[level][w] != 0) in step.
+  void set_bit(std::size_t level, std::size_t slot) REQUIRES_SHARD(shard_) {
+    bits_[level][slot >> 6] |= std::uint64_t{1} << (slot & 63);
+    summary_[level] |= std::uint32_t{1} << (slot >> 6);
+  }
+  void clear_bit(std::size_t level, std::size_t slot) REQUIRES_SHARD(shard_) {
+    std::uint64_t& word = bits_[level][slot >> 6];
+    word &= ~(std::uint64_t{1} << (slot & 63));
+    if (word == 0) summary_[level] &= ~(std::uint32_t{1} << (slot >> 6));
+  }
   /// Sort a level-0 bucket by (at, key_a, key_b).  `at` participates
   /// because a cursor rollback (see place) can leave one slot holding
   /// events of two different windows.
@@ -190,11 +204,11 @@ class TimingWheel {
   MAY_ALLOC void sort_bucket(std::size_t slot) REQUIRES_SHARD(shard_);
   /// pop_run minus the scheduling-context epilogue: leaves tls_ctx_ /
   /// ExecLane pointing at the event just run.  For drain loops (and
-  /// EventLoop's control drain, via friendship) that pop many events
-  /// back to back — the next pop overwrites the context wholesale, so
-  /// per-event restores are pure overhead; the LOOP restores once on
-  /// exit.  Callers MUST save both before the first call and restore
-  /// after the last.
+  /// EventLoop's control drain and key-merge, via friendship) that pop
+  /// many events back to back — the next pop overwrites the context
+  /// wholesale, so per-event restores are pure overhead; the LOOP
+  /// restores once on exit.  Callers MUST save both before the first
+  /// call and restore after the last.
   HOT_PATH void pop_run_raw();
   /// Pop the rest of the current tick without re-running next_time.
   /// Sound only right after a pop at this tick: next_time sorted the
@@ -227,6 +241,8 @@ class TimingWheel {
   ShardCap shard_;
   Bucket buckets_[kLevels][kSlots] SHARD_GUARDED_BY(shard_);
   std::uint64_t bits_[kLevels][kWords] SHARD_GUARDED_BY(shard_) = {};
+  static_assert(kWords <= 32, "one summary word per level");
+  std::uint32_t summary_[kLevels] SHARD_GUARDED_BY(shard_) = {};
   std::vector<Entry> entries_ SHARD_GUARDED_BY(shard_);
   std::vector<std::unique_ptr<Callback[]>> fn_chunks_
       SHARD_GUARDED_BY(shard_);
@@ -459,6 +475,16 @@ class EventLoop {
   /// Run every shard event with time <= limit (serial: key-merge when
   /// K > 1, tight loop when K == 1).
   void run_shards_serial(SimTime limit);
+  /// A wheel's next event (<= some limit) as the key-merge last read it,
+  /// with the wheel's pending() at that read: a count that has since
+  /// moved means a schedule landed there and the head must be re-read.
+  struct Head {
+    SimTime at = kNoEventTime;  ///< kNoEventTime: nothing <= the limit
+    std::uint64_t key_a = 0;
+    std::uint64_t key_b = 0;
+    std::size_t pending = 0;
+  };
+  static void read_head(TimingWheel& w, SimTime limit, Head& h);
   void merge_run(SimTime limit);
   /// Drain every control event at exactly time `tc` (children at tc
   /// included — they sort after their parents by seq).
@@ -479,6 +505,7 @@ class EventLoop {
   bool strict_past_schedules_ = false;
   ParallelDriver* driver_ = nullptr;
   DrainHook drain_hook_;
+  std::vector<Head> heads_;  ///< merge_run's per-wheel cache
 
   friend class TimingWheel;
   /// The parallel runner drives the private serial helpers (control

@@ -2,6 +2,7 @@
 // transport, both discovery schemes, object movement, subscriptions.
 #include <gtest/gtest.h>
 
+#include "common/rng.hpp"
 #include "net/fabric.hpp"
 #include "net/subscription.hpp"
 
@@ -63,6 +64,90 @@ TEST(Frame, DecodeRejectsGarbage) {
   Bytes good = f.encode();
   good[0] = 9;  // bad version
   EXPECT_FALSE(Frame::decode(good));
+}
+
+TEST(Frame, DecodeHeaderAcceptsExactlyWhatDecodeAccepts) {
+  // Seeded mutations of encoded frames (truncation, trailing bytes, byte
+  // flips, a bad version, a rewritten payload length): decode_header
+  // must accept exactly what decode accepts, with the same header.
+  Rng rng(0xF4A3E);
+  int accepted = 0;
+  int rejected = 0;
+  for (std::size_t payload : {0u, 1u, 127u, 128u, 300u}) {
+    Frame f;
+    f.type = MsgType::chunk_resp;
+    f.flags = kFlagBroadcast;
+    f.epoch = 3;
+    f.src_host = 11;
+    f.dst_host = 12;
+    f.object = fixed_id(payload);
+    f.seq = 77;
+    f.offset = 4096;
+    f.length = static_cast<std::uint32_t>(payload);
+    f.obj_version = 9;
+    f.trace = obs::TraceContext{5, 6};
+    f.tenant = 2;
+    f.payload = Bytes(payload, 0xAB);
+    const Bytes good = f.encode();
+    for (int round = 0; round < 200; ++round) {
+      Bytes buf = good;
+      switch (rng.next_below(6)) {
+        case 0:
+          break;  // unmodified
+        case 1:
+          buf.resize(rng.next_below(buf.size()));
+          break;
+        case 2:
+          for (std::uint64_t n = 1 + rng.next_below(3); n > 0; --n) {
+            buf.push_back(static_cast<std::uint8_t>(rng.next_u64()));
+          }
+          break;
+        case 3:
+          buf[rng.next_below(buf.size())] ^=
+              static_cast<std::uint8_t>(1 + rng.next_below(255));
+          break;
+        case 4:
+          buf[0] = static_cast<std::uint8_t>(rng.next_below(3));
+          break;
+        default: {
+          // The payload length varint, just ahead of the payload.
+          const std::size_t varint = payload < 128 ? 1 : 2;
+          buf[good.size() - payload - varint] =
+              static_cast<std::uint8_t>(rng.next_u64());
+          break;
+        }
+      }
+      const auto full = Frame::decode(buf);
+      std::size_t payload_size = 12345;
+      const auto head = Frame::decode_header(buf, payload_size);
+      ASSERT_EQ(static_cast<bool>(full), static_cast<bool>(head))
+          << "payload " << payload << " round " << round;
+      if (!full) {
+        ++rejected;
+        continue;
+      }
+      ++accepted;
+      EXPECT_EQ(head->version, full->version);
+      EXPECT_EQ(head->type, full->type);
+      EXPECT_EQ(head->flags, full->flags);
+      EXPECT_EQ(head->epoch, full->epoch);
+      EXPECT_EQ(head->src_host, full->src_host);
+      EXPECT_EQ(head->dst_host, full->dst_host);
+      EXPECT_EQ(head->object, full->object);
+      EXPECT_EQ(head->seq, full->seq);
+      EXPECT_EQ(head->offset, full->offset);
+      EXPECT_EQ(head->length, full->length);
+      EXPECT_EQ(head->obj_version, full->obj_version);
+      EXPECT_EQ(head->trace.trace, full->trace.trace);
+      EXPECT_EQ(head->trace.parent, full->trace.parent);
+      EXPECT_EQ(head->tenant, full->tenant);
+      EXPECT_TRUE(head->payload.empty());
+      EXPECT_EQ(payload_size, full->payload.size());
+    }
+  }
+  // Both outcomes must actually occur for the sweep to mean anything.
+  EXPECT_GT(accepted, 100);
+  EXPECT_GT(rejected, 100);
 }
 
 TEST(Frame, NackPayloadRoundTrip) {

@@ -2,7 +2,11 @@
 // match-action tables, topologies.
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <limits>
 #include <memory>
+#include <set>
+#include <string>
 #include <tuple>
 
 #include "common/rng.hpp"
@@ -160,6 +164,233 @@ TEST(EventLoop, CursorRollbackRefilesFarEntries) {
       {12, kFar + 200}, {13, kFar + 300}};
   EXPECT_EQ(ran, want);
   EXPECT_LT(loop.window_advances(), 16u);
+}
+
+// --- Wheel vs. reference model ------------------------------------------------
+
+std::uint64_t wheel_seed() {
+  const char* v = std::getenv("WHEEL_SEED");
+  return v != nullptr && v[0] != '\0' ? std::strtoull(v, nullptr, 0)
+                                      : 0x5EED;
+}
+
+/// The event script the wheel and the reference model both follow.  An
+/// event's children are a pure function of the seed and the event's
+/// key_b; key_b's are handed out in execution order, so the two models
+/// agree on every key exactly as long as they agree on the order.
+class WheelScript {
+ public:
+  static constexpr std::uint32_t kSources = 8;
+  struct Spawn {
+    std::uint32_t dst;
+    SimTime at;
+    std::uint64_t key_a;
+    std::uint64_t key_b;
+  };
+
+  explicit WheelScript(std::uint64_t seed) : seed_(seed) {}
+
+  /// Children of the event keyed `key_b` running at `now` (0-2 each,
+  /// until the event budget is spent).
+  template <typename F>
+  void spawn(SimTime now, std::uint64_t key_b, F&& schedule) {
+    std::uint64_t h =
+        SplitMix64(seed_ ^ (key_b * 0x9E3779B97F4A7C15ULL)).next();
+    static constexpr int kKids[10] = {0, 0, 0, 1, 1, 1, 2, 2, 2, 2};
+    const int kids = issued_ >= kBudget ? 0 : kKids[h % 10];
+    for (int i = 0; i < kids; ++i) {
+      h = SplitMix64(h).next();
+      schedule(child(h, now));
+    }
+  }
+
+  /// A fresh root event at or after `now` (test-driver injection).
+  Spawn root(SimTime now, std::uint64_t salt) {
+    return child(SplitMix64(seed_ ^ ~salt).next(), now);
+  }
+
+ private:
+  static constexpr std::uint64_t kBudget = 4000;
+
+  Spawn child(std::uint64_t h, SimTime now) {
+    const std::uint64_t r = h >> 8;
+    SimTime at = now;
+    // Far timers are capped so repeated ones cannot overflow SimTime.
+    const bool far_ok = now < (SimTime{1} << 56);
+    switch (h % 10) {
+      case 0:
+      case 1:
+        break;  // same-tick child
+      case 2:
+      case 3:
+        at = now + 1 + static_cast<SimTime>(r % 2048);
+        break;
+      case 4:
+      case 5: {
+        // Level boundaries 2^(10l) - 1, 2^(10l), 2^(10l) + 1; l = 5 is
+        // the wheel horizon.
+        const unsigned level = static_cast<unsigned>(r % (far_ok ? 6 : 3));
+        at = now + (SimTime{1} << (10 * level)) +
+             static_cast<SimTime>((r >> 3) % 3) - 1;
+        break;
+      }
+      case 6: {
+        // Slots 63/64 (a bitmap word boundary) and 1023/0 (the window
+        // wrap), up to four windows out.
+        static constexpr SimTime kEdge[4] = {63, 64, 1023, 1024};
+        at = (now | 1023) + 1 + 1024 * static_cast<SimTime>((r >> 2) % 4) +
+             kEdge[r % 4];
+        break;
+      }
+      case 7:
+        // Beyond the 2^50 ns horizon.
+        if (far_ok) {
+          at = now + (SimTime{1} << 50) + static_cast<SimTime>(r % 4096);
+        }
+        break;
+      default:
+        at = now + static_cast<SimTime>(r % (std::uint64_t{1} << 30));
+        break;
+    }
+    // Small key_a values collide often, so key_b decides many ties, and
+    // a same-tick child can sort ahead of its parent's later siblings.
+    return Spawn{static_cast<std::uint32_t>((h >> 40) % kSources), at,
+                 (std::uint64_t{1} << 62) | ((h >> 48) % 4), ++issued_};
+  }
+
+  std::uint64_t seed_;
+  std::uint64_t issued_ = 0;
+};
+
+/// Canonical order by construction: a sorted set of (at, key_a, key_b).
+class ReferenceLoop {
+ public:
+  explicit ReferenceLoop(std::uint64_t seed) : script_(seed) {}
+  void add(const WheelScript::Spawn& s) { q_.emplace(s.at, s.key_a, s.key_b); }
+  WheelScript& script() { return script_; }
+  void run_until(SimTime limit) {
+    while (!q_.empty() && std::get<0>(*q_.begin()) <= limit) {
+      const auto [at, key_a, key_b] = *q_.begin();
+      q_.erase(q_.begin());
+      order.push_back(key_b);
+      script_.spawn(at, key_b, [&](const WheelScript::Spawn& c) { add(c); });
+    }
+  }
+  std::vector<std::uint64_t> order;
+
+ private:
+  WheelScript script_;
+  std::set<std::tuple<SimTime, std::uint64_t, std::uint64_t>> q_;
+};
+
+class WheelUnderTest {
+ public:
+  WheelUnderTest(std::uint64_t seed, std::uint32_t shards) : script_(seed) {
+    for (std::uint32_t s = 0; s < WheelScript::kSources; ++s) {
+      loop_.register_source(s);
+    }
+    if (shards > 1) {
+      std::vector<std::uint32_t> shard_of;
+      for (std::uint32_t s = 0; s < WheelScript::kSources; ++s) {
+        shard_of.push_back(s % shards);
+      }
+      loop_.configure_shards(shards, shard_of);
+    }
+  }
+  void add(const WheelScript::Spawn& s) {
+    loop_.schedule_stamped(s.dst, s.at, s.key_a, s.key_b,
+                           [this, at = s.at, key_b = s.key_b] {
+                             EXPECT_EQ(loop_.now(), at);
+                             order.push_back(key_b);
+                             script_.spawn(at, key_b,
+                                           [this](const WheelScript::Spawn& c) {
+                                             add(c);
+                                           });
+                           });
+  }
+  WheelScript& script() { return script_; }
+  EventLoop& loop() { return loop_; }
+  std::vector<std::uint64_t> order;
+
+ private:
+  EventLoop loop_;
+  WheelScript script_;
+};
+
+TEST(EventLoop, WheelMatchesReferenceOrder) {
+  // 1 wheel, and 4 wheels under the serial key-merge, against a sorted
+  // reference: deltas at every level boundary, word and window edges,
+  // timers past the horizon, same-tick children, random run_until
+  // limits with injections between them, and (4 wheels) cross-wheel
+  // schedules that land below a wheel's parked cursor.
+  const std::uint64_t seed = wheel_seed();
+  SCOPED_TRACE("WHEEL_SEED=" + std::to_string(seed));
+  for (std::uint32_t shards : {1u, 4u}) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    ReferenceLoop ref(seed);
+    WheelUnderTest real(seed, shards);
+    Rng limits(seed + 1);
+    SimTime now = 0;
+    for (std::uint64_t round = 0; round < 40; ++round) {
+      for (int i = 0; i < 4; ++i) {
+        const std::uint64_t salt = round * 4 + static_cast<std::uint64_t>(i);
+        ref.add(ref.script().root(now, salt));
+        real.add(real.script().root(now, salt));
+      }
+      // Limits from one tick to far past the horizon.
+      now += static_cast<SimTime>(
+          limits.next_below(std::uint64_t{1} << (limits.next_below(52))));
+      ref.run_until(now);
+      real.loop().run_until(now);
+      ASSERT_EQ(real.order, ref.order) << "after run_until(" << now << ")";
+      ASSERT_EQ(real.loop().now(), now);
+    }
+    ref.run_until(std::numeric_limits<SimTime>::max());
+    real.loop().run();
+    ASSERT_EQ(real.order, ref.order);
+    EXPECT_TRUE(real.loop().empty());
+    EXPECT_GE(ref.order.size(), 4000u);
+  }
+}
+
+TEST(EventLoop, MergeRunSeesCrossWheelScheduleBelowCachedHead) {
+  // Wheel 1's head at t=100 is cached by the key-merge.  An event on
+  // wheel 0 then lands three events on wheel 1: one earlier (a cursor
+  // rollback) and two at t=100 with keys below the cached head.  The
+  // merge must re-read wheel 1, and interleave wheel 0's own t=100
+  // event in key order — whether driven by run() or by step().
+  constexpr std::uint64_t kLane = std::uint64_t{1} << 62;
+  for (bool stepping : {false, true}) {
+    SCOPED_TRACE(stepping ? "step" : "run");
+    EventLoop loop;
+    loop.register_source(0);
+    loop.register_source(1);
+    loop.configure_shards(2, {0, 1});
+    std::vector<std::string> ran;
+    loop.schedule_stamped(1, 100, kLane | 5, 50,
+                          [&] { ran.push_back("B@100/5/50"); });
+    loop.schedule_stamped(0, 100, kLane | 5, 30,
+                          [&] { ran.push_back("A@100/5/30"); });
+    loop.schedule_stamped(0, 50, kLane | 0, 1, [&] {
+      ran.push_back("A@50");
+      loop.schedule_stamped(1, 100, kLane | 5, 10,
+                            [&] { ran.push_back("B@100/5/10"); });
+      loop.schedule_stamped(1, 100, kLane | 3, 99,
+                            [&] { ran.push_back("B@100/3/99"); });
+      loop.schedule_stamped(1, 80, kLane | 9, 9,
+                            [&] { ran.push_back("B@80"); });
+    });
+    if (stepping) {
+      while (loop.step()) {
+      }
+    } else {
+      loop.run();
+    }
+    const std::vector<std::string> want = {"A@50", "B@80", "B@100/3/99",
+                                           "B@100/5/10", "A@100/5/30",
+                                           "B@100/5/50"};
+    EXPECT_EQ(ran, want);
+  }
 }
 
 // --- MatchActionTable ---------------------------------------------------------
