@@ -59,7 +59,8 @@ int main() {
           cluster->fetcher(1).counters().chunks_served - home0;
       std::printf("%-18s value=%llu  %s  home served %llu chunk req%s\n", tag,
                   static_cast<unsigned long long>(*v),
-                  format_duration(cluster->loop().now() - t0).c_str(), served,
+                  format_duration(cluster->loop().now() - t0).c_str(),
+                  static_cast<unsigned long long>(served),
                   served == 1 ? "" : "s");
     });
     cluster->settle();

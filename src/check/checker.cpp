@@ -6,9 +6,22 @@
 #include <cstdio>
 #include <cstdlib>
 
+#include "common/hash.hpp"
+
 namespace objrpc::check {
 
 namespace {
+
+/// One wire-digest record per scheduler decision: a nondeterministic
+/// rotation would reorder grants even if the final delivery order
+/// happened to coincide.
+std::uint64_t fq_fact(NodeId sw, const FqEvent& ev) {
+  std::uint64_t h = mix64(0xFA1C5EED00000000ULL |
+                          (static_cast<std::uint64_t>(ev.kind) << 8) |
+                          ev.tenant);
+  h = mix64(h ^ ((static_cast<std::uint64_t>(sw) << 32) | ev.port));
+  return mix64(h ^ ev.bytes);
+}
 
 std::string fmt(const char* format, ...) {
   char buf[512];
@@ -23,6 +36,7 @@ std::string fmt(const char* format, ...) {
 
 InvariantChecker::InvariantChecker(Network& net, CheckerConfig cfg)
     : net_(net), cfg_(cfg) {
+  net_.arm_wire_digest();
   net_.add_tap([this](NodeId from, NodeId to, const Packet& pkt) {
     on_tap(from, to, pkt);
   });
@@ -72,20 +86,16 @@ void InvariantChecker::attach_fair_queue(SwitchNode& sw) {
   fq_switches_.push_back(&sw);
   const NodeId node = sw.id();
   fq->add_observer([this, node](const FqEvent& ev) {
+    // Fold here, on the executing worker, not in the journaled closure:
+    // replay runs after the barrier's digest merge, which would put the
+    // fact behind every delivery of the epoch.
+    net_.fold_digest(fq_fact(node, ev));
     net_.observer_journal().run_or_defer(
         [this, node, ev] { on_fq_event(node, ev); });
   });
 }
 
 void InvariantChecker::on_fq_event(NodeId sw, const FqEvent& ev) {
-  // Fold scheduler decisions into the determinism digest: a
-  // nondeterministic rotation would reorder grants even if the final
-  // delivery order happened to coincide.
-  digest_.fold(0xFA1C5EED00000000ULL |
-               (static_cast<std::uint64_t>(ev.kind) << 8) | ev.tenant);
-  digest_.fold((static_cast<std::uint64_t>(sw) << 32) | ev.port);
-  digest_.fold(ev.bytes);
-
   switch (ev.kind) {
     case FqEvent::Kind::activated: {
       // Start tracking the moment the tenant becomes backlogged — a
@@ -172,7 +182,6 @@ void InvariantChecker::on_tap(NodeId from, NodeId to, const Packet& pkt) {
   }
 
   ++events_;
-  digest_.fold_event(ev);
   trace_.push_back(ev);
   if (trace_.size() > cfg_.trace_depth) trace_.pop_front();
 
@@ -335,8 +344,8 @@ void InvariantChecker::on_admission(HostAddr holder, ObjectId id,
 
 void InvariantChecker::on_quiesce() {
   const SimTime now = net_.now();
-  digest_.fold(0xC0FFEE00D16E5700ULL);  // quiesce marker
-  digest_.fold(static_cast<std::uint64_t>(now));
+  net_.fold_digest(0xC0FFEE00D16E5700ULL);  // quiesce marker
+  net_.fold_digest(static_cast<std::uint64_t>(now));
 
   // Split brain at rest: at most one live, non-recovering home per
   // lineage.  (A crashed home's frozen state and a recovering revived
@@ -367,10 +376,10 @@ void InvariantChecker::on_quiesce() {
   // their frozen state may legitimately resume on revival.
   for (const auto& hs : hosts_) {
     ReliableChannel& rel = hs.service->reliable();
-    digest_.fold(hs.fetcher->pending_fetch_count());
-    digest_.fold(hs.service->pending_access_count());
-    digest_.fold(rel.outbound_in_progress());
-    digest_.fold(rel.inbound_in_progress());
+    net_.fold_digest(hs.fetcher->pending_fetch_count());
+    net_.fold_digest(hs.service->pending_access_count());
+    net_.fold_digest(rel.outbound_in_progress());
+    net_.fold_digest(rel.inbound_in_progress());
     if (!net_.node_up(hs.host->id())) continue;
     const std::string name = node_name(hs.host->id());
     for (ObjectId id : hs.fetcher->pending_objects()) {
@@ -418,7 +427,7 @@ void InvariantChecker::on_quiesce() {
   // frames are parked with nothing left to send them.
   for (SwitchNode* sw : fq_switches_) {
     const EgressScheduler* fq = sw->fair_queue();
-    digest_.fold(fq->backlog_bytes());
+    net_.fold_digest(fq->backlog_bytes());
     if (!net_.node_up(sw->id())) continue;
     if (fq->backlog_bytes() > 0) {
       violation(ViolationClass::stuck_egress, ObjectId{},
@@ -432,7 +441,7 @@ void InvariantChecker::on_quiesce() {
   // and the enabled-state must agree with the controller's grant set.
   for (IncCacheStage* cache : caches_) {
     const auto sw = static_cast<NodeId>(cache->addr() - kIncCacheAddrBase);
-    digest_.fold(cache->pending_fill_count());
+    net_.fold_digest(cache->pending_fill_count());
     if (!net_.node_up(sw)) continue;
     for (ObjectId id : cache->pending_fill_objects()) {
       violation(ViolationClass::stuck_fill, id,

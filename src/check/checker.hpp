@@ -101,9 +101,9 @@ class InvariantChecker {
   std::size_t count_of(ViolationClass cls) const;
   void set_abort_on_violation(bool b) { cfg_.abort_on_violation = b; }
 
-  /// Order-sensitive fold over every observed wire event (plus quiesce
-  /// markers); the determinism auditor diffs this across same-seed runs.
-  std::uint64_t digest() const { return digest_.value(); }
+  /// Protocol frames seen by the tap.  The checker keeps no digest: it
+  /// arms the network's wire digest and folds its scheduler and quiesce
+  /// facts into that one chain (Network::fold_digest).
   std::uint64_t events_observed() const { return events_; }
 
   /// Render every recorded violation (empty string when clean).
@@ -180,7 +180,6 @@ class InvariantChecker {
   std::map<ObjectId, std::vector<EpochEvent>> lineage_;
 
   std::deque<WireEvent> trace_;
-  Digest digest_;
   std::uint64_t events_ = 0;
   std::vector<Violation> violations_;
   std::set<std::string> seen_;  // dedup (class|object|detail)

@@ -5,24 +5,6 @@
 
 namespace objrpc::check {
 
-void Digest::fold_event(const WireEvent& ev) {
-  fold(ev.at);
-  fold(ev.from);
-  fold(ev.to);
-  fold(static_cast<std::uint64_t>(ev.type));
-  fold(ev.src);
-  fold(ev.dst);
-  fold(ev.object.value.hi);
-  fold(ev.object.value.lo);
-  fold(ev.seq);
-  fold(ev.offset);
-  fold(ev.length);
-  fold(ev.epoch);
-  fold(ev.obj_version);
-  fold(ev.payload_bytes);
-  fold(ev.tenant);
-}
-
 std::string addr_to_string(HostAddr addr) {
   char buf[64];
   if (addr == kUnspecifiedHost) {

@@ -11,9 +11,8 @@
 //   final delivery — the hop arrived at the node the frame is
 //     protocol-addressed to (frame.dst_host resolves to `to`).
 //
-// Every hop also folds into an order-sensitive digest; two same-seed
-// runs of a deterministic simulation must produce byte-identical
-// digests (tools/determinism_audit drives that comparison).
+// The checker keeps no digest of its own: the network's wire digest
+// already hashes every delivered byte (DESIGN.md §11).
 #pragma once
 
 #include <cstdint>
@@ -44,34 +43,6 @@ struct WireEvent {
   bool final_delivery = false;
 
   std::string to_string() const;
-};
-
-/// Order-sensitive 64-bit fold over every observed wire event.  The
-/// value depends on the exact sequence (and fields) of deliveries, so
-/// any nondeterminism in the simulation — hash-order fan-out, RNG
-/// misuse, iteration-order protocol decisions — changes it.
-class Digest {
- public:
-  static constexpr std::uint64_t kSeed = 0x243F6A8885A308D3ULL;
-
-  static std::uint64_t mix(std::uint64_t x) {
-    x ^= x >> 30;
-    x *= 0xBF58476D1CE4E5B9ULL;
-    x ^= x >> 27;
-    x *= 0x94D049BB133111EBULL;
-    x ^= x >> 31;
-    return x;
-  }
-
-  void fold(std::uint64_t x) {
-    state_ = mix(state_ ^ mix(x + 0x9E3779B97F4A7C15ULL));
-  }
-  void fold_event(const WireEvent& ev);
-
-  std::uint64_t value() const { return state_; }
-
- private:
-  std::uint64_t state_ = kSeed;
 };
 
 /// Human-readable protocol address ("host 3", "inc-cache(switch 2)").

@@ -2,8 +2,8 @@
 // barrier (DESIGN.md §16/§17).
 //
 // During a concurrent epoch every worker appends to its OWN lane — one
-// cache-line-padded vector per execution lane, so the append is a plain
-// push_back with no synchronization.  Each record carries the canonical
+// PerLane vector per execution lane, so the append is a plain push_back
+// with no synchronization.  Each record carries the canonical
 // key (at, key_a, key_b) of the event that produced it.  At the BSP
 // barrier, workers parked, the coordinator calls merge(): all lanes are
 // gathered, stable-sorted by key, visited in that order, and cleared.
@@ -25,7 +25,7 @@
 #include <vector>
 
 #include "common/annotations.hpp"
-#include "common/exec_lane.hpp"
+#include "common/per_lane.hpp"
 #include "common/time.hpp"
 
 namespace objrpc {
@@ -35,19 +35,18 @@ class LanedLog {
  public:
   /// One lane per execution lane (shards + control).  Setup-time only,
   /// before any worker thread exists.
-  void configure_lanes(std::uint32_t n) { lanes_.resize(n == 0 ? 1 : n); }
+  void configure_lanes(std::uint32_t n) { lanes_.configure(n); }
 
   /// Append to the executing lane.  MAY_ALLOC: amortized lane growth.
   HOT_PATH MAY_ALLOC void append(SimTime at, std::uint64_t key_a,
                                  std::uint64_t key_b, T value) {
-    lanes_[exec_lane_below(static_cast<std::uint32_t>(lanes_.size()))]
-        .recs.push_back(Rec{at, key_a, key_b, std::move(value)});
+    lanes_.local().push_back(Rec{at, key_a, key_b, std::move(value)});
   }
 
   /// Any records pending?  Coordinator-only, workers parked.
   bool empty() const {
-    for (const Lane& l : lanes_) {
-      if (!l.recs.empty()) return false;
+    for (const auto& recs : lanes_) {
+      if (!recs.empty()) return false;
     }
     return true;
   }
@@ -58,9 +57,9 @@ class LanedLog {
   template <typename Visit>
   std::size_t merge(Visit&& visit) {
     scratch_.clear();
-    for (Lane& l : lanes_) {
-      for (Rec& r : l.recs) scratch_.push_back(std::move(r));
-      l.recs.clear();
+    for (auto& recs : lanes_) {
+      for (Rec& r : recs) scratch_.push_back(std::move(r));
+      recs.clear();
     }
     const std::size_t n = scratch_.size();
     if (n == 0) return 0;
@@ -82,14 +81,9 @@ class LanedLog {
     std::uint64_t key_b;
     T value;
   };
-  /// Padded: each lane is written by its owning worker during an epoch.
-  struct alignas(64) Lane {
-    std::vector<Rec> recs;
-  };
-
-  /// SHARD_LANED: lanes_[ExecLane::idx] is the only element a worker
-  /// touches; configure_lanes sizes it before threads exist.
-  SHARD_LANED std::vector<Lane> lanes_{1};
+  /// SHARD_LANED: a worker touches only its own lane; configure_lanes
+  /// sizes it before threads exist.
+  SHARD_LANED PerLane<std::vector<Rec>> lanes_;
   std::vector<Rec> scratch_;
 };
 

@@ -28,7 +28,7 @@
 
 #include "common/annotations.hpp"
 #include "common/bytes.hpp"
-#include "common/exec_lane.hpp"
+#include "common/per_lane.hpp"
 
 namespace objrpc {
 
@@ -42,25 +42,20 @@ class BufferPool {
   /// release() lets the buffer free normally so a burst can't pin
   /// memory forever).
   explicit BufferPool(std::size_t max_retained = 4096)
-      : max_retained_(max_retained), lanes_(1) {}
+      : max_retained_(max_retained) {}
 
   /// Replicate the free list across `n` execution lanes (one per shard
   /// plus the control lane).  Called once by Network::enable_sharding
   /// before any worker thread exists; buffers already retained stay on
   /// lane 0.
-  void configure_lanes(std::uint32_t n) {
-    if (n == 0) n = 1;
-    lanes_.resize(n);
-  }
-  std::uint32_t lane_count() const {
-    return static_cast<std::uint32_t>(lanes_.size());
-  }
+  void configure_lanes(std::uint32_t n) { lanes_.configure(n); }
+  std::uint32_t lane_count() const { return lanes_.size(); }
 
   /// A buffer of exactly `size` bytes (contents unspecified).
   /// MAY_ALLOC: pool refill — allocates fresh only when the lane's free
   /// list is empty; steady-state frame traffic recycles.
   HOT_PATH MAY_ALLOC Bytes acquire(std::size_t size) {
-    Lane& lane = lanes_[exec_lane_below(lane_count())];
+    Lane& lane = lanes_.local();
     if (lane.free.empty()) {
       ++lane.stats.fresh;
       return Bytes(size);
@@ -84,7 +79,7 @@ class BufferPool {
   /// cross-shard return: the capacity migrates to the releasing lane.
   HOT_PATH void release(Bytes&& b) {
     if (b.capacity() == 0) return;  // nothing worth retaining
-    Lane& lane = lanes_[exec_lane_below(lane_count())];
+    Lane& lane = lanes_.local();
     if (lane.free.size() >= max_retained_) {
       ++lane.stats.dropped;
       Bytes dying = std::move(b);  // frees here
@@ -121,17 +116,15 @@ class BufferPool {
   }
 
  private:
-  /// Padded so two lanes' heads never share a cache line (the free
-  /// lists are written concurrently by their owning shard threads).
-  struct alignas(64) Lane {
+  struct Lane {
     std::vector<Bytes> free;
     Stats stats;
   };
 
   std::size_t max_retained_;
-  /// SHARD_LANED: lanes_[ExecLane::idx] is the only element the current
-  /// thread touches; configure_lanes sizes it before threads exist.
-  SHARD_LANED std::vector<Lane> lanes_;
+  /// SHARD_LANED: the current thread touches only its own lane;
+  /// configure_lanes sizes it before threads exist.
+  SHARD_LANED PerLane<Lane> lanes_;
 };
 
 }  // namespace objrpc

@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <limits>
 
+#include "common/hash.hpp"
 #include "common/u128.hpp"
 
 namespace objrpc {
@@ -20,10 +21,7 @@ class SplitMix64 {
   explicit constexpr SplitMix64(std::uint64_t seed) : state_(seed) {}
 
   constexpr std::uint64_t next() {
-    std::uint64_t z = (state_ += 0x9e3779b97f4a7c15ULL);
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-    return z ^ (z >> 31);
+    return mix64(state_ += 0x9e3779b97f4a7c15ULL);
   }
 
  private:

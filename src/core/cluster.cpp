@@ -46,7 +46,8 @@ Cluster::~Cluster() {
   if (const char* path = std::getenv("CHECK_DIGEST_FILE")) {
     if (std::FILE* f = std::fopen(path, "a")) {
       std::fprintf(f, "digest=%016" PRIx64 " events=%" PRIu64 " violations=%zu\n",
-                   checker_->digest(), checker_->events_observed(),
+                   fabric_->network().wire_digest(),
+                   checker_->events_observed(),
                    checker_->violations().size());
       std::fclose(f);
     }
@@ -58,7 +59,7 @@ std::unique_ptr<Cluster> Cluster::build(const ClusterConfig& cfg) {
   cluster->fabric_ = Fabric::build(cfg.fabric);
   // Observability arming.  Tracing records passively (id allocation is
   // unconditional and deterministic), so arming cannot perturb the
-  // simulation or the check digest.
+  // simulation or the wire digest.
   cluster->trace_file_ = export_path(cfg.trace_file, "OBS_TRACE_FILE");
   cluster->metrics_file_ = export_path(cfg.metrics_file, "OBS_METRICS_FILE");
   if (!cluster->trace_file_.empty()) {

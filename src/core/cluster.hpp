@@ -40,7 +40,7 @@ struct ClusterConfig {
   /// teardown.  Empty = follow the OBS_TRACE_FILE environment variable
   /// (unset/empty = tracing stays disarmed).  Arming only toggles
   /// recording — trace/span ids are allocated either way, so the wire
-  /// bytes and the check digest are identical armed or not.
+  /// bytes and the wire digest are identical armed or not.
   std::string trace_file{};
   /// Metrics registry JSON dump path on teardown.  Empty = follow the
   /// OBS_METRICS_FILE environment variable (unset/empty = no dump).
@@ -50,8 +50,9 @@ struct ClusterConfig {
 class Cluster {
  public:
   static std::unique_ptr<Cluster> build(const ClusterConfig& cfg);
-  /// Appends a digest line to $CHECK_DIGEST_FILE when the checker ran
-  /// (the determinism auditor diffs those files across same-seed runs).
+  /// Appends a wire-digest line to $CHECK_DIGEST_FILE when the checker
+  /// ran (the determinism auditor diffs those files across same-seed
+  /// runs).
   ~Cluster();
 
   Fabric& fabric() { return *fabric_; }

@@ -104,11 +104,11 @@ void LoadGenerator::refill(std::size_t ti) {
     op.user = t.rng.next_below(t.spec.users ? t.spec.users : 1);
 
     ++t.issued;
-    digest_.fold(t.spec.tenant);
-    digest_.fold(static_cast<std::uint64_t>(op.kind));
-    digest_.fold(op.object);
-    digest_.fold(op.user);
-    digest_.fold(static_cast<std::uint64_t>(op.intended));
+    fold_stream(t.spec.tenant);
+    fold_stream(static_cast<std::uint64_t>(op.kind));
+    fold_stream(op.object);
+    fold_stream(op.user);
+    fold_stream(static_cast<std::uint64_t>(op.intended));
 
     const std::size_t ci = op.user % t.clients.size();
     cluster_.fabric().network().schedule_on(

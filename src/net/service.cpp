@@ -205,9 +205,9 @@ void ObjNetService::start_attempt(std::uint64_t token) {
   const bool redirected_away =
       p.kind != MsgType::read_req && write_redirector_ &&
       write_redirector_(p.ptr.object).has_value();
-  if (const ObjectPtr* found = host_.store().find(p.ptr.object)) {
+  if (const ObjectPtr* resident = host_.store().find(p.ptr.object)) {
     // Hold the object itself: the guards below are user callbacks.
-    const ObjectPtr local = *found;
+    const ObjectPtr local = *resident;
     if (p.kind == MsgType::read_req) {
       if (may_serve_read(p.ptr.object)) {
         auto span = local->read(p.ptr.offset, p.length);

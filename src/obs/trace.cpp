@@ -17,118 +17,58 @@ void Tracer::set_process_name(std::uint32_t node, std::string name) {
   process_names_.emplace_back(node, std::move(name));
 }
 
-// Each public hook either records inline (serial driver, control
-// context) or journals a by-value capture of its arguments for barrier
-// replay — whichever path runs, the same record_* body appends, so the
-// record vectors are identical either way.
+// Each public hook records through record(): inline (serial driver,
+// control context, no journal) or journaled as a by-value capture for
+// barrier replay — the same closure appends either way, so the record
+// vectors are identical in every mode.
 
 void Tracer::begin_span(std::uint64_t span_id, std::uint64_t trace,
                         std::uint64_t parent, std::uint32_t node,
                         std::string name, SimTime begin) {
   if (!armed_) return;
-  if (journal_ != nullptr && journal_->deferring()) {
-    journal_->defer(SmallFn([this, span_id, trace, parent, node,
-                             name = std::move(name), begin]() mutable {
-      record_begin_span(span_id, trace, parent, node, std::move(name), begin);
-    }));
-    return;
-  }
-  record_begin_span(span_id, trace, parent, node, std::move(name), begin);
-}
-
-void Tracer::record_begin_span(std::uint64_t span_id, std::uint64_t trace,
-                               std::uint64_t parent, std::uint32_t node,
-                               std::string name, SimTime begin) {
-  SpanRecord rec;
-  rec.id = span_id;
-  rec.trace = trace;
-  rec.parent = parent;
-  rec.node = node;
-  rec.name = std::move(name);
-  rec.begin = begin;
-  open_[span_id] = spans_.size();
-  spans_.push_back(std::move(rec));
+  record([this, span_id, trace, parent, node, name = std::move(name),
+          begin]() mutable {
+    open_[span_id] = spans_.size();
+    spans_.push_back(
+        SpanRecord{span_id, trace, parent, node, std::move(name), begin});
+  });
 }
 
 void Tracer::end_span(std::uint64_t span_id, SimTime end) {
   if (!armed_) return;
-  if (journal_ != nullptr && journal_->deferring()) {
-    journal_->defer(SmallFn(
-        [this, span_id, end]() { record_end_span(span_id, end); }));
-    return;
-  }
-  record_end_span(span_id, end);
-}
-
-void Tracer::record_end_span(std::uint64_t span_id, SimTime end) {
-  auto it = open_.find(span_id);
-  if (it == open_.end()) return;
-  spans_[it->second].end = end;
-  open_.erase(it);
+  record([this, span_id, end] {
+    auto it = open_.find(span_id);
+    if (it == open_.end()) return;
+    spans_[it->second].end = end;
+    open_.erase(it);
+  });
 }
 
 void Tracer::leaf_span(std::uint64_t trace, std::uint64_t parent,
                        std::uint32_t node, std::string name, SimTime begin,
                        SimTime end) {
   if (!armed_) return;
-  if (journal_ != nullptr && journal_->deferring()) {
-    journal_->defer(SmallFn([this, trace, parent, node,
-                             name = std::move(name), begin, end]() mutable {
-      record_leaf_span(trace, parent, node, std::move(name), begin, end);
-    }));
-    return;
-  }
-  record_leaf_span(trace, parent, node, std::move(name), begin, end);
-}
-
-void Tracer::record_leaf_span(std::uint64_t trace, std::uint64_t parent,
-                              std::uint32_t node, std::string name,
-                              SimTime begin, SimTime end) {
-  SpanRecord rec;
-  rec.id = (1ULL << 63) | next_leaf_++;
-  rec.trace = trace;
-  rec.parent = parent;
-  rec.node = node;
-  rec.name = std::move(name);
-  rec.begin = begin;
-  rec.end = end;
-  spans_.push_back(std::move(rec));
+  record([this, trace, parent, node, name = std::move(name), begin,
+          end]() mutable {
+    spans_.push_back(SpanRecord{(1ULL << 63) | next_leaf_++, trace, parent,
+                                node, std::move(name), begin, end});
+  });
 }
 
 void Tracer::instant(std::uint64_t trace, std::uint64_t parent,
                      std::uint32_t node, std::string name, SimTime at) {
   if (!armed_) return;
-  if (journal_ != nullptr && journal_->deferring()) {
-    journal_->defer(SmallFn([this, trace, parent, node,
-                             name = std::move(name), at]() mutable {
-      record_instant(trace, parent, node, std::move(name), at);
-    }));
-    return;
-  }
-  record_instant(trace, parent, node, std::move(name), at);
-}
-
-void Tracer::record_instant(std::uint64_t trace, std::uint64_t parent,
-                            std::uint32_t node, std::string name, SimTime at) {
-  instants_.push_back({trace, parent, node, std::move(name), at});
+  record([this, trace, parent, node, name = std::move(name), at]() mutable {
+    instants_.push_back({trace, parent, node, std::move(name), at});
+  });
 }
 
 void Tracer::counter(std::uint32_t node, const std::string& name, SimTime at,
                      double value) {
   if (!armed_) return;
-  if (journal_ != nullptr && journal_->deferring()) {
-    journal_->defer(
-        SmallFn([this, node, name, at, value]() mutable {
-          record_counter(node, std::move(name), at, value);
-        }));
-    return;
-  }
-  record_counter(node, name, at, value);
-}
-
-void Tracer::record_counter(std::uint32_t node, std::string name, SimTime at,
-                            double value) {
-  counters_.push_back({node, std::move(name), at, value});
+  record([this, node, name, at, value]() mutable {
+    counters_.push_back({node, std::move(name), at, value});
+  });
 }
 
 std::vector<SpanRecord> Tracer::spans_of(std::uint64_t trace) const {

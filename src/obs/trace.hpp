@@ -39,6 +39,7 @@
 #include <functional>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/annotations.hpp"
@@ -194,20 +195,16 @@ class Tracer {
   /// which also makes leaf ids shard-count-invariant.
   std::uint64_t next_leaf_ = 1;
 
-  // Deferred-recording internals: the public hooks either run these
-  // inline or journal them for barrier replay (see class comment).
-  MAY_ALLOC void record_begin_span(std::uint64_t span_id, std::uint64_t trace,
-                                   std::uint64_t parent, std::uint32_t node,
-                                   std::string name, SimTime begin);
-  MAY_ALLOC void record_end_span(std::uint64_t span_id, SimTime end);
-  MAY_ALLOC void record_leaf_span(std::uint64_t trace, std::uint64_t parent,
-                                  std::uint32_t node, std::string name,
-                                  SimTime begin, SimTime end);
-  MAY_ALLOC void record_instant(std::uint64_t trace, std::uint64_t parent,
-                                std::uint32_t node, std::string name,
-                                SimTime at);
-  MAY_ALLOC void record_counter(std::uint32_t node, std::string name,
-                                SimTime at, double value);
+  /// Run `f` now, or journal it for barrier replay while the bound
+  /// journal defers (see class comment).  No journal = always inline.
+  template <typename F>
+  void record(F&& f) {
+    if (journal_ == nullptr) {
+      f();
+    } else {
+      journal_->run_or_defer(std::forward<F>(f));
+    }
+  }
 
   ShardJournal* journal_ = nullptr;
   std::function<std::vector<std::string>()> aux_events_;

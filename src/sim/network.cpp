@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <cstdlib>
 
+#include "common/hash.hpp"
 #include "common/log.hpp"
 #include "sim/shard.hpp"
 
@@ -16,16 +17,6 @@ std::uint64_t pair_key(NodeId a, NodeId b) {
   const NodeId lo = a < b ? a : b;
   const NodeId hi = a < b ? b : a;
   return (static_cast<std::uint64_t>(lo) << 32) | hi;
-}
-
-/// splitmix-style finalizer, the same shape the checker's digest uses.
-std::uint64_t mix64(std::uint64_t x) {
-  x ^= x >> 30;
-  x *= 0xBF58476D1CE4E5B9ull;
-  x ^= x >> 27;
-  x *= 0x94D049BB133111EBull;
-  x ^= x >> 31;
-  return x;
 }
 
 constexpr std::uint64_t kWireDigestSeed = 0x9E3779B97F4A7C15ull;
@@ -340,14 +331,14 @@ void Network::deliver_now(NodeId from, NodeId dst, PortId dst_port,
 }
 
 void Network::fold_wire_digest(NodeId from, NodeId dst, const Packet& pkt) {
-  const SimTime at = loop_.now();
   std::uint64_t h = kWireDigestSeed;
-  h = mix64(h ^ static_cast<std::uint64_t>(at));
+  h = mix64(h ^ static_cast<std::uint64_t>(loop_.now()));
   h = mix64(h ^ ((static_cast<std::uint64_t>(from) << 32) | dst));
   h = mix64(h ^ pkt.wire_size());
   h = mix64(h ^ ((static_cast<std::uint64_t>(pkt.tenant) << 32) | pkt.hops));
   // Full payload bytes: 8-byte words plus tail, so any payload
-  // divergence — not just size — breaks the digest.
+  // divergence — not just size — breaks the digest.  Words take the
+  // cheap multiply-rotate step; the finalizer below does the avalanche.
   const Bytes& d = pkt.data;
   std::size_t i = 0;
   for (; i + 8 <= d.size(); i += 8) {
@@ -355,20 +346,23 @@ void Network::fold_wire_digest(NodeId from, NodeId dst, const Packet& pkt) {
     for (std::size_t b = 0; b < 8; ++b) {
       w |= static_cast<std::uint64_t>(d[i + b]) << (8 * b);
     }
-    h = mix64(h ^ w);
+    h = fold_word(h, w);
   }
   std::uint64_t tail = 0;
   for (std::size_t b = 0; i + b < d.size(); ++b) {
     tail |= static_cast<std::uint64_t>(d[i + b]) << (8 * b);
   }
-  h = mix64(h ^ tail ^ (static_cast<std::uint64_t>(d.size()) << 48));
+  fold_digest(mix64(h ^ tail ^ (static_cast<std::uint64_t>(d.size()) << 48)));
+}
+
+void Network::fold_digest(std::uint64_t h) {
   if (journal_.deferring()) {
     // Concurrent epoch: log on the executing lane with the event's
     // canonical key; the coordinator folds the log at the barrier.
     std::uint64_t ka = 0;
     std::uint64_t kb = 0;
     EventLoop::current_event_key(ka, kb);
-    wire_digest_log_.append(at, ka, kb, h);
+    wire_digest_log_.append(loop_.now(), ka, kb, h);
     return;
   }
   wire_digest_chain_ = mix64(wire_digest_chain_ ^ h);
@@ -423,16 +417,16 @@ std::uint32_t Network::enable_sharding(const ShardPlan& plan) {
   // unlike trace ids they may be lane-strided without touching the
   // digest.
   std::uint64_t hi = 0;
-  for (const FrameIdLane& l : frame_id_lanes_) {
-    hi = std::max(hi, l.counter);
-  }
+  for (std::uint64_t counter : frame_id_lanes_) hi = std::max(hi, counter);
   frame_id_base_ += (hi + 1) * frame_id_stride_;
-  frame_id_lanes_.assign(lanes, FrameIdLane{});
+  frame_id_lanes_.configure(lanes);
+  for (std::uint64_t& counter : frame_id_lanes_) counter = 0;
   frame_id_stride_ = lanes;
   // Merge-then-grow the remaining laned state so nothing is lost.
   const TrafficStats merged = stats();
-  stats_lanes_.assign(lanes, StatsLane{});
-  stats_lanes_[0].s = merged;
+  stats_lanes_.configure(lanes);
+  reset_stats();
+  stats_lanes_[0] = merged;
   wire_digest_log_.configure_lanes(lanes);
   journal_.configure_lanes(lanes);
   loop_.set_parallel_driver(nullptr);

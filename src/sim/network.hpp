@@ -19,6 +19,7 @@
 #include "common/exec_lane.hpp"
 #include "common/flat_table.hpp"
 #include "common/laned_log.hpp"
+#include "common/per_lane.hpp"
 #include "common/pool.hpp"
 #include "common/result.hpp"
 #include "common/rng.hpp"
@@ -210,21 +211,21 @@ class Network {
   /// concurrently in parallel runs, so read at quiesce or barriers).
   TrafficStats stats() const {
     TrafficStats s;
-    for (const StatsLane& lane : stats_lanes_) {
-      s.frames_sent += lane.s.frames_sent;
-      s.frames_delivered += lane.s.frames_delivered;
-      s.frames_dropped_queue += lane.s.frames_dropped_queue;
-      s.frames_dropped_loss += lane.s.frames_dropped_loss;
-      s.frames_dropped_ttl += lane.s.frames_dropped_ttl;
-      s.frames_dropped_down += lane.s.frames_dropped_down;
-      s.frames_dropped_dead += lane.s.frames_dropped_dead;
-      s.bytes_sent += lane.s.bytes_sent;
-      s.bytes_delivered += lane.s.bytes_delivered;
+    for (const TrafficStats& lane : stats_lanes_) {
+      s.frames_sent += lane.frames_sent;
+      s.frames_delivered += lane.frames_delivered;
+      s.frames_dropped_queue += lane.frames_dropped_queue;
+      s.frames_dropped_loss += lane.frames_dropped_loss;
+      s.frames_dropped_ttl += lane.frames_dropped_ttl;
+      s.frames_dropped_down += lane.frames_dropped_down;
+      s.frames_dropped_dead += lane.frames_dropped_dead;
+      s.bytes_sent += lane.bytes_sent;
+      s.bytes_delivered += lane.bytes_delivered;
     }
     return s;
   }
   CROSS_SHARD void reset_stats() {
-    for (StatsLane& lane : stats_lanes_) lane.s = TrafficStats{};
+    for (TrafficStats& lane : stats_lanes_) lane = TrafficStats{};
   }
 
   /// Observation taps: each sees every delivered frame, in registration
@@ -280,13 +281,20 @@ class Network {
 
   /// Arm the wire digest: a running hash over every delivery (time,
   /// endpoints, size, full payload bytes) in canonical event order.
-  /// This is the cheap, sim-native determinism witness the shard tests
-  /// and bench sweep compare across shard counts.  In a concurrent epoch
-  /// each delivery's hash goes to a LanedLog, merged by canonical key at
-  /// the barrier.
+  /// This is the simulator's one determinism witness: the shard tests,
+  /// the bench sweep and tools/determinism_audit compare it across runs
+  /// and shard counts.  The invariant checker arms it and folds its own
+  /// facts in through fold_digest().  In a concurrent epoch each record
+  /// goes to a LanedLog, merged by canonical key at the barrier.
   void arm_wire_digest() { wire_digest_armed_ = true; }
   bool wire_digest_armed() const { return wire_digest_armed_; }
-  /// Digest and delivery count so far (read at quiesce).
+  /// Fold one observer fact (a scheduler decision, a quiesce count)
+  /// into the wire digest on the delivery hashes' path: inline, or in a
+  /// concurrent epoch logged under the executing event's canonical key,
+  /// so it lands where the serial run folds it.  Arm the digest first.
+  HOT_PATH void fold_digest(std::uint64_t h);
+  /// Digest and number of records folded (deliveries plus observer
+  /// facts) so far; read at quiesce.
   std::uint64_t wire_digest() const { return wire_digest_chain_; }
   std::uint64_t wire_digest_events() const { return wire_digest_count_; }
 
@@ -348,8 +356,7 @@ class Network {
   /// digest fold, taps, on_packet.
   HOT_PATH void deliver_now(NodeId from, NodeId dst, PortId dst_port,
                             Packet&& pkt);
-  /// Fold one delivery into the wire digest (or the digest log in a
-  /// concurrent epoch).
+  /// Hash one delivery and fold it through fold_digest.
   HOT_PATH void fold_wire_digest(NodeId from, NodeId dst, const Packet& pkt);
   /// Fold the epoch's digest log, then replay the observer journal, both
   /// in canonical key order.  Runner-only, at barriers (workers parked).
@@ -359,16 +366,11 @@ class Network {
   void on_epoch_barrier();
   /// Fabric-unique frame id from the executing lane's strided allocator.
   HOT_PATH std::uint64_t mint_frame_id() {
-    const std::uint32_t lane =
-        exec_lane_below(static_cast<std::uint32_t>(frame_id_lanes_.size()));
-    return frame_id_base_ +
-           frame_id_lanes_[lane].counter++ * frame_id_stride_ + lane + 1;
+    const std::uint32_t lane = exec_lane_below(frame_id_lanes_.size());
+    return frame_id_base_ + frame_id_lanes_[lane]++ * frame_id_stride_ +
+           lane + 1;
   }
-  TrafficStats& lane_stats() {
-    return stats_lanes_[exec_lane_below(static_cast<std::uint32_t>(
-                            stats_lanes_.size()))]
-        .s;
-  }
+  TrafficStats& lane_stats() { return stats_lanes_.local(); }
 
   // Shard affinity (DESIGN.md §15/§16): `ports_`/`nodes_` rows belong
   // to the shard that owns the node; SHARD_LANED members are replicated
@@ -399,20 +401,14 @@ class Network {
   /// the fault schedule on the control lane (shards parked), read at
   /// delivery on the receiver's shard.
   CROSS_SHARD std::vector<bool> node_up_;
-  /// Padded per-lane traffic counters; stats() merges them.
-  struct alignas(64) StatsLane {
-    TrafficStats s;
-  };
-  SHARD_LANED std::vector<StatsLane> stats_lanes_{1};
+  /// Per-lane traffic counters; stats() merges them.
+  SHARD_LANED PerLane<TrafficStats> stats_lanes_;
   std::vector<PacketTap> taps_;
   NodeObserver node_observer_;
   /// Frame ids: strided per-lane counters (id = base + c*stride +
   /// lane + 1), unique fabric-wide without synchronization.  Re-strided
   /// by enable_sharding; ids never feed the wire digest.
-  struct alignas(64) FrameIdLane {
-    std::uint64_t counter = 0;
-  };
-  SHARD_LANED std::vector<FrameIdLane> frame_id_lanes_{1};
+  SHARD_LANED PerLane<std::uint64_t> frame_id_lanes_;
   std::uint64_t frame_id_stride_ = 1;
   std::uint64_t frame_id_base_ = 0;
 

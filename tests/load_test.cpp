@@ -292,7 +292,7 @@ LoadConfig aggressor_victim_load() {
 struct RunResult {
   std::vector<TenantSlo> slo;
   std::uint64_t stream_digest = 0;
-  std::uint64_t check_digest = 0;
+  std::uint64_t wire_digest = 0;
   std::size_t violations = 0;
 };
 
@@ -306,8 +306,8 @@ RunResult run_loadgen(const ClusterConfig& ccfg, const LoadConfig& lcfg) {
   RunResult r;
   r.slo = gen.report();
   r.stream_digest = gen.stream_digest();
+  r.wire_digest = cluster->fabric().network().wire_digest();
   if (cluster->checker()) {
-    r.check_digest = cluster->checker()->digest();
     r.violations = cluster->checker()->violations().size();
   }
   EXPECT_EQ(gen.in_flight(), 0u);
@@ -321,7 +321,7 @@ TEST(LoadGen, SameSeedRunsAreByteIdentical) {
   const RunResult a = run_loadgen(ccfg, lcfg);
   const RunResult b = run_loadgen(ccfg, lcfg);
   EXPECT_EQ(a.stream_digest, b.stream_digest);
-  EXPECT_EQ(a.check_digest, b.check_digest);  // folds wire + fq events
+  EXPECT_EQ(a.wire_digest, b.wire_digest);  // folds wire + fq events
   ASSERT_EQ(a.slo.size(), b.slo.size());
   for (std::size_t i = 0; i < a.slo.size(); ++i) {
     EXPECT_EQ(a.slo[i].issued, b.slo[i].issued);
@@ -454,14 +454,14 @@ std::string fingerprint(const std::vector<TenantSlo>& rows,
 
 struct ShardedLoadRun {
   std::string fingerprint;
-  std::uint64_t check_digest = 0;
+  std::uint64_t wire_digest = 0;
   std::uint64_t control_events = 0;
   std::uint64_t issued = 0;
   std::uint64_t epochs = 0;
   bool concurrent = false;
 };
 
-ShardedLoadRun run_spread_load(const char* shards) {
+ShardedLoadRun run_spread_load(const char* shards, bool fair_queue = false) {
   // Cluster::build reads OBJRPC_SHARDS; restore the caller's value after.
   const char* outer = std::getenv("OBJRPC_SHARDS");
   const bool had_outer = outer != nullptr;
@@ -478,6 +478,12 @@ ShardedLoadRun run_spread_load(const char* shards) {
   ccfg.fabric.switch_link.latency = 200 * kMicrosecond;
   ccfg.fabric.ctrl_link.latency = 200 * kMicrosecond;
   ccfg.check_invariants = 1;
+  if (fair_queue) {
+    // DRR at every switch egress: the checker folds each scheduler
+    // decision into the wire digest from the worker that made it.
+    ccfg.fabric.switch_cfg.fair_queue.enabled = true;
+    ccfg.fabric.switch_cfg.fair_queue.quantum_bytes = 4500;
+  }
   auto cluster = Cluster::build(ccfg);
   if (had_outer) {
     setenv("OBJRPC_SHARDS", saved.c_str(), 1);
@@ -504,8 +510,8 @@ ShardedLoadRun run_spread_load(const char* shards) {
   }
   EXPECT_EQ(gen.in_flight(), 0u);
   r.fingerprint = fingerprint(rows, gen.stream_digest());
+  r.wire_digest = cluster->fabric().network().wire_digest();
   if (cluster->checker()) {
-    r.check_digest = cluster->checker()->digest();
     EXPECT_TRUE(cluster->checker()->violations().empty());
   }
   return r;
@@ -515,15 +521,20 @@ TEST(LoadGen, SloRowsIdenticalAtEveryShardCount) {
   // Clients of one tenant complete on different shards; the tenant rows
   // (counts, goodput, histograms) must still come out exactly as the
   // serial run's, because completions record through the observer
-  // journal in canonical order.
-  const ShardedLoadRun serial = run_spread_load("1");
-  EXPECT_GT(serial.issued, 1000u);
-  for (const char* n : {"2", "4"}) {
-    const ShardedLoadRun p = run_spread_load(n);
-    EXPECT_TRUE(p.concurrent) << "OBJRPC_SHARDS=" << n;
-    EXPECT_GT(p.epochs, 10u) << "OBJRPC_SHARDS=" << n;
-    EXPECT_EQ(p.fingerprint, serial.fingerprint) << "OBJRPC_SHARDS=" << n;
-    EXPECT_EQ(p.check_digest, serial.check_digest) << "OBJRPC_SHARDS=" << n;
+  // journal in canonical order.  The fair-queueing leg also pins where
+  // the checker's DRR facts land in the wire digest.
+  for (const bool fq : {false, true}) {
+    const ShardedLoadRun serial = run_spread_load("1", fq);
+    EXPECT_GT(serial.issued, 1000u) << "fq=" << fq;
+    for (const char* n : {"2", "4"}) {
+      const ShardedLoadRun p = run_spread_load(n, fq);
+      EXPECT_TRUE(p.concurrent) << "OBJRPC_SHARDS=" << n << " fq=" << fq;
+      EXPECT_GT(p.epochs, 10u) << "OBJRPC_SHARDS=" << n << " fq=" << fq;
+      EXPECT_EQ(p.fingerprint, serial.fingerprint)
+          << "OBJRPC_SHARDS=" << n << " fq=" << fq;
+      EXPECT_EQ(p.wire_digest, serial.wire_digest)
+          << "OBJRPC_SHARDS=" << n << " fq=" << fq;
+    }
   }
 }
 

@@ -226,12 +226,13 @@ TEST(Trace, ArmedTracerLeavesWireDigestUnchanged) {
   ASSERT_NE(plain->checker(), nullptr);
   ASSERT_NE(armed->checker(), nullptr);
   // Arming only toggles recording; id allocation and therefore every
-  // frame byte is identical, so the checker's order-sensitive fold over
-  // the wire must agree run-for-run.
+  // frame byte is identical, so the wire digest the checker arms must
+  // agree run-for-run.
   EXPECT_GT(plain->checker()->events_observed(), 0u);
   EXPECT_EQ(plain->checker()->events_observed(),
             armed->checker()->events_observed());
-  EXPECT_EQ(plain->checker()->digest(), armed->checker()->digest());
+  EXPECT_EQ(plain->fabric().network().wire_digest(),
+            armed->fabric().network().wire_digest());
   // And the armed run actually recorded something.
   EXPECT_GT(armed->tracer().spans().size(), 0u);
   EXPECT_EQ(plain->tracer().spans().size(), 0u);
@@ -244,7 +245,7 @@ TEST(Trace, ArmedTracerLeavesWireDigestUnchanged) {
 struct ObsProducts {
   std::string trace_json;
   std::map<std::string, std::uint64_t> net_counters;
-  std::uint64_t checker_digest = 0;
+  std::uint64_t wire_digest = 0;
   std::uint64_t checker_events = 0;
   std::size_t spans = 0;
   bool concurrent = false;
@@ -268,7 +269,7 @@ ObsProducts run_armed_fetch(std::uint64_t seed, const char* shards_env,
   if (checker) {
     EXPECT_NE(cluster->checker(), nullptr);
     if (cluster->checker() != nullptr) {
-      out.checker_digest = cluster->checker()->digest();
+      out.wire_digest = cluster->fabric().network().wire_digest();
       out.checker_events = cluster->checker()->events_observed();
     }
   }
@@ -290,8 +291,12 @@ TEST_P(ArmedConcurrent, ShardedRunMatchesSerialByteForByte) {
   const auto [tracer, checker] = GetParam();
   const ObsProducts base = run_armed_fetch(29, nullptr, tracer, checker);
   EXPECT_FALSE(base.concurrent);
-  if (tracer) ASSERT_FALSE(base.trace_json.empty());
-  if (checker) ASSERT_GT(base.checker_events, 0u);
+  if (tracer) {
+    ASSERT_FALSE(base.trace_json.empty());
+  }
+  if (checker) {
+    ASSERT_GT(base.checker_events, 0u);
+  }
   for (const char* n : {"2", "4", "8"}) {
     const ObsProducts p = run_armed_fetch(29, n, tracer, checker);
     // Armed observers must NOT force the serial driver (§17)...
@@ -301,8 +306,7 @@ TEST_P(ArmedConcurrent, ShardedRunMatchesSerialByteForByte) {
     EXPECT_EQ(p.spans, base.spans);
     EXPECT_EQ(p.checker_events, base.checker_events)
         << "OBJRPC_SHARDS=" << n;
-    EXPECT_EQ(p.checker_digest, base.checker_digest)
-        << "OBJRPC_SHARDS=" << n;
+    EXPECT_EQ(p.wire_digest, base.wire_digest) << "OBJRPC_SHARDS=" << n;
     EXPECT_EQ(p.net_counters, base.net_counters) << "OBJRPC_SHARDS=" << n;
   }
 }
@@ -312,10 +316,10 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(std::make_tuple(true, false),
                       std::make_tuple(false, true),
                       std::make_tuple(true, true)),
-    [](const ::testing::TestParamInfo<std::tuple<bool, bool>>& info) {
+    [](const ::testing::TestParamInfo<std::tuple<bool, bool>>& param_info) {
       std::string name;
-      if (std::get<0>(info.param)) name += "Tracer";
-      if (std::get<1>(info.param)) name += "Checker";
+      if (std::get<0>(param_info.param)) name += "Tracer";
+      if (std::get<1>(param_info.param)) name += "Checker";
       return name;
     });
 

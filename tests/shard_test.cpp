@@ -515,7 +515,6 @@ TEST(ShardDeathTest, OversizedHorizonAbortsUnderStrict) {
 
 struct ClusterRun {
   std::uint64_t wire_digest = 0;
-  std::uint64_t checker_digest = 0;
   std::uint64_t checker_events = 0;
   std::string trace_json;
   bool concurrent = false;
@@ -563,7 +562,6 @@ ClusterRun run_cluster_workload(const char* shards_env, bool armed = false) {
   if (armed) {
     EXPECT_NE(cluster->checker(), nullptr);
     if (cluster->checker() != nullptr) {
-      out.checker_digest = cluster->checker()->digest();
       out.checker_events = cluster->checker()->events_observed();
     }
     out.trace_json = cluster->tracer().chrome_trace_json();
@@ -583,8 +581,9 @@ TEST(ShardCluster, EnvOptInByteIdenticalAcrossShardCounts) {
 
 TEST(ShardCluster, ArmedCheckerAndTracerByteIdenticalAcrossShardCounts) {
   // The §17 acceptance matrix at the full-stack level: same seed,
-  // serial vs 2/4/8 shards, checker + tracer armed.  Wire digest,
-  // checker fold, and trace JSON must agree byte-for-byte — and the
+  // serial vs 2/4/8 shards, checker + tracer armed.  Wire digest (with
+  // the checker's facts folded in), checker event count, and trace JSON
+  // must agree byte-for-byte — and the
   // sharded legs must actually run the concurrent driver.
   const ClusterRun base = run_cluster_workload(nullptr, /*armed=*/true);
   EXPECT_NE(base.wire_digest, 0u);
@@ -595,8 +594,6 @@ TEST(ShardCluster, ArmedCheckerAndTracerByteIdenticalAcrossShardCounts) {
     EXPECT_TRUE(p.concurrent) << "OBJRPC_SHARDS=" << n;
     EXPECT_EQ(p.wire_digest, base.wire_digest) << "OBJRPC_SHARDS=" << n;
     EXPECT_EQ(p.checker_events, base.checker_events)
-        << "OBJRPC_SHARDS=" << n;
-    EXPECT_EQ(p.checker_digest, base.checker_digest)
         << "OBJRPC_SHARDS=" << n;
     EXPECT_EQ(p.trace_json, base.trace_json) << "OBJRPC_SHARDS=" << n;
   }

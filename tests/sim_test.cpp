@@ -2,6 +2,7 @@
 // match-action tables, topologies.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <limits>
 #include <memory>
@@ -583,6 +584,55 @@ TEST(Network, TapSeesDeliveredFrames) {
   a.transmit(0, make_packet(10));
   net.loop().run();
   EXPECT_EQ(taps, 1);
+}
+
+/// Wire digest after one frame carrying `payload` crosses a fresh
+/// two-node link: equal-length payloads share time, endpoints and size,
+/// so only the payload fold can tell them apart.
+std::uint64_t one_delivery_digest(const Bytes& payload) {
+  Network net(1);
+  auto& a = net.add_node<SinkNode>("a");
+  auto& b = net.add_node<SinkNode>("b");
+  net.connect(a.id(), b.id());
+  net.arm_wire_digest();
+  Packet p;
+  p.data = payload;
+  a.transmit(0, std::move(p));
+  net.loop().run();
+  EXPECT_EQ(net.wire_digest_events(), 1u);
+  return net.wire_digest();
+}
+
+TEST(Network, WireDigestSeesEveryPayloadByte) {
+  // Four whole 8-byte words plus a 5-byte tail, every byte distinct.
+  Bytes base(37);
+  for (std::size_t i = 0; i < base.size(); ++i) {
+    base[i] = static_cast<std::uint8_t>(i * 7 + 1);
+  }
+  const std::uint64_t d0 = one_delivery_digest(base);
+  for (std::size_t i = 0; i < base.size(); ++i) {
+    for (unsigned bit = 0; bit < 8; ++bit) {
+      Bytes flipped = base;
+      flipped[i] ^= static_cast<std::uint8_t>(1u << bit);
+      EXPECT_NE(one_delivery_digest(flipped), d0)
+          << "byte " << i << " bit " << bit;
+    }
+  }
+  // Swapped words keep the multiset of words: an order-blind fold
+  // would miss this.
+  for (std::size_t w = 0; w < 3; ++w) {
+    Bytes swapped = base;
+    std::swap_ranges(swapped.begin() + 8 * w, swapped.begin() + 8 * w + 8,
+                     swapped.begin() + 8 * (w + 1));
+    EXPECT_NE(one_delivery_digest(swapped), d0) << "words " << w;
+  }
+  // Same whole words, tail of 0..7 bytes (zero bytes included).
+  std::set<std::uint64_t> tails;
+  for (std::size_t len = 32; len < 40; ++len) {
+    Bytes t(base.begin(), base.begin() + 32);
+    t.resize(len, 0);
+    EXPECT_TRUE(tails.insert(one_delivery_digest(t)).second) << len;
+  }
 }
 
 // --- SwitchNode ----------------------------------------------------------------
