@@ -53,8 +53,14 @@ void HostNode::on_node_state_change(bool up) {
   if (up && revive_hook_) revive_hook_();
 }
 
-void HostNode::on_packet(PortId /*in_port*/, Packet pkt) {
+void HostNode::on_packet(PortId in_port, Packet pkt) {
   if (!alive()) return;  // dead hosts hear nothing
+  receive(in_port, std::move(pkt), loop().now());
+}
+
+void HostNode::receive(PortId /*in_port*/, Packet pkt, SimTime arrived) {
+  // Liveness at arrival was judged by the network; dispatch() re-checks
+  // it now, at the end of the residence.
   auto frame = Frame::decode(pkt.data);
   if (!frame) {
     ++counters_.malformed;
@@ -78,17 +84,17 @@ void HostNode::on_packet(PortId /*in_port*/, Packet pkt) {
     // Software time between frame arrival and the protocol handler.
     net().tracer().leaf_span(frame->trace.trace, frame->trace.parent, id(),
                              std::string("rx:") + msg_type_name(frame->type),
-                             loop().now(), loop().now() + cfg_.processing_delay);
+                             arrived, arrived + cfg_.processing_delay);
   }
-  loop().schedule_after(cfg_.processing_delay,
-                        [this, f = std::move(*frame)]() mutable {
-                          dispatch(std::move(f));
-                        });
+  // Take the key slot a separate dispatch event would have taken, so
+  // this host's later events keep their keys.
+  loop().reserve_key();
+  dispatch(std::move(*frame));
 }
 
 void HostNode::dispatch(Frame frame) {
-  // A frame delivered just before a crash may have its dispatch still
-  // queued when the crash lands; the dead host must not process it.
+  // A crash that lands inside the residence (after the frame arrived,
+  // by the time it would be handled): the dead host must not process it.
   if (!alive()) return;
   FrameHandler& handler = handlers_[static_cast<std::uint8_t>(frame.type)];
   if (handler) {

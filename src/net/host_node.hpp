@@ -47,7 +47,16 @@ class HostNode : public NetworkNode {
   /// Fallback for types without a dedicated handler.
   void set_default_handler(FrameHandler handler);
 
-  HOT_PATH void on_packet(PortId in_port, Packet pkt) override;
+  /// The software stack's fixed latency (cfg.processing_delay).
+  SimDuration receive_residence() const override {
+    return cfg_.processing_delay;
+  }
+  /// NIC filtering (as of `arrived`) and protocol dispatch, in the one
+  /// delivery event at `arrived` + processing_delay.
+  HOT_PATH void receive(PortId in_port, Packet pkt,
+                        SimTime arrived) override;
+  /// A frame handed straight to the NIC (tests, chaos injection).
+  void on_packet(PortId in_port, Packet pkt) override;
   void on_node_state_change(bool up) override;
 
   /// Invoked when this host revives after a fail-stop crash (store

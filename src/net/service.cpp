@@ -1,5 +1,7 @@
 #include "net/service.hpp"
 
+#include <algorithm>
+
 #include "common/log.hpp"
 
 namespace objrpc {
@@ -275,22 +277,76 @@ void ObjNetService::arm_timeout(std::uint64_t token,
                                 std::uint64_t generation) {
   Pending* found = pending_.find(token);
   if (found == nullptr) return;
-  host_.event_loop().schedule_after(
-      found->opts.timeout, [this, token, generation] {
-        Pending* live = pending_.find(token);
-        if (live == nullptr) return;
-        if (live->generation != generation) return;  // superseded
-        // The request leg burned a round trip with no reply.  Whoever we
-        // addressed is unreachable (crashed host, stale route): report
-        // the location stale so the retry re-resolves instead of
-        // re-sending into the void.
-        Pending& p = *live;
-        p.stats.rtts += 1;
-        if (p.last_dst != kUnspecifiedHost) {
-          discovery_->on_stale(p.ptr.object, p.last_dst);
-        }
-        start_attempt(token);
-      });
+  EventLoop& loop = host_.event_loop();
+  const SimTime at = loop.now() + found->opts.timeout;
+  if (loop.current_source() != host_.id()) {
+    // Armed from outside this host's own context (a test driver, the
+    // control lane, another node): the timer would live on that
+    // context's wheel, which this service's timer must not write.  Give
+    // it its own event there, as schedule_at always has.
+    loop.schedule_at(at, [this, token, generation] {
+      on_deadline(token, generation);
+    });
+    return;
+  }
+  const Deadline d{{at, loop.reserve_key()}, token, generation};
+  auto pos = deadlines_.end();
+  if (!deadlines_.empty() && earlier(d, deadlines_.back())) {
+    // A shorter timeout than an earlier arm's: keep (at, key) order.
+    pos = std::upper_bound(deadlines_.begin(), deadlines_.end(), d, earlier);
+  }
+  deadlines_.insert(pos, d);
+  arm_deadline_timer();
+}
+
+void ObjNetService::arm_deadline_timer() {
+  while (!deadlines_.empty() && !deadline_live(deadlines_.front())) {
+    deadlines_.pop_front();
+  }
+  if (deadlines_.empty()) return;
+  const Deadline& head = deadlines_.front();
+  for (const Slot& s : timer_slots_) {
+    // An outstanding event fires at the head's own slot (reused, not
+    // duplicated) or before it.
+    if (!earlier(head, s)) return;
+  }
+  const Slot slot{head.at, head.key};
+  timer_slots_.push_back(slot);
+  host_.event_loop().schedule_keyed(slot.at, slot.key,
+                                    [this, slot] { on_timer(slot); });
+}
+
+void ObjNetService::on_timer(Slot slot) {
+  timer_slots_.erase(std::find_if(
+      timer_slots_.begin(), timer_slots_.end(), [&](const Slot& s) {
+        return !earlier(s, slot) && !earlier(slot, s);
+      }));
+  // No live deadline precedes the slot, and keys are unique, so the
+  // head is either the slot's own deadline or a later one (the slot's
+  // died and was dropped, or a shorter arm superseded this event).
+  if (!deadlines_.empty() && !earlier(slot, deadlines_.front())) {
+    const Deadline d = deadlines_.front();
+    deadlines_.pop_front();
+    on_deadline(d.token, d.generation);
+  }
+  arm_deadline_timer();
+}
+
+void ObjNetService::on_deadline(std::uint64_t token,
+                                std::uint64_t generation) {
+  Pending* live = pending_.find(token);
+  if (live == nullptr) return;
+  if (live->generation != generation) return;  // superseded
+  // The request leg burned a round trip with no reply.  Whoever we
+  // addressed is unreachable (crashed host, stale route): report the
+  // location stale so the retry re-resolves instead of re-sending into
+  // the void.
+  Pending& p = *live;
+  p.stats.rtts += 1;
+  if (p.last_dst != kUnspecifiedHost) {
+    discovery_->on_stale(p.ptr.object, p.last_dst);
+  }
+  start_attempt(token);
 }
 
 void ObjNetService::finish_read(std::uint64_t token, Result<Bytes> result) {

@@ -7,6 +7,7 @@
 // experiments drive exactly this service.
 #pragma once
 
+#include <deque>
 #include <functional>
 #include <memory>
 #include <vector>
@@ -164,6 +165,9 @@ class ObjNetService {
   /// non-empty count at quiesce means an access got stuck with no timer
   /// left to finish it).
   std::size_t pending_access_count() const { return pending_.size(); }
+  /// Wheel events this service's deadline timer has outstanding: at
+  /// most one in steady state, whatever the number of armed attempts.
+  std::size_t timer_events_pending() const { return timer_slots_.size(); }
 
  private:
   struct Pending {
@@ -192,7 +196,37 @@ class ObjNetService {
   void finish_write(std::uint64_t token, Status status);
   void finish_atomic(std::uint64_t token, Result<AtomicResponse> result);
   void on_atomic_req(const Frame& f);
+  /// Arm attempt `generation`'s deadline, opts.timeout from now.
   void arm_timeout(std::uint64_t token, std::uint64_t generation);
+  /// An attempt's deadline passed: retry, or give up (start_attempt).
+  /// A completed or superseded attempt makes it a no-op.
+  void on_deadline(std::uint64_t token, std::uint64_t generation);
+
+  /// Where a timer event runs: its time and its (reserved) key.
+  struct Slot {
+    SimTime at;
+    EventLoop::Key key;
+  };
+  /// One armed attempt deadline, in the slot its own timer event would
+  /// have had (key reserved when armed).
+  struct Deadline : Slot {
+    std::uint64_t token;
+    std::uint64_t generation;
+  };
+  /// (at, key) order: the order the slots' events run in.
+  static bool earlier(const Slot& x, const Slot& y) {
+    if (x.at != y.at) return x.at < y.at;
+    if (x.key.a != y.key.a) return x.key.a < y.key.a;
+    return x.key.b < y.key.b;
+  }
+  bool deadline_live(const Deadline& d) const {
+    const Pending* p = pending_.find(d.token);
+    return p != nullptr && p->generation == d.generation;
+  }
+  /// Drop dead heads; make sure a timer event fires no later than the
+  /// earliest live deadline, under that deadline's own key.
+  void arm_deadline_timer();
+  void on_timer(Slot slot);
 
   // Inbound handlers.
   void on_read_req(const Frame& f);
@@ -222,6 +256,16 @@ class ObjNetService {
   /// the per-response completion path allocation- and chase-free.
   FlatHashMap<std::uint64_t, Pending> pending_;
   std::uint64_t next_token_ = 1;
+  /// The deadline timer (DESIGN.md §7): every deadline armed from this
+  /// host's own context, in (at, key) order.  One wheel event stands
+  /// for all of them, at the head's time and key, so a live timeout
+  /// runs exactly where its own event would have, and a completed op's
+  /// deadline costs no event at all.
+  std::deque<Deadline> deadlines_;
+  /// Slots of the outstanding timer events, one per slot.  Usually one.
+  /// A deadline armed ahead of the earliest adds another; the later
+  /// event fires as a no-op unless its slot is the head's again.
+  std::vector<Slot> timer_slots_;
   Counters counters_;
 };
 

@@ -505,7 +505,8 @@ void EventLoop::schedule_at(SimTime at, Callback fn) {
                     std::move(fn));
 }
 
-void EventLoop::schedule_routed(std::uint32_t dst, SimTime at, Callback fn) {
+void EventLoop::schedule_routed(std::uint32_t dst, SimTime at,
+                                SimTime key_time, Callback fn) {
   SchedCtx& c = tls_ctx_;
   std::uint32_t stamp_src = kExternalSource;
   SimTime sched_now = global_now_;
@@ -514,20 +515,42 @@ void EventLoop::schedule_routed(std::uint32_t dst, SimTime at, Callback fn) {
     if (c.wheel != &control_) stamp_src = c.src;
   }
   wheel_of_source(dst)->schedule(
-      at, kShardLaneBit | static_cast<std::uint64_t>(sched_now),
+      at, kShardLaneBit | static_cast<std::uint64_t>(key_time),
       stamp(stamp_src), dst, sched_now, std::move(fn));
 }
 
-void EventLoop::stamp_routed(std::uint64_t& key_a, std::uint64_t& key_b) {
+void EventLoop::stamp_routed(SimTime key_time, std::uint64_t& key_a,
+                             std::uint64_t& key_b) {
   SchedCtx& c = tls_ctx_;
   std::uint32_t stamp_src = kExternalSource;
-  SimTime sched_now = global_now_;
-  if (c.owner == this && c.wheel != nullptr) {
-    sched_now = c.wheel->now();
-    if (c.wheel != &control_) stamp_src = c.src;
+  if (c.owner == this && c.wheel != nullptr && c.wheel != &control_) {
+    stamp_src = c.src;
   }
-  key_a = kShardLaneBit | static_cast<std::uint64_t>(sched_now);
+  key_a = kShardLaneBit | static_cast<std::uint64_t>(key_time);
   key_b = stamp(stamp_src);
+}
+
+EventLoop::Key EventLoop::reserve_key() {
+  SchedCtx& c = tls_ctx_;
+  if (c.owner == this && c.wheel != &control_) {
+    return Key{kShardLaneBit | static_cast<std::uint64_t>(c.wheel->now()),
+               stamp(c.src)};
+  }
+  control_.set_now(global_now_);
+  return Key{static_cast<std::uint64_t>(control_.now()),
+             stamp(kExternalSource)};
+}
+
+void EventLoop::schedule_keyed(SimTime at, Key key, Callback fn) {
+  SchedCtx& c = tls_ctx_;
+  if (c.owner == this && c.wheel != &control_) {
+    TimingWheel* w = c.wheel;
+    w->schedule(at, key.a, key.b, c.src, w->now(), std::move(fn));
+    return;
+  }
+  control_.set_now(global_now_);
+  control_.schedule(at, key.a, key.b, kExternalSource, control_.now(),
+                    std::move(fn));
 }
 
 void EventLoop::schedule_stamped(std::uint32_t dst, SimTime at,

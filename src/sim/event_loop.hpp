@@ -23,7 +23,9 @@
 // carries a canonical key
 //
 //     (at, key_a, key_b)
-//     key_a = lane<<62 | sched_time      (lane 0 = control, 1 = shard)
+//     key_a = lane<<62 | sched_time      (lane 0 = control, 1 = shard;
+//                                         a frame delivery's sched_time
+//                                         is the frame's arrival)
 //     key_b = seq<<24  | source          (per-source monotone seq)
 //
 // assigned identically no matter how many shards exist, because each
@@ -303,23 +305,72 @@ class EventLoop {
   }
 
   /// Schedule an event that EXECUTES as node `dst` (on dst's wheel, in
-  /// dst's lane) but is STAMPED by the calling context — the sender's
-  /// sched_time and seq counter — so two shards delivering to the same
-  /// node never race a counter.  This is the frame-delivery primitive.
-  HOT_PATH void schedule_routed(std::uint32_t dst, SimTime at, Callback fn);
+  /// dst's lane) but is STAMPED by the calling context's seq counter, so
+  /// two shards delivering to the same node never race a counter.  The
+  /// key is (at, lane | key_time, sender stamp): a fused frame delivery
+  /// keys under the frame's arrival time, which is the sched_time the
+  /// receive residence's own event used to carry (DESIGN.md §7).  This
+  /// is the frame-delivery primitive.
+  HOT_PATH void schedule_routed(std::uint32_t dst, SimTime at,
+                                SimTime key_time, Callback fn);
 
   /// Stamp a routed event's canonical key from the calling context
   /// WITHOUT inserting it.  Cross-shard handoff path: the sender stamps
-  /// (its own clock, its own seq counter — no other thread touches
-  /// either), the runner carries the key through its rings, and the
-  /// coordinator inserts at the barrier with schedule_stamped.  The key
-  /// is byte-identical to what schedule_routed would have assigned.
-  HOT_PATH void stamp_routed(std::uint64_t& key_a, std::uint64_t& key_b);
+  /// (its own seq counter — no other thread touches it), the runner
+  /// carries the key through its rings, and the coordinator inserts at
+  /// the barrier with schedule_stamped.  The key is byte-identical to
+  /// what schedule_routed(dst, at, key_time, fn) would have assigned.
+  HOT_PATH void stamp_routed(SimTime key_time, std::uint64_t& key_a,
+                             std::uint64_t& key_b);
+
   /// Insert a pre-stamped event into dst's wheel.  Coordinator-only
   /// (barriers, workers parked).  An `at` behind dst's wheel clock is a
   /// lookahead violation (aborts under strict mode).
   void schedule_stamped(std::uint32_t dst, SimTime at, std::uint64_t key_a,
                         std::uint64_t key_b, Callback fn);
+
+  /// A canonical key taken ahead of the event that will carry it.
+  struct Key {
+    std::uint64_t a = 0;
+    std::uint64_t b = 0;
+  };
+  /// The key schedule_at would stamp right now from the calling
+  /// context, reserved: the seq counter advances exactly as if an event
+  /// had been scheduled, but nothing is inserted.  Deadline timers
+  /// reserve each deadline's key when it is armed and insert only the
+  /// earliest live one (schedule_keyed); a fused delivery reserves the
+  /// slot its receive residence's event used to take, so the node's
+  /// later keys do not shift.
+  HOT_PATH Key reserve_key();
+  /// Insert `fn` at `at` under a key reserved earlier by reserve_key in
+  /// the SAME context (same node, or control lane).  Lands where
+  /// schedule_at from that context would have put it.
+  HOT_PATH void schedule_keyed(SimTime at, Key key, Callback fn);
+  /// The source the calling context executes as: a node id inside a
+  /// node callback (or with_source), kExternalSource elsewhere.
+  std::uint32_t current_source() const {
+    const SchedCtx& c = tls_ctx_;
+    if (c.owner == this && c.wheel != nullptr && c.wheel != &control_) {
+      return c.src;
+    }
+    return kExternalSource;
+  }
+
+  /// Run `f` with now() reading `at` (not later than now) in the calling
+  /// context, then restore the clock.  Observers of a fused delivery
+  /// (packet taps) run under it so they read the frame's arrival time,
+  /// not the end of the receive residence the event executes at.  `f`
+  /// must not schedule.
+  template <typename F>
+  void at_time(SimTime at, F&& f) {
+    const SchedCtx& c = tls_ctx_;
+    SimTime& clock =
+        c.owner == this && c.wheel != nullptr ? c.wheel->now_ : global_now_;
+    const SimTime saved = clock;
+    clock = at;
+    f();
+    clock = saved;
+  }
 
   /// Schedule an event that executes as node `src` and is stamped from
   /// src's OWN seq counter.  Callable from setup or control-lane code

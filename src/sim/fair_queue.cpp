@@ -124,7 +124,8 @@ std::uint64_t EgressScheduler::tenant_sent_bytes(std::uint32_t tenant) const {
   return bytes == nullptr ? 0 : *bytes;
 }
 
-bool TokenBucketGate::admit(std::uint32_t tenant, std::uint64_t wire_bytes) {
+bool TokenBucketGate::admit(std::uint32_t tenant, std::uint64_t wire_bytes,
+                            SimTime at) {
   auto rit = cfg_.tenant_rates.find(tenant);
   if (rit == cfg_.tenant_rates.end() || rit->second.bytes_per_sec <= 0.0) {
     ++counters_.admitted;
@@ -132,7 +133,7 @@ bool TokenBucketGate::admit(std::uint32_t tenant, std::uint64_t wire_bytes) {
   }
   const TenantRate& rate = rit->second;
   Bucket& b = buckets_[tenant];
-  const SimTime now = loop_.now();
+  const SimTime now = at;
   if (!b.primed) {
     b.primed = true;
     b.tokens = static_cast<double>(rate.burst_bytes);

@@ -186,14 +186,15 @@ class EgressScheduler {
 /// Per-tenant token-bucket admission gate (switch ingress).
 class TokenBucketGate {
  public:
-  TokenBucketGate(EventLoop& loop, AdmissionConfig cfg)
-      : loop_(loop), cfg_(std::move(cfg)) {}
+  explicit TokenBucketGate(AdmissionConfig cfg) : cfg_(std::move(cfg)) {}
 
   const AdmissionConfig& config() const { return cfg_; }
 
-  /// True if the frame may enter; false = drop it (tokens exhausted).
-  /// Unpoliced tenants (no configured rate, or rate 0) always pass.
-  HOT_PATH bool admit(std::uint32_t tenant, std::uint64_t wire_bytes);
+  /// True if the frame, arriving at `at`, may enter; false = drop it
+  /// (tokens exhausted).  Unpoliced tenants (no configured rate, or
+  /// rate 0) always pass.  `at` never precedes an earlier call's.
+  HOT_PATH bool admit(std::uint32_t tenant, std::uint64_t wire_bytes,
+                      SimTime at);
 
   // fablint:allow(raw-counter) registered by the owning SwitchNode's group
   struct Counters {
@@ -211,7 +212,6 @@ class TokenBucketGate {
     bool primed = false;  // first sighting starts with a full burst
   };
 
-  EventLoop& loop_;
   AdmissionConfig cfg_;
   /// Keyed lookups only (never iterated), so open addressing is safe.
   FlatHashMap<std::uint32_t, Bucket> buckets_;

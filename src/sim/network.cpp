@@ -96,10 +96,12 @@ Result<std::pair<PortId, PortId>> Network::try_connect(NodeId a, NodeId b,
   Direction fwd;
   fwd.dst = b;
   fwd.dst_port = port_b;
+  fwd.dst_residence = nodes_[b]->receive_residence();
   fwd.params = params;
   Direction rev;
   rev.dst = a;
   rev.dst_port = port_a;
+  rev.dst_residence = nodes_[a]->receive_residence();
   rev.params = params;
   // Per-direction loss substreams: forked (not drawn) from the fabric
   // seed, labelled by the canonical pair plus the side, so each
@@ -153,6 +155,8 @@ void Network::set_node_up(NodeId id, bool up) {
   }
   if (node_up_.at(id) == up) return;
   node_up_[id] = up;
+  last_flip_at_ = loop_.now();
+  node_flips_[id].push_back(last_flip_at_);
   Log::debug("net", "%s: node %s", nodes_[id]->name().c_str(),
              up ? "revived" : "crashed");
   // The node's own reaction (timers it arms, frames it emits) executes
@@ -253,6 +257,9 @@ void Network::transmit(NodeId from, PortId port, Packet pkt) {
 
   const NodeId dst = dir.dst;
   const PortId dst_port = dir.dst_port;
+  // One event per receive hop: the delivery executes at the end of dst's
+  // fixed residence, keyed under the arrival time (DESIGN.md §7).
+  const SimTime at = arrive + dir.dst_residence;
   if (tracer_.armed()) {
     // Passive per-hop attribution: time spent waiting for the
     // transmitter vs. serialization + propagation, plus the link's
@@ -288,21 +295,22 @@ void Network::transmit(NodeId from, PortId port, Packet pkt) {
     // shard: hand the frame over through the runner's bounded rings
     // (drained at the next barrier — the lookahead bound guarantees
     // that is early enough).
-    if (runner_->offer_cross(from, dst, dst_port, arrive, std::move(pkt))) {
+    if (runner_->offer_cross(from, dst, dst_port, arrive, at,
+                             std::move(pkt))) {
       return;
     }
   }
   loop_.schedule_routed(
-      dst, arrive,
-      [this, from, dst, dst_port, pkt = std::move(pkt)]() mutable {
-        deliver_now(from, dst, dst_port, std::move(pkt));
+      dst, at, arrive,
+      [this, from, dst, dst_port, arrive, pkt = std::move(pkt)]() mutable {
+        deliver_now(from, dst, dst_port, arrive, std::move(pkt));
       });
 }
 
 void Network::deliver_now(NodeId from, NodeId dst, PortId dst_port,
-                          Packet&& pkt) {
-  if (!node_up_[dst]) {
-    // The destination crashed while the frame was in flight.
+                          SimTime arrived, Packet&& pkt) {
+  if (!node_up_at(dst, arrived)) {
+    // The destination was down when the frame arrived.
     ++lane_stats().frames_dropped_dead;
     payload_pool_.release(std::move(pkt.data));
     return;
@@ -311,28 +319,35 @@ void Network::deliver_now(NodeId from, NodeId dst, PortId dst_port,
   ++st.frames_delivered;
   st.bytes_delivered += pkt.wire_size();
   ++pkt.hops;
-  if (wire_digest_armed_) fold_wire_digest(from, dst, pkt);
+  if (wire_digest_armed_) fold_wire_digest(from, dst, arrived, pkt);
   if (!taps_.empty()) {
+    // Taps read now() as the arrival time, inline or at replay.
     if (journal_.deferring()) {
       // Concurrent epoch: taps replay at the barrier in canonical
       // order, against a pooled copy of the frame (the receiver is
       // about to consume the original).
       Packet copy = pkt.header_copy();
       copy.data = payload_pool_.copy_of(pkt.data);
-      journal_.defer(SmallFn([this, from, dst, copy = std::move(copy)]() mutable {
-        for (auto& t : taps_) t(from, dst, copy);
-        payload_pool_.release(std::move(copy.data));
-      }));
+      journal_.defer(SmallFn(
+          [this, from, dst, arrived, copy = std::move(copy)]() mutable {
+            loop_.at_time(arrived, [&] {
+              for (auto& t : taps_) t(from, dst, copy);
+            });
+            payload_pool_.release(std::move(copy.data));
+          }));
     } else {
-      for (auto& t : taps_) t(from, dst, pkt);
+      loop_.at_time(arrived, [&] {
+        for (auto& t : taps_) t(from, dst, pkt);
+      });
     }
   }
-  nodes_[dst]->on_packet(dst_port, std::move(pkt));
+  nodes_[dst]->receive(dst_port, std::move(pkt), arrived);
 }
 
-void Network::fold_wire_digest(NodeId from, NodeId dst, const Packet& pkt) {
+void Network::fold_wire_digest(NodeId from, NodeId dst, SimTime arrived,
+                               const Packet& pkt) {
   std::uint64_t h = kWireDigestSeed;
-  h = mix64(h ^ static_cast<std::uint64_t>(loop_.now()));
+  h = mix64(h ^ static_cast<std::uint64_t>(arrived));
   h = mix64(h ^ ((static_cast<std::uint64_t>(from) << 32) | dst));
   h = mix64(h ^ pkt.wire_size());
   h = mix64(h ^ ((static_cast<std::uint64_t>(pkt.tenant) << 32) | pkt.hops));

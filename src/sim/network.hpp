@@ -37,8 +37,9 @@ class ShardRunner;
 struct ShardPlan;
 
 /// Base class for anything attached to the fabric (hosts, switches,
-/// controllers).  Subclasses react to frames in `on_packet` and emit
-/// frames with `send`.
+/// controllers).  Subclasses react to frames in `on_packet` (or in
+/// `receive`, if they have a receive residence) and emit frames with
+/// `send`.
 class NetworkNode {
  public:
   NetworkNode(Network& net, NodeId id, std::string name)
@@ -51,7 +52,24 @@ class NetworkNode {
   const std::string& name() const { return name_; }
   std::size_t port_count() const;
 
-  /// Called by the network when a frame arrives.
+  /// Fixed receive residence: the time between a frame's arrival and
+  /// this node acting on it (a switch's pipeline, a host's software
+  /// stack).  The network folds it into the delivery event: receive()
+  /// runs once, at arrival + residence (DESIGN.md §7).  Read once, when
+  /// a link to this node is connected.
+  virtual SimDuration receive_residence() const { return 0; }
+
+  /// Called by the network at `arrived` + receive_residence(), after
+  /// the delivery's liveness check, stats, digest and taps, all of
+  /// which are judged at `arrived`.  Default: on_packet.
+  virtual void receive(PortId in_port, Packet pkt, SimTime arrived) {
+    (void)arrived;
+    on_packet(in_port, std::move(pkt));
+  }
+
+  /// A frame arriving now.  For nodes with no residence this is the
+  /// network's delivery callback; nodes with one get it only for a
+  /// frame handed straight to them, and receive() it at once.
   virtual void on_packet(PortId in_port, Packet pkt) = 0;
 
   /// Called by the network when this node crashes or revives (see
@@ -122,6 +140,7 @@ class Network {
     nodes_.push_back(std::move(node));
     ports_.emplace_back();
     node_up_.push_back(true);
+    node_flips_.emplace_back();
     loop_.register_source(id);
     tracer_.set_process_name(id, ref.name());
     return ref;
@@ -304,6 +323,9 @@ class Network {
   struct Direction {
     NodeId dst = kInvalidNode;
     PortId dst_port = kInvalidPort;
+    /// dst's receive_residence(): a delivery executes this long after
+    /// the frame arrives.
+    SimDuration dst_residence = 0;
     LinkParams params;
     /// Time the transmitter is busy until (models serialization delay).
     SimTime busy_until = 0;
@@ -352,12 +374,26 @@ class Network {
     }
   }
 
-  /// Execute a delivery (receiver context): liveness check, stats,
-  /// digest fold, taps, on_packet.
+  /// Execute a delivery (receiver context, at `arrived` + dst's
+  /// residence): liveness check, stats, digest fold and taps, all as of
+  /// `arrived`; then receive().
   HOT_PATH void deliver_now(NodeId from, NodeId dst, PortId dst_port,
-                            Packet&& pkt);
-  /// Hash one delivery and fold it through fold_digest.
-  HOT_PATH void fold_wire_digest(NodeId from, NodeId dst, const Packet& pkt);
+                            SimTime arrived, Packet&& pkt);
+  /// Was `id` up at time `t` (<= now)?  node_up_ is the state now; each
+  /// transition after `t` flips it back.
+  bool node_up_at(NodeId id, SimTime t) const {
+    bool up = node_up_[id];
+    if (last_flip_at_ <= t) return up;  // nothing has moved since `t`
+    const std::vector<SimTime>& flips = node_flips_[id];
+    for (auto it = flips.rbegin(); it != flips.rend() && *it > t; ++it) {
+      up = !up;
+    }
+    return up;
+  }
+  /// Hash one delivery (arrived at `arrived`) and fold it through
+  /// fold_digest.
+  HOT_PATH void fold_wire_digest(NodeId from, NodeId dst, SimTime arrived,
+                                 const Packet& pkt);
   /// Fold the epoch's digest log, then replay the observer journal, both
   /// in canonical key order.  Runner-only, at barriers (workers parked).
   void merge_epoch_logs();
@@ -401,6 +437,12 @@ class Network {
   /// the fault schedule on the control lane (shards parked), read at
   /// delivery on the receiver's shard.
   CROSS_SHARD std::vector<bool> node_up_;
+  /// Per-node transition times, ascending (same writer and readers as
+  /// node_up_).  A delivery executes up to one residence after its
+  /// frame arrived; node_up_at replays these to judge it at arrival.
+  CROSS_SHARD std::vector<std::vector<SimTime>> node_flips_;
+  /// The latest of all node_flips_ (-1: none yet).
+  CROSS_SHARD SimTime last_flip_at_ = -1;
   /// Per-lane traffic counters; stats() merges them.
   SHARD_LANED PerLane<TrafficStats> stats_lanes_;
   std::vector<PacketTap> taps_;

@@ -310,18 +310,19 @@ void ShardRunner::worker_main(std::uint32_t lane) {
 }
 
 bool ShardRunner::offer_cross(NodeId from, NodeId dst, PortId dst_port,
-                              SimTime arrive, Packet&& pkt) {
+                              SimTime arrive, SimTime at, Packet&& pkt) {
   if (!net_.journal_.deferring()) return false;
   const std::uint32_t lane = ExecLane::idx;
   if (lane >= shards_) return false;  // control/coordinator context
   if (net_.loop_.shard_of_source(dst) == lane) return false;  // own wheel
   CrossFrame cf;
-  cf.at = arrive;
+  cf.at = at;
+  cf.arrive = arrive;
   cf.from = from;
   cf.dst = dst;
   cf.dst_port = dst_port;
   cf.pkt = std::move(pkt);
-  net_.loop_.stamp_routed(cf.key_a, cf.key_b);
+  net_.loop_.stamp_routed(arrive, cf.key_a, cf.key_b);
   Ring& r = rings_[lane];
   if (r.buf.size() < ring_capacity_) {
     r.buf.push_back(std::move(cf));
@@ -356,14 +357,15 @@ void ShardRunner::deliver_cross(CrossFrame&& cf) {
   const NodeId from = cf.from;
   const NodeId dst = cf.dst;
   const PortId dst_port = cf.dst_port;
+  const SimTime arrive = cf.arrive;
   // Insertion order across rings is irrelevant: the stamped key decides
   // execution order.  An `at` behind dst's wheel clock can only mean
   // the horizon exceeded the lookahead proof; the wheel aborts on it
   // under strict mode ("lookahead violation").
   net_.loop_.schedule_stamped(
       dst, cf.at, cf.key_a, cf.key_b,
-      [net, from, dst, dst_port, pkt = std::move(cf.pkt)]() mutable {
-        net->deliver_now(from, dst, dst_port, std::move(pkt));
+      [net, from, dst, dst_port, arrive, pkt = std::move(cf.pkt)]() mutable {
+        net->deliver_now(from, dst, dst_port, arrive, std::move(pkt));
       });
 }
 

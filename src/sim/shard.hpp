@@ -7,11 +7,13 @@
 // minimum latency of any link whose endpoints live on different shards:
 // if every shard has executed all events with time < M, then any
 // cross-shard frame still unsent leaves at some t >= M and arrives at
-// t + serialization + L > M + L — so all shards may run freely up to
-// the horizon H = min(M + L, next control time, deadline + 1) without
-// ever receiving a frame behind their clock.  Epochs are BSP rounds:
-// release workers to H-1, park them at a barrier, drain the cross-shard
-// handoff rings, merge the digest and journal logs, repeat.
+// t + serialization + L > M + L (its delivery event runs at the arrival
+// plus the receiver's residence, later still) — so all shards may run
+// freely up to the horizon H = min(M + L, next control time,
+// deadline + 1) without ever receiving a frame behind their clock.
+// Epochs are BSP rounds: release workers to H-1, park them at a
+// barrier, drain the cross-shard handoff rings, merge the digest and
+// journal logs, repeat.
 //
 // Windows that cannot pay for the round trip skip it: the coordinator
 // runs them itself, exactly as the serial driver would, with no worker
@@ -109,10 +111,12 @@ class ShardRunner final : public EventLoop::ParallelDriver {
   void run_until(SimTime deadline) override;
 
   /// Cross-shard frame handoff, called by Network::transmit from a
-  /// worker thread mid-epoch.  Stamps the canonical delivery key from
-  /// the SENDER's context (its clock, its seq counter — untouched by
-  /// any other thread), then parks the frame in the executing lane's
-  /// bounded ring for the coordinator to insert at the next barrier.
+  /// worker thread mid-epoch.  The frame arrives at `arrive` and its
+  /// delivery executes at `at` (arrive + dst's receive residence).
+  /// Stamps the canonical delivery key (at, lane | arrive, sender
+  /// stamp) from the SENDER's seq counter — untouched by any other
+  /// thread — then parks the frame in the executing lane's bounded ring
+  /// for the coordinator to insert at the next barrier.
   /// Returns false when the frame should be scheduled directly instead:
   /// not inside a concurrent epoch (serial / control / coordinator
   /// context), or the destination lives on the sender's own shard.
@@ -120,7 +124,7 @@ class ShardRunner final : public EventLoop::ParallelDriver {
   /// canonical key, and key order — not insertion order — decides
   /// execution order.
   HOT_PATH bool offer_cross(NodeId from, NodeId dst, PortId dst_port,
-                            SimTime arrive, Packet&& pkt);
+                            SimTime arrive, SimTime at, Packet&& pkt);
 
   /// Frames that arrived at a full ring and took the mutex-guarded
   /// spill path instead (backpressure observability; shard_test floors
@@ -150,10 +154,12 @@ class ShardRunner final : public EventLoop::ParallelDriver {
   void force_worker_epochs_for_test() { force_workers_ = true; }
 
  private:
-  /// One cross-shard frame in flight between epochs: the delivery plus
-  /// the canonical key its sender stamped.
+  /// One cross-shard frame in flight between epochs: the delivery
+  /// (execution and arrival times) plus the canonical key its sender
+  /// stamped.
   struct CrossFrame {
     SimTime at = 0;
+    SimTime arrive = 0;
     std::uint64_t key_a = 0;
     std::uint64_t key_b = 0;
     NodeId from = kInvalidNode;

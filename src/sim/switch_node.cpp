@@ -22,7 +22,7 @@ SwitchNode::SwitchNode(Network& net, NodeId id, std::string name,
         });
   }
   if (cfg_.admission.enabled) {
-    admission_ = std::make_unique<TokenBucketGate>(net.loop(), cfg_.admission);
+    admission_ = std::make_unique<TokenBucketGate>(cfg_.admission);
   }
   metrics_.attach(net.metrics(), this->name() + "/switch");
   metrics_.add("received", [this] { return counters_.received; });
@@ -52,12 +52,14 @@ SwitchNode::SwitchNode(Network& net, NodeId id, std::string name,
   }
 }
 
-void SwitchNode::on_packet(PortId in_port, Packet pkt) {
+void SwitchNode::receive(PortId in_port, Packet pkt, SimTime arrived) {
   ++counters_.received;
   // Ingress admission: a rate-limited tenant that exceeds its bucket is
   // refused at the door, before the frame occupies any pipeline or
   // queue resources.  Unpoliced tenants (incl. 0, infrastructure) pass.
-  if (admission_ && !admission_->admit(pkt.tenant, pkt.wire_size())) {
+  // The bucket refills up to the arrival, not to the pipeline's end.
+  if (admission_ &&
+      !admission_->admit(pkt.tenant, pkt.wire_size(), arrived)) {
     ++counters_.dropped_admission;
     return;
   }
@@ -65,13 +67,13 @@ void SwitchNode::on_packet(PortId in_port, Packet pkt) {
     // Match-action stage occupancy for this frame, attributed to its
     // causal trace.
     net().tracer().leaf_span(pkt.trace_id, pkt.span_parent, id(), "pipeline",
-                             loop().now(), loop().now() + cfg_.pipeline_delay);
+                             arrived, arrived + cfg_.pipeline_delay);
   }
-  // The pipeline takes cfg_.pipeline_delay to process a frame.
-  loop().schedule_after(cfg_.pipeline_delay,
-                        [this, in_port, pkt = std::move(pkt)]() mutable {
-                          run_pipeline(in_port, std::move(pkt));
-                        });
+  // The pipeline's cfg_.pipeline_delay has elapsed: this event runs at
+  // its end.  Take the key slot a separate pipeline event would have
+  // taken, so this switch's later events keep their keys.
+  loop().reserve_key();
+  run_pipeline(in_port, std::move(pkt));
 }
 
 void SwitchNode::run_pipeline(PortId in_port, Packet pkt) {

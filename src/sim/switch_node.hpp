@@ -104,7 +104,18 @@ class SwitchNode : public NetworkNode {
   obs::Tracer& tracer() { return net().tracer(); }
   obs::MetricsRegistry& metrics() { return net().metrics(); }
 
-  HOT_PATH void on_packet(PortId in_port, Packet pkt) override;
+  /// The match-action pipeline's fixed latency (cfg.pipeline_delay).
+  SimDuration receive_residence() const override {
+    return cfg_.pipeline_delay;
+  }
+  /// Ingress (admission, as of `arrived`) and the pipeline, in the one
+  /// delivery event at `arrived` + pipeline_delay.
+  HOT_PATH void receive(PortId in_port, Packet pkt,
+                        SimTime arrived) override;
+  /// A frame handed straight to the ingress port.
+  void on_packet(PortId in_port, Packet pkt) override {
+    receive(in_port, std::move(pkt), loop().now());
+  }
 
  private:
   HOT_PATH void run_pipeline(PortId in_port, Packet pkt);

@@ -1,6 +1,29 @@
 #include "sim/topology.hpp"
 
+#include <cstdio>
+#include <initializer_list>
+
 namespace objrpc {
+
+namespace {
+
+/// "<prefix><i>[-<j>[-<k>]]", the fabric builders' node names.  Built
+/// by append: chained std::string operator+ here trips GCC 12's false
+/// -Wrestrict positive, which -Werror would turn into a build break.
+std::string indexed_name(const char* prefix,
+                         std::initializer_list<std::size_t> indices) {
+  std::string name = prefix;
+  const char* sep = "";
+  for (const std::size_t i : indices) {
+    char buf[24];
+    std::snprintf(buf, sizeof buf, "%s%zu", sep, i);
+    name.append(buf);
+    sep = "-";
+  }
+  return name;
+}
+
+}  // namespace
 
 void connect_line(Network& net, const std::vector<NodeId>& nodes,
                   LinkParams params) {
@@ -40,17 +63,16 @@ LeafSpineTopology build_leaf_spine(Network& net, const LeafSpineParams& params,
   topo.params = params;
   topo.spines.reserve(params.spines);
   for (std::uint32_t s = 0; s < params.spines; ++s) {
-    topo.spines.push_back(make_switch("spine" + std::to_string(s)));
+    topo.spines.push_back(make_switch(indexed_name("spine", {s})));
   }
   topo.leaves.reserve(params.leaves);
   for (std::uint32_t l = 0; l < params.leaves; ++l) {
-    topo.leaves.push_back(make_switch("leaf" + std::to_string(l)));
+    topo.leaves.push_back(make_switch(indexed_name("leaf", {l})));
   }
   topo.hosts.reserve(std::size_t{params.leaves} * params.hosts_per_leaf);
   for (std::uint32_t l = 0; l < params.leaves; ++l) {
     for (std::uint32_t h = 0; h < params.hosts_per_leaf; ++h) {
-      topo.hosts.push_back(
-          make_host("h" + std::to_string(l) + "-" + std::to_string(h)));
+      topo.hosts.push_back(make_host(indexed_name("h", {l, h})));
     }
   }
   // Uplinks first so leaf ports [0, spines) point at the spines; spine
@@ -81,31 +103,26 @@ FatTreeTopology build_fat_tree(Network& net, const FatTreeParams& params,
   topo.cores.reserve(std::size_t{m} * m);
   for (std::uint32_t a = 0; a < m; ++a) {
     for (std::uint32_t j = 0; j < m; ++j) {
-      topo.cores.push_back(
-          make_switch("core" + std::to_string(a) + "-" + std::to_string(j)));
+      topo.cores.push_back(make_switch(indexed_name("core", {a, j})));
     }
   }
   topo.aggs.reserve(std::size_t{k} * m);
   topo.edges.reserve(std::size_t{k} * m);
   for (std::uint32_t p = 0; p < k; ++p) {
     for (std::uint32_t a = 0; a < m; ++a) {
-      topo.aggs.push_back(
-          make_switch("agg" + std::to_string(p) + "-" + std::to_string(a)));
+      topo.aggs.push_back(make_switch(indexed_name("agg", {p, a})));
     }
   }
   for (std::uint32_t p = 0; p < k; ++p) {
     for (std::uint32_t e = 0; e < m; ++e) {
-      topo.edges.push_back(
-          make_switch("edge" + std::to_string(p) + "-" + std::to_string(e)));
+      topo.edges.push_back(make_switch(indexed_name("edge", {p, e})));
     }
   }
   topo.hosts.reserve(std::size_t{k} * m * m);
   for (std::uint32_t p = 0; p < k; ++p) {
     for (std::uint32_t e = 0; e < m; ++e) {
       for (std::uint32_t h = 0; h < m; ++h) {
-        topo.hosts.push_back(make_host("h" + std::to_string(p) + "-" +
-                                       std::to_string(e) + "-" +
-                                       std::to_string(h)));
+        topo.hosts.push_back(make_host(indexed_name("h", {p, e, h})));
       }
     }
   }

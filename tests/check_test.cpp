@@ -219,6 +219,57 @@ TEST(CheckTest, ForgedFragAckDetected) {
             ViolationClass::forged_ack);
 }
 
+// The checker records each delivery at the frame's ARRIVAL, though the
+// delivery event runs a residence later (at the end of the pipeline).
+TEST(CheckTest, WireEventsCarryArrivalTime) {
+  auto cluster = Cluster::build(checked_cluster(DiscoveryScheme::e2e));
+  ASSERT_NE(cluster->checker(), nullptr);
+  cluster->checker()->set_abort_on_violation(false);
+
+  auto obj = cluster->create_object(1, 256);
+  ASSERT_TRUE(obj.has_value());
+  cluster->settle();
+
+  // The forged ack is caught on its first hop, into host 0's switch;
+  // that switch's pipeline sees it one pipeline delay after arrival.
+  Fabric& fabric = cluster->fabric();
+  const NodeId sender = cluster->host(0).id();
+  const NodeId first_hop = fabric.network().peer_of(sender, 0);
+  SwitchNode* sw = nullptr;
+  for (std::size_t i = 0; i < fabric.switch_count(); ++i) {
+    if (fabric.switch_at(i).id() == first_hop) sw = &fabric.switch_at(i);
+  }
+  ASSERT_NE(sw, nullptr);
+  SimTime piped_at = -1;
+  const SwitchNode::PreMatchHook inner = sw->pre_match_hook();
+  sw->set_pre_match_hook(
+      [&, inner](SwitchNode& s, PortId in, const Packet& pkt) {
+        auto f = Frame::decode(pkt.data);
+        if (f && f->type == MsgType::frag_ack) piped_at = s.event_loop().now();
+        return inner ? inner(s, in, pkt) : false;
+      });
+
+  Frame forged;
+  forged.type = MsgType::frag_ack;
+  forged.dst_host = cluster->addr_of(1);
+  forged.object = (*obj)->id();
+  forged.seq = frag_seq(/*msg_id=*/77, /*frag_idx=*/0, /*frag_count=*/1);
+  cluster->host(0).send_frame(std::move(forged));
+  cluster->settle();
+
+  ASSERT_GE(piped_at, 0);
+  const SimTime arrived = piped_at - sw->config().pipeline_delay;
+  ASSERT_EQ(cluster->checker()->count_of(ViolationClass::forged_ack), 1u);
+  const check::Violation& v = cluster->checker()->violations().back();
+  EXPECT_EQ(v.at, arrived);
+  ASSERT_FALSE(v.trace.empty());
+  const check::WireEvent& ev = v.trace.back();
+  EXPECT_EQ(ev.type, MsgType::frag_ack);
+  EXPECT_EQ(ev.from, sender);
+  EXPECT_EQ(ev.to, first_hop);
+  EXPECT_EQ(ev.at, arrived);
+}
+
 // Two replicas of the same lineage promoting under the same epoch: the
 // split-brain the epoch fence exists to make impossible.  Detected
 // twice — at the second promotion (same epoch claimed twice) and again

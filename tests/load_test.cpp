@@ -193,14 +193,15 @@ TEST(FairQueue, TokenBucketAdmitsBurstThenPolices) {
   AdmissionConfig cfg;
   cfg.enabled = true;
   cfg.tenant_rates[1] = TenantRate{1000.0, 2000};  // 1000 B/s, 2KB burst
-  TokenBucketGate gate(loop, cfg);
+  TokenBucketGate gate(cfg);
 
-  EXPECT_TRUE(gate.admit(1, 1500));   // primed with the full burst
-  EXPECT_FALSE(gate.admit(1, 1000));  // 500 tokens left
-  EXPECT_TRUE(gate.admit(7, 1 << 20));  // unpoliced tenant always passes
+  EXPECT_TRUE(gate.admit(1, 1500, 0));   // primed with the full burst
+  EXPECT_FALSE(gate.admit(1, 1000, 0));  // 500 tokens left
+  EXPECT_TRUE(gate.admit(7, 1 << 20, 0));  // unpoliced tenant always passes
   bool refilled = false;
   loop.schedule_at(2 * kSecond, [&] {
-    refilled = gate.admit(1, 1000);  // 2s * 1000 B/s refills (cap 2000)
+    // 2s * 1000 B/s refills (cap 2000)
+    refilled = gate.admit(1, 1000, loop.now());
   });
   loop.run();
   EXPECT_TRUE(refilled);
@@ -544,6 +545,43 @@ TEST(LoadGen, ArrivalsStayOffTheControlLane) {
   const ShardedLoadRun r = run_spread_load("4");
   EXPECT_GT(r.issued, 1000u);
   EXPECT_LE(r.control_events, r.issued / 64 + 2 * 2);
+}
+
+TEST(LoadGen, AtMostTenEventsPerOp) {
+  // A deterministic count: each frame costs one event per hop (fixed
+  // receive delays fold into the delivery), and a completed access's
+  // deadline costs none.  A fixed-delay hop coming back as its own event
+  // pushes this mix to ~16.
+  ClusterConfig ccfg;
+  ccfg.fabric.scheme = DiscoveryScheme::controller;
+  ccfg.fabric.num_hosts = 4;
+  ccfg.fabric.num_switches = 4;
+  ccfg.fabric.seed = 42;
+  ccfg.check_invariants = 0;
+  LoadConfig lcfg;
+  lcfg.duration = 50 * kMillisecond;
+  lcfg.seed = 0xC0DE;
+  TenantSpec t;
+  t.tenant = 1;
+  t.name = "mix";
+  t.arrival.rate_per_sec = 20'000.0;
+  t.object_count = 32;
+  t.mix = OpMix{0.6, 0.3, 0.1};
+  t.home_host = 0;
+  t.client_hosts = {1, 2, 3};
+  lcfg.tenants.push_back(t);
+  auto cluster = Cluster::build(ccfg);
+  LoadGenerator gen(*cluster, lcfg);
+  cluster->settle();
+  const std::uint64_t before = cluster->loop().events_executed();
+  gen.start();
+  cluster->settle();
+  const std::uint64_t events = cluster->loop().events_executed() - before;
+  std::uint64_t completed = 0;
+  for (const TenantSlo& s : gen.report()) completed += s.completed;
+  ASSERT_GT(completed, 500u);
+  EXPECT_LE(static_cast<double>(events) / static_cast<double>(completed), 10.0)
+      << events << " events for " << completed << " ops";
 }
 
 }  // namespace

@@ -1039,5 +1039,226 @@ TEST(Subscriptions, LiveDeliveryThroughSwitch) {
   EXPECT_EQ(got2, 1);
 }
 
+// --- fused receive residence on hosts -------------------------------------------
+//
+// A host's processing delay is folded into its delivery event, which runs
+// at arrival + processing_delay.  Liveness is judged at arrival (the
+// network's drop) and again at dispatch (a crash inside the residence).
+
+struct HostPair {
+  Network net{3};
+  HostNode& a = net.add_node<HostNode>("a");
+  HostNode& b = net.add_node<HostNode>("b");
+  std::vector<SimTime> handled;
+
+  HostPair() {
+    net.connect(a.id(), b.id());
+    b.set_handler(MsgType::read_req,
+                  [this](const Frame&) { handled.push_back(net.now()); });
+  }
+  void send() {
+    Frame f;
+    f.type = MsgType::read_req;
+    f.dst_host = b.addr();
+    a.send_frame(std::move(f));
+  }
+};
+
+TEST(HostNode, CrashInsideResidenceSkipsDispatchOnly) {
+  SimTime arrive = 0;
+  {
+    HostPair p;
+    p.net.add_tap([&](NodeId, NodeId, const Packet&) {
+      arrive = p.net.now();
+    });
+    p.send();
+    p.net.loop().run();
+    ASSERT_EQ(p.handled.size(), 1u);
+    EXPECT_EQ(p.handled[0], arrive + p.b.config().processing_delay);
+  }
+  const SimDuration residence = HostConfig{}.processing_delay;
+  // Down at arrival: the network drops it; the host never sees it.
+  {
+    HostPair p;
+    p.net.schedule_crash(p.b.id(), arrive);
+    p.send();
+    p.net.loop().run();
+    EXPECT_EQ(p.net.stats().frames_dropped_dead, 1u);
+    EXPECT_EQ(p.net.stats().frames_delivered, 0u);
+    EXPECT_EQ(p.b.counters().frames_in, 0u);
+    EXPECT_TRUE(p.handled.empty());
+  }
+  // Crashes inside the residence (up to its last nanosecond): delivered
+  // and counted in at arrival, never dispatched.
+  for (const SimDuration into : {SimDuration{1}, residence / 2, residence}) {
+    HostPair p;
+    p.net.schedule_crash(p.b.id(), arrive + into);
+    p.send();
+    p.net.loop().run();
+    EXPECT_EQ(p.net.stats().frames_delivered, 1u) << into;
+    EXPECT_EQ(p.net.stats().frames_dropped_dead, 0u) << into;
+    EXPECT_EQ(p.b.counters().frames_in, 1u) << into;
+    EXPECT_TRUE(p.handled.empty()) << into;
+  }
+  // Down at arrival, revived inside the residence: still dropped.
+  {
+    HostPair p;
+    p.net.schedule_crash(p.b.id(), arrive - 1);
+    p.net.schedule_revive(p.b.id(), arrive + residence / 2);
+    p.send();
+    p.net.loop().run();
+    EXPECT_EQ(p.net.stats().frames_dropped_dead, 1u);
+    EXPECT_EQ(p.b.counters().frames_in, 0u);
+    EXPECT_TRUE(p.handled.empty());
+  }
+}
+
+// --- attempt deadlines -----------------------------------------------------------
+
+struct ReadOutcome {
+  bool done = false;
+  Errc code = Errc::ok;
+  AccessStats stats;
+};
+
+ReadCallback record(ReadOutcome& out) {
+  return [&out](Result<Bytes> r, const AccessStats& s) {
+    out.done = true;
+    out.code = r ? Errc::ok : r.error().code;
+    out.stats = s;
+  };
+}
+
+TEST(ObjNetService, LiveTimeoutsRunWhereTheirOwnTimersDid) {
+  auto fabric = Fabric::build(base_config(DiscoveryScheme::controller));
+  GlobalPtr ptr = make_test_object(*fabric, 1);
+  fabric->settle();
+  ObjNetService& svc = fabric->service(0);
+  ReadOutcome warm;
+  svc.read(ptr, 8, record(warm));
+  fabric->settle();
+  ASSERT_TRUE(warm.done);
+  ASSERT_EQ(warm.code, Errc::ok);
+
+  // The home dies; every attempt against it times out.  Two accesses
+  // armed in one host callback, the second with a shorter timeout than
+  // the first, so the deadline timer must re-aim at an earlier deadline.
+  fabric->network().set_node_up(fabric->host(1).id(), false);
+  const SimTime t0 = fabric->loop().now();
+  ReadOutcome slow;
+  ReadOutcome fast;
+  fabric->network().schedule_on(fabric->host(0).id(), t0, [&] {
+    AccessOptions a;
+    a.timeout = 5 * kMillisecond;
+    a.max_attempts = 2;
+    svc.read(ptr, 8, record(slow), a);
+    AccessOptions b;
+    b.timeout = 1 * kMillisecond;
+    b.max_attempts = 3;
+    svc.read(ptr, 8, record(fast), b);
+  });
+  // The fast access gave up at t0 + 3 ms.  The event the slow access's
+  // first deadline armed at t0 is still in the wheel, and the re-armed
+  // timer reuses it rather than scheduling a second one under its key.
+  fabric->loop().run_until(t0 + 4 * kMillisecond);
+  ASSERT_TRUE(fast.done);
+  EXPECT_EQ(svc.timer_events_pending(), 1u);
+  fabric->settle();
+  ASSERT_TRUE(slow.done);
+  ASSERT_TRUE(fast.done);
+  // Every figure below was measured with one timer event per attempt:
+  // the deadline timer runs each live timeout at the same time and key.
+  EXPECT_EQ(slow.code, Errc::timeout);
+  EXPECT_EQ(slow.stats.attempts, 3);
+  EXPECT_EQ(slow.stats.rtts, 2);
+  EXPECT_EQ(slow.stats.finished_at - t0, 10 * kMillisecond);
+  EXPECT_EQ(fast.code, Errc::timeout);
+  EXPECT_EQ(fast.stats.attempts, 4);
+  EXPECT_EQ(fast.stats.rtts, 3);
+  EXPECT_EQ(fast.stats.finished_at - t0, 3 * kMillisecond);
+  EXPECT_EQ(svc.counters().timeouts, 2u);
+  EXPECT_EQ(svc.timer_events_pending(), 0u);
+}
+
+TEST(ObjNetService, LiveTimeoutKeepsItsKeyWhenTheTimerReArms) {
+  // The timer reaches a live deadline only after an earlier, dead one
+  // fired.  The live timeout must still sort under the key it was armed
+  // with, ahead of a same-time event the host scheduled later on.
+  auto fabric = Fabric::build(base_config(DiscoveryScheme::controller));
+  GlobalPtr dead_home = make_test_object(*fabric, 1);
+  GlobalPtr live_home = make_test_object(*fabric, 2);
+  fabric->settle();
+  ObjNetService& svc = fabric->service(0);
+  ReadOutcome warm;
+  svc.read(dead_home, 8, record(warm));
+  fabric->settle();
+  ASSERT_EQ(warm.code, Errc::ok);
+  fabric->network().set_node_up(fabric->host(1).id(), false);
+
+  const NodeId h0 = fabric->host(0).id();
+  const SimTime t0 = fabric->loop().now();
+  const SimDuration long_timeout = 25 * kMillisecond;
+  std::vector<std::string> order;
+  ReadOutcome done_fast;  // completes: its 20 ms deadline dies
+  fabric->network().schedule_on(h0, t0, [&] {
+    svc.read(live_home, 8, record(done_fast));
+  });
+  fabric->network().schedule_on(h0, t0 + 1, [&] {
+    AccessOptions o;
+    o.timeout = long_timeout;
+    o.max_attempts = 1;
+    svc.read(dead_home, 8, [&](Result<Bytes> r, const AccessStats&) {
+      EXPECT_FALSE(r);
+      order.push_back("timeout");
+    }, o);
+  });
+  fabric->network().schedule_on(h0, t0 + 5 * kMillisecond, [&] {
+    fabric->loop().schedule_at(t0 + 1 + long_timeout,
+                               [&] { order.push_back("later event"); });
+  });
+  fabric->settle();
+  ASSERT_TRUE(done_fast.done);
+  EXPECT_EQ(done_fast.code, Errc::ok);
+  EXPECT_EQ(order, (std::vector<std::string>{"timeout", "later event"}));
+}
+
+TEST(ObjNetService, CompletedAccessesLeaveOneTimerEvent) {
+  auto fabric = Fabric::build(base_config(DiscoveryScheme::controller));
+  GlobalPtr ptr = make_test_object(*fabric, 1);
+  fabric->settle();
+  constexpr int kOps = 50;
+  std::vector<ReadOutcome> outs(kOps);
+  const SimTime t0 = fabric->loop().now();
+  for (int i = 0; i < kOps; ++i) {
+    fabric->network().schedule_on(
+        fabric->host(i % 2 == 0 ? 0 : 2).id(), t0 + i * 10 * kMicrosecond,
+        [&, i] {
+          fabric->service(i % 2 == 0 ? 0 : 2).read(ptr, 8, record(outs[i]));
+        });
+  }
+  // Long enough for every access, well short of the 20 ms timeout.
+  fabric->loop().run_until(t0 + 5 * kMillisecond);
+  for (int i = 0; i < kOps; ++i) {
+    ASSERT_TRUE(outs[i].done) << i;
+    EXPECT_EQ(outs[i].code, Errc::ok) << i;
+  }
+  // 50 armed deadlines, all dead: one wheel event per issuing service
+  // (at its earliest deadline), none anywhere else.
+  for (std::size_t h = 0; h < fabric->host_count(); ++h) {
+    EXPECT_EQ(fabric->service(h).timer_events_pending(),
+              h == 0 || h == 2 ? 1u : 0u)
+        << h;
+  }
+  fabric->settle();
+  for (std::size_t h = 0; h < fabric->host_count(); ++h) {
+    EXPECT_EQ(fabric->service(h).timer_events_pending(), 0u) << h;
+    EXPECT_EQ(fabric->service(h).counters().timeouts, 0u) << h;
+  }
+  // The run drained at host 2's first deadline (its first access went
+  // out 10 us after host 0's), not at the last access's deadline.
+  EXPECT_EQ(fabric->loop().now(),
+            t0 + 10 * kMicrosecond + AccessOptions{}.timeout);
+}
+
 }  // namespace
 }  // namespace objrpc

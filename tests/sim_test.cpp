@@ -157,7 +157,7 @@ TEST(EventLoop, CursorRollbackRefilesFarEntries) {
   }
   loop.schedule_on_source(0, 10, [&] {
     note(0);
-    loop.schedule_routed(1, 20, [&] { note(1); });
+    loop.schedule_routed(1, 20, loop.now(), [&] { note(1); });
   });
   loop.run();
   const std::vector<std::pair<int, SimTime>> want = {
@@ -1316,6 +1316,174 @@ TEST(SwitchNode, FallbackMissFallsToDefault) {
   net.loop().run();
   EXPECT_TRUE(h2.arrivals.empty());
   EXPECT_EQ(sw.counters().dropped, 1u);
+}
+
+// --- fused receive residence ------------------------------------------------
+//
+// A switch's pipeline delay is folded into its delivery event: the event
+// runs at arrival + pipeline_delay.  Everything the old arrival event
+// decided must still be decided as of the arrival.
+
+/// h1 -> sw -> h2 with sub-ns serialization and 500 ns links.
+struct ResidenceLine {
+  Network net{1};
+  SinkNode& h1 = net.add_node<SinkNode>("h1");
+  SwitchNode& sw;
+  SinkNode& h2 = net.add_node<SinkNode>("h2");
+
+  explicit ResidenceLine(SwitchConfig cfg = {})
+      : sw(net.add_node<SwitchNode>("sw", cfg)) {
+    LinkParams lp;
+    lp.latency = 500;
+    lp.bandwidth_bps = 1e12;
+    net.connect(h1.id(), sw.id(), lp);  // sw port 0
+    net.connect(sw.id(), h2.id(), lp);  // sw port 1
+    sw.set_key_extractor(const_key);
+    EXPECT_TRUE(sw.table().insert(U128{0, 7}, Action::forward_to(1)));
+  }
+};
+
+TEST(SwitchNode, AdmissionDecidesAtArrivalNotPipelineEnd) {
+  SwitchConfig cfg;
+  cfg.admission.enabled = true;
+  // 1 B/ns: the pipeline's 1 us would refill 1000 bytes.
+  cfg.admission.tenant_rates[1] = TenantRate{1e9, 100'000};
+  ResidenceLine l(cfg);
+  // Empty tenant 1's bucket at t = 0.
+  ASSERT_TRUE(l.sw.admission()->admit(1, 100'000, 0));
+  Packet p = make_packet(1000);  // 1024 wire bytes, 8 ns to serialize
+  p.tenant = 1;
+  l.h1.transmit(0, std::move(p));
+  l.net.loop().run();
+  // Arrival at 508 ns holds 508 tokens: too few.  Judged at the end of
+  // the pipeline (1508 tokens) the frame would have been admitted.
+  EXPECT_EQ(l.sw.counters().dropped_admission, 1u);
+  EXPECT_EQ(l.sw.admission()->dropped_for(1), 1u);
+  EXPECT_TRUE(l.h2.arrivals.empty());
+}
+
+TEST(SwitchNode, TapAndPipelineSeeArrivalAndResidenceEnd) {
+  ResidenceLine l;
+  std::vector<SimTime> tapped;
+  l.net.add_tap([&](NodeId, NodeId to, const Packet&) {
+    if (to == l.sw.id()) tapped.push_back(l.net.now());
+  });
+  std::vector<SimTime> piped;
+  l.sw.set_pre_match_hook([&](SwitchNode& sw, PortId, const Packet&) {
+    piped.push_back(sw.event_loop().now());
+    return false;
+  });
+  l.h1.transmit(0, make_packet(10));
+  l.net.loop().run();
+  ASSERT_EQ(tapped.size(), 1u);
+  ASSERT_EQ(piped.size(), 1u);
+  EXPECT_EQ(tapped[0], 501);  // 1 ns serialization + 500 ns latency
+  EXPECT_EQ(piped[0], tapped[0] + l.sw.config().pipeline_delay);
+}
+
+TEST(SwitchNode, CrashInsideResidenceDropsAtEgressAsBefore) {
+  constexpr SimTime kArrive = 501;
+  // Down before the frame arrives: dropped on arrival.
+  {
+    ResidenceLine l;
+    l.net.schedule_crash(l.sw.id(), kArrive);
+    l.h1.transmit(0, make_packet(10));
+    l.net.loop().run();
+    EXPECT_EQ(l.net.stats().frames_dropped_dead, 1u);
+    EXPECT_EQ(l.net.stats().frames_delivered, 0u);
+    EXPECT_EQ(l.sw.counters().received, 0u);
+  }
+  // Crashes during the pipeline: the frame was received (and counted
+  // delivered) at arrival; the pipeline still runs and its forward dies
+  // at the dead switch's NIC.
+  for (const SimDuration into : {SimDuration{1}, SimDuration{500},
+                                 kMicrosecond}) {
+    ResidenceLine l;
+    l.net.schedule_crash(l.sw.id(), kArrive + into);
+    l.h1.transmit(0, make_packet(10));
+    l.net.loop().run();
+    EXPECT_EQ(l.net.stats().frames_delivered, 1u) << into;
+    EXPECT_EQ(l.net.stats().frames_dropped_dead, 1u) << into;
+    EXPECT_EQ(l.sw.counters().received, 1u) << into;
+    EXPECT_EQ(l.sw.counters().forwarded, 1u) << into;
+    EXPECT_TRUE(l.h2.arrivals.empty()) << into;
+  }
+  // Down at arrival, revived inside the residence: still a dead drop.
+  {
+    ResidenceLine l;
+    l.net.schedule_crash(l.sw.id(), kArrive - 100);
+    l.net.schedule_revive(l.sw.id(), kArrive + 500);
+    l.h1.transmit(0, make_packet(10));
+    l.net.loop().run();
+    EXPECT_EQ(l.net.stats().frames_dropped_dead, 1u);
+    EXPECT_EQ(l.net.stats().frames_delivered, 0u);
+    EXPECT_EQ(l.sw.counters().received, 0u);
+    EXPECT_TRUE(l.h2.arrivals.empty());
+  }
+}
+
+/// Two senders into one switch; the pipeline hook records which ingress
+/// port ran first.
+struct TwoIntoOne {
+  Network net;
+  SinkNode& a;
+  SinkNode& b;
+  SwitchNode& sw;
+  SinkNode& c;
+  std::vector<PortId> order;
+
+  TwoIntoOne(std::uint64_t seed, const LinkParams& lp)
+      : net(seed),
+        a(net.add_node<SinkNode>("a")),
+        b(net.add_node<SinkNode>("b")),
+        sw(net.add_node<SwitchNode>("sw")),
+        c(net.add_node<SinkNode>("c")) {
+    net.connect(a.id(), sw.id(), lp);  // sw port 0
+    net.connect(b.id(), sw.id(), lp);  // sw port 1
+    net.connect(sw.id(), c.id(), lp);  // sw port 2
+    sw.set_key_extractor(const_key);
+    EXPECT_TRUE(sw.table().insert(U128{0, 7}, Action::forward_to(2)));
+    sw.set_pre_match_hook([this](SwitchNode&, PortId in, const Packet&) {
+      order.push_back(in);
+      return false;
+    });
+  }
+};
+
+TEST(Network, SameNanosecondArrivalsKeepTheirOrder) {
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    Rng rng(seed);
+    LinkParams lp;
+    lp.latency = 1 + static_cast<SimDuration>(rng.next_below(5000));
+    const std::size_t size = 1 + rng.next_below(1500);
+    // Sent from outside the loop: b's frame is stamped first.
+    {
+      TwoIntoOne t(seed, lp);
+      t.b.transmit(0, make_packet(size));
+      t.a.transmit(0, make_packet(size));
+      t.net.loop().run();
+      EXPECT_EQ(t.order, (std::vector<PortId>{1, 0})) << seed;
+      ASSERT_EQ(t.c.arrivals.size(), 2u);
+    }
+    // Sent by the nodes themselves at the same instant: each sender's
+    // own seq counter stamps, and the lower source id breaks the tie.
+    {
+      TwoIntoOne t(seed, lp);
+      const SimTime at = 100 + static_cast<SimTime>(rng.next_below(100));
+      t.net.schedule_on(t.b.id(), at, [&t, size] {
+        t.b.transmit(0, make_packet(size));
+      });
+      t.net.schedule_on(t.a.id(), at, [&t, size] {
+        t.a.transmit(0, make_packet(size));
+      });
+      t.net.loop().run();
+      EXPECT_EQ(t.order, (std::vector<PortId>{0, 1})) << seed;
+      ASSERT_EQ(t.c.arrivals.size(), 2u);
+      // Both frames left the switch on one port: the first through the
+      // pipeline serialized first.
+      EXPECT_LT(t.c.arrivals[0].at, t.c.arrivals[1].at);
+    }
+  }
 }
 
 }  // namespace
