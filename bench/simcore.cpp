@@ -367,7 +367,7 @@ SweepPoint run_sweep_point(std::uint32_t shards, std::uint64_t packets,
   if (armed.profile) net.arm_shard_profiler();  // before enable_sharding
   std::optional<check::InvariantChecker> checker;
   if (armed.checker) checker.emplace(net);
-  // The runner reads the kill switch when enable_sharding builds it.
+  // enable_sharding reads the kill switch: set, it builds no runner.
   if (armed.serial_driver) setenv("OBJRPC_SHARDS_SERIAL", "1", 1);
   const std::vector<NodeId> hosts = build(net, shards);
   if (armed.serial_driver) unsetenv("OBJRPC_SHARDS_SERIAL");

@@ -18,7 +18,7 @@ namespace objrpc {
 struct ExecLane {
   /// Lane of the code currently executing on this thread.  Written only
   /// by the event-loop dispatch (sim/event_loop.cpp, sim/shard.cpp).
-  static thread_local std::uint32_t idx;
+  static inline thread_local std::uint32_t idx = 0;
 };
 
 /// Current lane clamped to a component's configured lane count (lets a

@@ -426,15 +426,18 @@ void TimingWheel::drain_current_tick_raw() {
   }
 }
 
-void TimingWheel::run_until(SimTime limit) {
+bool TimingWheel::run_until(SimTime limit) {
   const EventLoop::SchedCtx saved = EventLoop::tls_ctx_;
   const std::uint32_t saved_lane = ExecLane::idx;
+  bool ran = false;
   while (next_time(limit) != kNoEventTime) {
     pop_run_raw();
     drain_current_tick_raw();
+    ran = true;
   }
   ExecLane::idx = saved_lane;
   EventLoop::tls_ctx_ = saved;
+  return ran;
 }
 
 void TimingWheel::extract_all(std::vector<Extracted>& out) {
@@ -607,15 +610,13 @@ void EventLoop::configure_shards(std::uint32_t shards,
   }
 }
 
-void EventLoop::run_shards_serial(SimTime limit) {
-  if (limit < 0) return;
-  if (wheels_.size() == 1) {
-    TimingWheel& w = *wheels_[0];
-    w.run_until(limit);
-    if (w.now() > global_now_) global_now_ = w.now();
-    return;
-  }
-  merge_run(limit);
+bool EventLoop::run_shards(SimTime limit) {
+  if (driver_ != nullptr) return driver_->run_window(limit);
+  if (wheels_.size() > 1) return merge_run(limit);
+  TimingWheel& w = *wheels_[0];
+  const bool ran = w.run_until(limit);
+  if (w.now() > global_now_) global_now_ = w.now();
+  return ran;
 }
 
 void EventLoop::read_head(TimingWheel& w, SimTime limit, Head& h) {
@@ -624,7 +625,7 @@ void EventLoop::read_head(TimingWheel& w, SimTime limit, Head& h) {
   if (h.at != kNoEventTime) w.head_key(h.key_a, h.key_b);
 }
 
-void EventLoop::merge_run(SimTime limit) {
+bool EventLoop::merge_run(SimTime limit) {
   // Serialized-canonical execution across K wheels: repeatedly run the
   // event with the globally smallest (at, key_a, key_b).  This is the
   // order the key design defines for EVERY mode, so observers (taps,
@@ -639,6 +640,7 @@ void EventLoop::merge_run(SimTime limit) {
   for (Head& h : heads_) h.pending = kStale;
   const SchedCtx saved = tls_ctx_;
   const std::uint32_t saved_lane = ExecLane::idx;
+  bool ran = false;
   for (;;) {
     std::size_t best = k;
     for (std::size_t i = 0; i < k; ++i) {
@@ -653,22 +655,11 @@ void EventLoop::merge_run(SimTime limit) {
     wheels_[best]->pop_run_raw();
     heads_[best].pending = kStale;
     if (at > global_now_) global_now_ = at;
+    ran = true;
   }
   ExecLane::idx = saved_lane;
   tls_ctx_ = saved;
-}
-
-void EventLoop::drain_control_at(SimTime tc) {
-  if (tc > global_now_) global_now_ = tc;
-  control_.set_now(tc);
-  const SchedCtx saved = tls_ctx_;
-  const std::uint32_t saved_lane = ExecLane::idx;
-  while (control_.next_time(tc) == tc) {
-    control_.pop_run_raw();
-    control_.drain_current_tick_raw();
-  }
-  ExecLane::idx = saved_lane;
-  tls_ctx_ = saved;
+  return ran;
 }
 
 EventLoop::ObserverReplayScope::ObserverReplayScope(EventLoop& loop)
@@ -694,9 +685,16 @@ void EventLoop::run_core(SimTime deadline) {
     const SimTime tc = control_.next_time(deadline);
     // Shard events strictly before the next control time: control
     // events (lane 0) precede shard events (lane 1) at the same tick.
-    run_shards_serial(tc == kNoEventTime ? deadline : tc - 1);
+    // A window may end short of tc (the driver's horizon) and its
+    // barrier may schedule on the control lane, so tc is read again
+    // after every window that ran anything.
+    if (run_shards(tc == kNoEventTime ? deadline : tc - 1)) continue;
     if (tc == kNoEventTime) return;
-    drain_control_at(tc);
+    // Nothing on the control wheel lies below tc, so running it to tc
+    // drains exactly the events at tc (children at tc included — they
+    // sort after their parents by seq).
+    if (tc > global_now_) global_now_ = tc;
+    control_.run_until(tc);
   }
 }
 
@@ -727,21 +725,13 @@ bool EventLoop::step() {
 }
 
 void EventLoop::run() {
-  if (driver_ != nullptr && driver_->ready()) {
-    driver_->run_until(std::numeric_limits<SimTime>::max());
-  } else {
-    run_core(std::numeric_limits<SimTime>::max());
-  }
+  run_core(std::numeric_limits<SimTime>::max());
   settle_clocks(global_now_);
   if (drain_hook_ && pending() == 0) drain_hook_();
 }
 
 void EventLoop::run_until(SimTime deadline) {
-  if (driver_ != nullptr && driver_->ready()) {
-    driver_->run_until(deadline);
-  } else {
-    run_core(deadline);
-  }
+  run_core(deadline);
   settle_clocks(deadline);
   if (pending() == 0 && drain_hook_) drain_hook_();
 }

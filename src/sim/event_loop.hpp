@@ -37,6 +37,11 @@
 // inserted into the draining bucket in key order.  Order is therefore a
 // pure function of the event-key set — the property that makes 1-, 2-,
 // 4- and 8-shard runs byte-identical.
+//
+// One run loop (run_core) drives every mode: it runs one window of shard
+// events below the next control time tc, reads tc again after any window
+// that ran something (its barrier may schedule on the control lane), and
+// drains the control events at tc once nothing is left below it.
 #pragma once
 
 #include <cstdint>
@@ -103,8 +108,9 @@ class TimingWheel {
   /// Pop and execute the head of the level-0 bucket at the cursor,
   /// leaving the thread's scheduling context exactly as found.
   HOT_PATH void pop_run();
-  /// Tight loop: run every event with time <= `limit`.
-  void run_until(SimTime limit);
+  /// Tight loop: run every event with time <= `limit`; returns whether
+  /// anything ran.
+  bool run_until(SimTime limit);
 
   /// Remove every pending event (with its key and callback) so the
   /// facade can re-home them when the partition changes.  Setup-time
@@ -206,7 +212,7 @@ class TimingWheel {
   MAY_ALLOC void sort_bucket(std::size_t slot) REQUIRES_SHARD(shard_);
   /// pop_run minus the scheduling-context epilogue: leaves tls_ctx_ /
   /// ExecLane pointing at the event just run.  For drain loops (and
-  /// EventLoop's control drain and key-merge, via friendship) that pop
+  /// EventLoop's key-merge, via friendship) that pop
   /// many events back to back — the next pop overwrites the context
   /// wholesale, so per-event restores are pure overhead; the LOOP
   /// restores once on exit.  Callers MUST save both before the first
@@ -421,14 +427,14 @@ class EventLoop {
   TimingWheel& wheel(std::uint32_t i) { return *wheels_[i]; }
   TimingWheel& control_wheel() { return control_; }
 
-  /// Installed by sim/shard's ShardRunner.  When ready() says the run
-  /// may be concurrent, run_until/run delegate whole segments to it;
-  /// otherwise the facade's serial key-merge drives the wheels (same
-  /// order, one thread).
+  /// Installed by sim/shard's ShardRunner.  The run loop hands it one
+  /// window at a time: run shard events up to `limit` (inclusive, below
+  /// the next control time), or some prefix of them, and return whether
+  /// anything ran.  Without a driver the loop runs the window itself by
+  /// key-merge (same order, one thread).
   struct ParallelDriver {
     virtual ~ParallelDriver() = default;
-    virtual bool ready() = 0;
-    virtual void run_until(SimTime deadline) = 0;
+    virtual bool run_window(SimTime limit) = 0;
   };
   void set_parallel_driver(ParallelDriver* d) { driver_ = d; }
 
@@ -523,9 +529,10 @@ class EventLoop {
     return (next_seq(src) << 24) | (src & 0x00FFFFFFu);
   }
 
-  /// Run every shard event with time <= limit (serial: key-merge when
-  /// K > 1, tight loop when K == 1).
-  void run_shards_serial(SimTime limit);
+  /// Run one window of shard events with time <= limit: the driver's
+  /// window, else key-merge when K > 1, the tight loop when K == 1.
+  /// Returns whether anything ran.
+  bool run_shards(SimTime limit);
   /// A wheel's next event (<= some limit) as the key-merge last read it,
   /// with the wheel's pending() at that read: a count that has since
   /// moved means a schedule landed there and the head must be re-read.
@@ -536,10 +543,11 @@ class EventLoop {
     std::size_t pending = 0;
   };
   static void read_head(TimingWheel& w, SimTime limit, Head& h);
-  void merge_run(SimTime limit);
-  /// Drain every control event at exactly time `tc` (children at tc
-  /// included — they sort after their parents by seq).
-  void drain_control_at(SimTime tc);
+  /// Run every shard event with time <= limit in key order; returns
+  /// whether anything ran.
+  bool merge_run(SimTime limit);
+  /// The one run loop: alternate shard windows below the next control
+  /// time with control drains, up to `deadline`.
   void run_core(SimTime deadline);
   /// Floor every wheel clock and the global clock to `t`.
   void settle_clocks(SimTime t);
@@ -559,8 +567,8 @@ class EventLoop {
   std::vector<Head> heads_;  ///< merge_run's per-wheel cache
 
   friend class TimingWheel;
-  /// The parallel runner drives the private serial helpers (control
-  /// drain) and the wheel set directly from its coordinator loop.
+  /// The parallel runner runs coordinator windows with the private
+  /// key-merge and folds its workers' wheel clocks into global time.
   friend class ShardRunner;
 };
 

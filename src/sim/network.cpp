@@ -398,10 +398,6 @@ void Network::merge_epoch_logs() {
   journal_.replay([&scope](SimTime at) { scope.advance(at); });
 }
 
-void Network::on_epoch_barrier() {
-  if (barrier_hook_) barrier_hook_();
-}
-
 std::uint32_t Network::enable_sharding(const ShardPlan& plan) {
   std::uint32_t shards = plan.shards;
   if (shards < 1) shards = 1;
@@ -447,8 +443,10 @@ std::uint32_t Network::enable_sharding(const ShardPlan& plan) {
   loop_.set_parallel_driver(nullptr);
   runner_.reset();
   if (shards > 1) {
-    runner_ = std::make_unique<ShardRunner>(*this, plan.lookahead, shards);
-    loop_.set_parallel_driver(runner_.get());
+    if (!env_truthy("OBJRPC_SHARDS_SERIAL")) {
+      runner_ = std::make_unique<ShardRunner>(*this, plan.lookahead, shards);
+      loop_.set_parallel_driver(runner_.get());
+    }
     if (shard_profile_requested_ || env_truthy("OBJRPC_SHARD_PROFILE")) {
       shard_profiler_.arm(metrics_, shards);
       tracer_.set_aux_chrome_source(

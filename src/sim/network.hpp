@@ -263,21 +263,22 @@ class Network {
   /// and (for >1 shard) spins up the parallel runner.  Setup-time only.
   /// Returns the shard count actually applied (1 if the plan was
   /// rejected, e.g. zero-latency cross-shard links).
+  ///
+  /// Observers — taps (the invariant checker attaches as one), the node
+  /// observer, an armed tracer — never stop the runner: they see
+  /// fabric-global event order via the observer journal, which defers
+  /// their callbacks during an epoch and replays them at the barrier in
+  /// canonical key order (DESIGN.md §17).  OBJRPC_SHARDS_SERIAL=1 is the
+  /// one kill switch: the partition and its laned allocators stay, no
+  /// runner (and no worker thread) is built, and the loop's key-merge
+  /// runs every window on the calling thread.
   std::uint32_t enable_sharding(const ShardPlan& plan);
   /// enable_sharding from the OBJRPC_SHARDS environment toggle, using
   /// the generic switch-group planner.  No-op (returns 1) when unset.
   std::uint32_t maybe_shard_from_env();
   std::uint32_t shard_count() const { return loop_.shard_count(); }
+  /// The parallel runner: null with one shard or under the kill switch.
   ShardRunner* runner() { return runner_.get(); }
-
-  /// True when a run may execute shards on concurrent worker threads.
-  /// Observers — taps (the invariant checker attaches as one), the node
-  /// observer, an armed tracer — never force the serial driver: they see
-  /// fabric-global event order via the observer journal, which defers
-  /// their callbacks during an epoch and replays them at the barrier in
-  /// canonical key order (DESIGN.md §17).  OBJRPC_SHARDS_SERIAL=1 is the
-  /// one kill switch (ShardRunner::ready).
-  bool concurrent_allowed() const { return shard_count() > 1; }
 
   /// The shard-safe observer plane (DESIGN.md §17): concurrent epochs
   /// journal observer callbacks per lane; the coordinator replays them
@@ -397,9 +398,6 @@ class Network {
   /// Fold the epoch's digest log, then replay the observer journal, both
   /// in canonical key order.  Runner-only, at barriers (workers parked).
   void merge_epoch_logs();
-  /// End-of-barrier notification from the runner: fires the user's
-  /// barrier hook once clocks, digests, and journals are settled.
-  void on_epoch_barrier();
   /// Fabric-unique frame id from the executing lane's strided allocator.
   HOT_PATH std::uint64_t mint_frame_id() {
     const std::uint32_t lane = exec_lane_below(frame_id_lanes_.size());

@@ -1,7 +1,6 @@
 #include "sim/shard.hpp"
 
 #include <algorithm>
-#include <cstdlib>
 
 #include "common/exec_lane.hpp"
 #include "common/log.hpp"
@@ -27,11 +26,6 @@ constexpr std::uint64_t kMinParallelEvents = 64;
 /// traffic of one epoch (bounded by lookahead * per-link rate) stays on
 /// the lock-free path; bursts beyond it degrade to the spill mutex.
 constexpr std::size_t kDefaultRingCapacity = 4096;
-
-bool env_truthy(const char* name) {
-  const char* v = std::getenv(name);
-  return v != nullptr && v[0] != '\0' && v[0] != '0';
-}
 
 }  // namespace
 
@@ -153,7 +147,6 @@ ShardRunner::ShardRunner(Network& net, SimDuration lookahead,
       ring_capacity_(kDefaultRingCapacity),
       next_at_(shards, kNoEventTime) {
   for (Ring& r : rings_) r.buf.reserve(ring_capacity_);
-  if (env_truthy("OBJRPC_SHARDS_SERIAL")) serial_forced_ = true;
   threads_.reserve(shards_);
   for (std::uint32_t i = 0; i < shards_; ++i) {
     threads_.emplace_back([this, i] { worker_main(i); });
@@ -169,59 +162,46 @@ ShardRunner::~ShardRunner() {
   for (std::thread& t : threads_) t.join();
 }
 
-bool ShardRunner::ready() {
-  return !serial_forced_ && net_.concurrent_allowed();
-}
-
-void ShardRunner::run_until(SimTime deadline) {
+bool ShardRunner::run_window(SimTime limit) {
   EventLoop& loop = net_.loop_;
-  for (;;) {
-    // Control events at tc precede shard events at tc (lane bit), so
-    // shard epochs may only cover times strictly below the next control
-    // time.
-    const SimTime tc = loop.control_.next_time(deadline);
-    const SimTime limit = tc == kNoEventTime ? deadline : tc - 1;
-    // M: the earliest pending shard event.  next_time's min_bound fast
-    // path makes this scan cheap for idle wheels.
-    SimTime ms = kNoEventTime;
-    if (limit >= 0) {
-      for (std::uint32_t i = 0; i < shards_; ++i) {
-        const SimTime t = loop.wheels_[i]->next_time(limit);
-        next_at_[i] = t;
-        if (t != kNoEventTime && (ms == kNoEventTime || t < ms)) ms = t;
-      }
+  // M: the earliest pending shard event.  next_time's min_bound fast
+  // path makes this scan cheap for idle wheels.
+  SimTime ms = kNoEventTime;
+  for (std::uint32_t i = 0; i < shards_; ++i) {
+    const SimTime t = loop.wheels_[i]->next_time(limit);
+    next_at_[i] = t;
+    if (t != kNoEventTime && (ms == kNoEventTime || t < ms)) ms = t;
+  }
+  if (ms == kNoEventTime) return false;
+  // Conservative horizon: every shard may run events in [M, M + L)
+  // without receiving behind its clock — a cross-shard frame sent at
+  // t >= M arrives at t + serialization + L > M + L.  The override
+  // hook widens L past the proof for the violation-abort test.
+  const SimDuration la =
+      horizon_override_ > 0 ? horizon_override_ : lookahead_;
+  SimTime run_to = ms + la - 1;  // inclusive epoch limit
+  if (run_to < ms) run_to = limit;  // SimTime overflow (limit near max)
+  if (run_to > limit) run_to = limit;
+  // Shards with work inside the window.  With one, nothing can reach
+  // it inside the window, so waking the workers buys nothing; with
+  // several, the workers pay off only once windows carry enough work.
+  std::uint32_t active = 0;
+  for (std::uint32_t i = 0; i < shards_; ++i) {
+    if (next_at_[i] != kNoEventTime && next_at_[i] <= run_to) ++active;
+  }
+  const std::uint64_t events_before = loop.events_executed();
+  if (!force_workers_ &&
+      (active == 1 || last_window_events_ < kMinParallelEvents)) {
+    // The loop's own key-merge, on this thread: with the journal not
+    // deferring nothing is logged — observers and the wire digest run
+    // inline (every earlier window was replayed at its barrier) and
+    // cross-shard frames insert straight into their destination wheels.
+    loop.merge_run(run_to);
+    ++coordinator_windows_;
+    if (active > 1) {
+      last_window_events_ = loop.events_executed() - events_before;
     }
-    if (ms == kNoEventTime) {
-      if (tc == kNoEventTime) return;  // drained up to the deadline
-      loop.drain_control_at(tc);
-      continue;
-    }
-    // Conservative horizon: every shard may run events in [M, M + L)
-    // without receiving behind its clock — a cross-shard frame sent at
-    // t >= M arrives at t + serialization + L > M + L.  The override
-    // hook widens L past the proof for the violation-abort test.
-    const SimDuration la =
-        horizon_override_ > 0 ? horizon_override_ : lookahead_;
-    SimTime run_to = ms + la - 1;  // inclusive epoch limit
-    if (run_to < ms) run_to = limit;  // SimTime overflow (deadline = max)
-    if (run_to > limit) run_to = limit;
-    // Shards with work inside the window.  With one, nothing can reach
-    // it inside the window, so waking the workers buys nothing; with
-    // several, the workers pay off only once windows carry enough work.
-    std::uint32_t active = 0;
-    for (std::uint32_t i = 0; i < shards_; ++i) {
-      if (next_at_[i] != kNoEventTime && next_at_[i] <= run_to) ++active;
-    }
-    const std::uint64_t events_before = loop.events_executed();
-    if (!force_workers_ &&
-        (active == 1 || last_window_events_ < kMinParallelEvents)) {
-      run_on_coordinator(run_to);
-      if (active > 1) {
-        last_window_events_ = loop.events_executed() - events_before;
-      }
-      net_.on_epoch_barrier();
-      continue;
-    }
+  } else {
     obs::ShardProfiler& prof = net_.shard_profiler_;
     if (prof.armed()) prof.begin_epoch(epoch_seq_ + 1);
     run_epoch(run_to);
@@ -245,8 +225,9 @@ void ShardRunner::run_until(SimTime deadline) {
       prof.end_drain(cross_frames_,
                      overflow_count_.load(std::memory_order_relaxed));
     }
-    net_.on_epoch_barrier();
   }
+  if (net_.barrier_hook_) net_.barrier_hook_();
+  return true;
 }
 
 void ShardRunner::run_epoch(SimTime limit) {
@@ -268,16 +249,6 @@ void ShardRunner::run_epoch(SimTime limit) {
     net_.journal_.set_deferring(false);
   }
   ++epochs_;
-}
-
-void ShardRunner::run_on_coordinator(SimTime limit) {
-  // The serial driver's run of the window: events in key order, and
-  // with the journal not deferring nothing is logged — observers and
-  // the wire digest run inline (every earlier window was replayed at
-  // its barrier) and cross-shard frames insert straight into their
-  // destination wheels.
-  net_.loop_.merge_run(limit);
-  ++coordinator_windows_;
 }
 
 void ShardRunner::worker_main(std::uint32_t lane) {

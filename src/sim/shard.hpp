@@ -9,17 +9,19 @@
 // cross-shard frame still unsent leaves at some t >= M and arrives at
 // t + serialization + L > M + L (its delivery event runs at the arrival
 // plus the receiver's residence, later still) — so all shards may run
-// freely up to the horizon H = min(M + L, next control time,
-// deadline + 1) without ever receiving a frame behind their clock.
-// Epochs are BSP rounds: release workers to H-1, park them at a
-// barrier, drain the cross-shard handoff rings, merge the digest and
-// journal logs, repeat.
+// freely up to the horizon H = min(M + L, limit + 1) without ever
+// receiving a frame behind their clock.  The event loop's one run loop
+// (sim/event_loop.hpp) supplies `limit`, just below its next control
+// time, and asks the runner for one window at a time; the runner never
+// reads the control wheel.  A window on the workers is a BSP round:
+// release workers to H-1, park them at a barrier, drain the cross-shard
+// handoff rings, merge the digest and journal logs.
 //
 // Windows that cannot pay for the round trip skip it: the coordinator
-// runs them itself, exactly as the serial driver would, with no worker
-// woken and nothing to replay.  That covers every window in which ONE
-// shard has all the work, and multi-shard windows while the previous
-// one was too small to gain from the workers (a few dozen events).
+// runs them itself with the loop's key-merge, no worker woken and
+// nothing to replay.  That covers every window in which ONE shard has
+// all the work, and multi-shard windows while the previous one was too
+// small to gain from the workers (a few dozen events).
 //
 // Determinism (the non-negotiable): event ORDER is a pure function of
 // the canonical key set (see sim/event_loop.hpp), and every key is
@@ -94,11 +96,11 @@ struct ShardPlan {
 };
 
 /// Drives K shard wheels on K worker threads in conservative-lookahead
-/// epochs.  Installed by Network::enable_sharding as the event loop's
+/// windows.  Installed by Network::enable_sharding as the event loop's
 /// ParallelDriver; armed observers do not stop it (their observations
 /// defer into the shard journal and replay at the barrier).  Under the
-/// OBJRPC_SHARDS_SERIAL kill switch the loop's serial key-merge
-/// produces the identical order on one thread instead.
+/// OBJRPC_SHARDS_SERIAL kill switch enable_sharding builds none, and the
+/// loop's key-merge produces the identical order on one thread instead.
 class ShardRunner final : public EventLoop::ParallelDriver {
  public:
   ShardRunner(Network& net, SimDuration lookahead, std::uint32_t shards);
@@ -106,9 +108,12 @@ class ShardRunner final : public EventLoop::ParallelDriver {
   ShardRunner(const ShardRunner&) = delete;
   ShardRunner& operator=(const ShardRunner&) = delete;
 
-  /// EventLoop::ParallelDriver.
-  bool ready() override;
-  void run_until(SimTime deadline) override;
+  /// EventLoop::ParallelDriver: run the window [M, min(M + L - 1,
+  /// limit)], M the earliest pending shard event, on the coordinator or
+  /// the workers, then the barrier work and the barrier hook.  Returns
+  /// false, running nothing, when no shard event lies at or below
+  /// `limit`.
+  bool run_window(SimTime limit) override;
 
   /// Cross-shard frame handoff, called by Network::transmit from a
   /// worker thread mid-epoch.  The frame arrives at `arrive` and its
@@ -180,9 +185,6 @@ class ShardRunner final : public EventLoop::ParallelDriver {
   /// Run one BSP epoch: every worker drives its wheel to `limit`
   /// (inclusive), then parks.  Caller drains rings and merges digests.
   void run_epoch(SimTime limit);
-  /// Run one window to `limit` (inclusive) on the coordinator thread by
-  /// key-merge, workers parked.
-  void run_on_coordinator(SimTime limit);
   /// Insert every ring/spill frame into its destination wheel with its
   /// stamped key (coordinator only, workers parked).
   CROSS_SHARD void drain_rings();
@@ -195,10 +197,6 @@ class ShardRunner final : public EventLoop::ParallelDriver {
   const SimDuration lookahead_;
   const std::uint32_t shards_;
   SimDuration horizon_override_ = 0;
-  /// OBJRPC_SHARDS_SERIAL kill switch: keep the partition (and its
-  /// laned allocators) but never go concurrent — the serial key-merge
-  /// escape hatch for debugging.
-  bool serial_forced_ = false;
   bool force_workers_ = false;
 
   /// CROSS_SHARD by construction: every field below the rings is either

@@ -494,7 +494,7 @@ ShardedLoadRun run_spread_load(const char* shards, bool fair_queue = false) {
   if (cluster->checker()) cluster->checker()->set_abort_on_violation(false);
   ShardedLoadRun r;
   ShardRunner* runner = cluster->fabric().network().runner();
-  r.concurrent = runner != nullptr && runner->ready();
+  r.concurrent = runner != nullptr;
   LoadGenerator gen(*cluster, spread_clients_load());
   cluster->settle();
   const std::uint64_t control_before =

@@ -260,8 +260,10 @@ ObsProducts run_armed_fetch(std::uint64_t seed, const char* shards_env,
   }
   auto cluster = run_fetch_scenario(seed, tracer, checker ? 1 : 0);
   ObsProducts out;
-  out.concurrent = cluster->fabric().network().concurrent_allowed() &&
-                   cluster->fabric().network().shard_count() > 1;
+  // run_fetch_scenario forces every window of a sharded run onto the
+  // workers, so a concurrent run shows a runner with epochs behind it.
+  const ShardRunner* runner = cluster->fabric().network().runner();
+  out.concurrent = runner != nullptr && runner->epochs() > 0;
   if (tracer) {
     out.trace_json = cluster->tracer().chrome_trace_json();
     out.spans = cluster->tracer().spans().size();

@@ -6,6 +6,7 @@
 // bounded cross-shard rings overflowing into the counted spill path.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <optional>
 #include <string>
@@ -113,6 +114,9 @@ struct RunResult {
   std::uint64_t delivered = 0;
   std::uint64_t overflow = 0;
   std::uint32_t shards = 0;
+  bool has_runner = false;  // a ShardRunner, and its worker threads, existed
+  /// The run went through the parallel runner: it existed and, where
+  /// workers were forced, ran at least one epoch on them.
   bool concurrent = false;
   std::uint64_t epochs = 0;
   std::uint64_t coordinator_windows = 0;
@@ -134,6 +138,31 @@ void fold_tap(std::uint64_t& d, NodeId from, NodeId to, const Packet& pkt) {
   mix(to);
   mix(pkt.data.size());
   for (std::uint8_t b : pkt.data) mix(b);
+}
+
+/// The open-loop workload: kPackets frames between random hosts (or
+/// only the hosts behind leaf 0), each injected on its source host.
+void inject_packets(TestFabric& f, std::uint64_t seed, bool one_leaf) {
+  Rng workload(seed ^ 0xBEEF);
+  const std::uint64_t n =
+      one_leaf ? f.topo.params.hosts_per_leaf : f.topo.host_count();
+  for (std::uint32_t i = 0; i < kPackets; ++i) {
+    const auto src = static_cast<std::uint32_t>(workload.next_below(n));
+    std::uint64_t dst = workload.next_below(n - 1);
+    if (dst >= src) ++dst;
+    Packet pkt;
+    pkt.data.assign(64 + workload.next_below(600), 0x5A);
+    for (int b = 0; b < 8; ++b) {
+      pkt.data[static_cast<std::size_t>(b)] =
+          static_cast<std::uint8_t>(dst >> (8 * b));
+    }
+    const SimTime at = (i / 4) * kMicrosecond + workload.next_below(999);
+    auto* host = static_cast<SinkHost*>(&f.net.node(f.topo.hosts[src]));
+    f.net.schedule_on(f.topo.hosts[src], at,
+                      [host, pkt = std::move(pkt)]() mutable {
+                        host->transmit(0, std::move(pkt));
+                      });
+  }
 }
 
 RunResult run_fabric(std::uint64_t seed, std::uint32_t shards,
@@ -171,34 +200,12 @@ RunResult run_fabric(std::uint64_t seed, std::uint32_t shards,
       }
     });
   }
-  // ready() is the real gate the loop consults: more than one shard
-  // (concurrent_allowed) AND no OBJRPC_SHARDS_SERIAL kill switch.
-  r.concurrent = f.net.runner() != nullptr && f.net.runner()->ready();
   f.net.arm_wire_digest();
   if (o.crash_spine) {
     f.net.schedule_crash(f.topo.spines[1], 40 * kMicrosecond);
     f.net.schedule_revive(f.topo.spines[1], 140 * kMicrosecond);
   }
-  Rng workload(seed ^ 0xBEEF);
-  const std::uint64_t n =
-      o.one_leaf ? f.topo.params.hosts_per_leaf : f.topo.host_count();
-  for (std::uint32_t i = 0; i < kPackets; ++i) {
-    const auto src = static_cast<std::uint32_t>(workload.next_below(n));
-    std::uint64_t dst = workload.next_below(n - 1);
-    if (dst >= src) ++dst;
-    Packet pkt;
-    pkt.data.assign(64 + workload.next_below(600), 0x5A);
-    for (int b = 0; b < 8; ++b) {
-      pkt.data[static_cast<std::size_t>(b)] =
-          static_cast<std::uint8_t>(dst >> (8 * b));
-    }
-    const SimTime at = (i / 4) * kMicrosecond + workload.next_below(999);
-    auto* host = static_cast<SinkHost*>(&f.net.node(f.topo.hosts[src]));
-    f.net.schedule_on(f.topo.hosts[src], at,
-                      [host, pkt = std::move(pkt)]() mutable {
-                        host->transmit(0, std::move(pkt));
-                      });
-  }
+  inject_packets(f, seed, o.one_leaf);
   f.net.loop().run();
   r.digest = f.net.wire_digest();
   r.digest_events = f.net.wire_digest_events();
@@ -207,9 +214,11 @@ RunResult run_fabric(std::uint64_t seed, std::uint32_t shards,
     r.delivered += static_cast<const SinkHost&>(f.net.node(h)).delivered;
   }
   if (const ShardRunner* runner = f.net.runner()) {
+    r.has_runner = true;
     r.overflow = runner->overflow_count();
     r.epochs = runner->epochs();
     r.coordinator_windows = runner->coordinator_windows();
+    r.concurrent = !o.force_workers || r.epochs > 0;
   }
   if (o.arm_tracer) r.trace_json = f.net.tracer().chrome_trace_json();
   if (o.force_serial_env) unsetenv("OBJRPC_SHARDS_SERIAL");
@@ -264,15 +273,17 @@ INSTANTIATE_TEST_SUITE_P(Seeds, ShardDigest,
                          ::testing::Values(3, 17, 1234));
 
 TEST(ShardRunnerTest, SerialKillSwitchStillByteIdentical) {
-  // OBJRPC_SHARDS_SERIAL=1 keeps the partition but runs it on the
-  // serial key-merge driver — same keys, same digest.  It is the one
-  // serial switch, armed or not: with tracer and tap attached the
-  // observers run inline and must see exactly the 1-shard stream.
+  // OBJRPC_SHARDS_SERIAL=1 keeps the partition but builds no runner (so
+  // no worker thread): the loop's key-merge runs every window — same
+  // keys, same digest.  It is the one serial switch, armed or not: with
+  // tracer and tap attached the observers run inline and must see
+  // exactly the 1-shard stream.
   const RunResult base = run_fabric(7, 1);
   FabricOpts serial;
   serial.force_serial_env = true;
   const RunResult p = run_fabric(7, 4, serial);
   EXPECT_EQ(p.shards, 4u);
+  EXPECT_FALSE(p.has_runner);
   EXPECT_FALSE(p.concurrent);
   EXPECT_EQ(p.digest, base.digest);
 
@@ -286,12 +297,46 @@ TEST(ShardRunnerTest, SerialKillSwitchStillByteIdentical) {
   armed_serial.force_serial_env = true;
   const RunResult q = run_fabric(7, 4, armed_serial);
   EXPECT_EQ(q.shards, 4u);
+  EXPECT_FALSE(q.has_runner);
   EXPECT_FALSE(q.concurrent);
   EXPECT_EQ(q.epochs, 0u);
   EXPECT_EQ(q.digest, armed_base.digest);
   EXPECT_EQ(q.tap_events, armed_base.tap_events);
   EXPECT_EQ(q.tap_digest, armed_base.tap_digest);
   EXPECT_EQ(q.trace_json, armed_base.trace_json);
+}
+
+TEST(ShardRunnerTest, ControlEventAddedAtABarrierRunsAtItsTime) {
+  // A barrier hook may schedule on the control lane.  The run loop reads
+  // the control wheel again after every window, so the event runs at
+  // exactly its time, before any shard wheel's clock passes it.
+  TestFabric f{Network(7), {}};
+  build_test_fabric(f, FabricOpts{});
+  f.net.enable_sharding(ShardPlan::leaf_spine(f.net, f.topo, 4));
+  ShardRunner* runner = f.net.runner();
+  ASSERT_NE(runner, nullptr);
+  runner->force_worker_epochs_for_test();
+  EventLoop& loop = f.net.loop();
+  SimTime due = kNoEventTime;
+  SimTime ran_at = kNoEventTime;
+  SimTime latest_shard_clock = kNoEventTime;
+  f.net.set_barrier_hook([&] {
+    if (due != kNoEventTime || loop.now() < 20 * kMicrosecond) return;
+    due = loop.now() + 1;
+    loop.schedule_at(due, [&] {
+      ran_at = loop.now();
+      for (std::uint32_t i = 0; i < loop.shard_count(); ++i) {
+        latest_shard_clock =
+            std::max(latest_shard_clock, loop.wheel(i).now());
+      }
+    });
+  });
+  inject_packets(f, 7, /*one_leaf=*/false);
+  loop.run();
+  EXPECT_GT(runner->epochs(), 0u);
+  ASSERT_NE(due, kNoEventTime) << "no barrier after 20 us";
+  EXPECT_EQ(ran_at, due);
+  EXPECT_LE(latest_shard_clock, due);
 }
 
 TEST(ShardRunnerTest, OneShardWindowsRunOnTheCoordinator) {
@@ -478,8 +523,10 @@ void run_with_unsound_horizon() {
   FabricOpts o;
   build_test_fabric(f, o);
   f.net.enable_sharding(ShardPlan::leaf_spine(f.net, f.topo, 4));
-  f.net.runner()->set_horizon_override_for_test(5 * kMillisecond);
-  f.net.runner()->force_worker_epochs_for_test();
+  ShardRunner* runner = f.net.runner();
+  ASSERT_NE(runner, nullptr);
+  runner->set_horizon_override_for_test(5 * kMillisecond);
+  runner->force_worker_epochs_for_test();
   f.net.loop().set_strict_past_schedules(true);
   f.net.arm_wire_digest();
   Rng workload(5 ^ 0xBEEF);
@@ -537,13 +584,11 @@ ClusterRun run_cluster_workload(const char* shards_env, bool armed = false) {
   // barrier in canonical order.
   cfg.check_invariants = armed ? 1 : 0;
   auto cluster = Cluster::build(cfg);
-  if (ShardRunner* run = cluster->fabric().network().runner()) {
-    run->force_worker_epochs_for_test();
-  }
+  ShardRunner* runner = cluster->fabric().network().runner();
+  if (runner != nullptr) runner->force_worker_epochs_for_test();
   if (armed) cluster->tracer().arm();
   cluster->fabric().network().arm_wire_digest();
   ClusterRun out;
-  out.concurrent = cluster->fabric().network().concurrent_allowed();
   auto obj = cluster->create_object(1, 4096);
   EXPECT_TRUE(obj.has_value());
   const ObjectId id = (*obj)->id();
@@ -559,6 +604,7 @@ ClusterRun run_cluster_workload(const char* shards_env, bool armed = false) {
   cluster->settle();
   EXPECT_TRUE(moved);
   out.wire_digest = cluster->fabric().network().wire_digest();
+  out.concurrent = runner != nullptr && runner->epochs() > 0;
   if (armed) {
     EXPECT_NE(cluster->checker(), nullptr);
     if (cluster->checker() != nullptr) {
