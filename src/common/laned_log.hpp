@@ -25,6 +25,7 @@
 #include <vector>
 
 #include "common/annotations.hpp"
+#include "common/canonical_key.hpp"
 #include "common/per_lane.hpp"
 #include "common/time.hpp"
 
@@ -63,12 +64,9 @@ class LanedLog {
     }
     const std::size_t n = scratch_.size();
     if (n == 0) return 0;
-    std::stable_sort(scratch_.begin(), scratch_.end(),
-                     [](const Rec& a, const Rec& b) {
-                       if (a.at != b.at) return a.at < b.at;
-                       if (a.key_a != b.key_a) return a.key_a < b.key_a;
-                       return a.key_b < b.key_b;
-                     });
+    std::stable_sort(
+        scratch_.begin(), scratch_.end(),
+        [](const Rec& a, const Rec& b) { return key_less(a, b); });
     for (Rec& r : scratch_) visit(r.at, r.value);
     scratch_.clear();  // release what the records own promptly
     return n;

@@ -3,7 +3,8 @@
 #include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
-#include <string_view>
+
+#include "common/env.hpp"
 
 namespace objrpc {
 
@@ -11,8 +12,7 @@ namespace {
 
 bool invariants_enabled(const ClusterConfig& cfg) {
   if (cfg.check_invariants >= 0) return cfg.check_invariants != 0;
-  const char* env = std::getenv("CHECK_INVARIANTS");
-  return env != nullptr && *env != '\0' && std::string_view(env) != "0";
+  return env_truthy("CHECK_INVARIANTS");
 }
 
 /// Resolve an export path: explicit config wins, else the environment

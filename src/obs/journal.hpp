@@ -16,7 +16,7 @@
 // byte-identical traces and digests.
 //
 // `deferring()` is the one "inside a concurrent epoch" flag: the wire
-// digest, the packet taps, the tracer and the runner's cross-shard
+// digest, the packet taps, the tracer and the network's cross-shard
 // handoff all read it.
 #pragma once
 

@@ -25,10 +25,9 @@ void ShardProfiler::arm(MetricsRegistry& metrics, std::uint32_t workers) {
   h_wait_ = &metrics.histogram("shard/barrier_wait_ns");
   h_drain_ = &metrics.histogram("shard/drain_host_ns");
   h_util_ = &metrics.histogram("shard/lane_utilization_pct");
-  h_ring_ = &metrics.histogram("shard/ring_occupancy");
+  h_handoff_ = &metrics.histogram("shard/ring_occupancy");
   c_epochs_ = &metrics.counter("shard/epochs");
   c_cross_ = &metrics.counter("shard/cross_frames");
-  c_overflow_ = &metrics.counter("shard/ring_overflow");
   metrics.gauge("shard/lanes").set(static_cast<double>(workers));
 }
 
@@ -62,13 +61,13 @@ void ShardProfiler::end_epoch() {
   cur_.t_parked = host_now_ns();
 }
 
-void ShardProfiler::sample_ring(std::uint32_t lane, std::size_t occupancy) {
+void ShardProfiler::sample_handoffs(std::uint32_t lane, std::size_t depth) {
   if (!armed_) return;
-  h_ring_->add(static_cast<std::uint64_t>(occupancy));
+  h_handoff_->add(static_cast<std::uint64_t>(depth));
   // Only for epochs the chrome export will actually contain.
   if (epochs_.size() < kMaxChromeEpochs) {
-    rings_.push_back(
-        RingRec{cur_epoch_, lane, static_cast<std::uint64_t>(occupancy)});
+    handoffs_.push_back(
+        HandoffRec{cur_epoch_, lane, static_cast<std::uint64_t>(depth)});
   }
 }
 
@@ -77,8 +76,7 @@ void ShardProfiler::begin_drain() {
   cur_.t_drain0 = host_now_ns();
 }
 
-void ShardProfiler::end_drain(std::uint64_t cross_total,
-                              std::uint64_t overflow_total) {
+void ShardProfiler::end_drain(std::uint64_t cross_total) {
   if (!armed_) return;
   cur_.t_drain1 = host_now_ns();
   const std::uint64_t epoch_ns = cur_.t_parked - cur_.t_release;
@@ -93,9 +91,7 @@ void ShardProfiler::end_drain(std::uint64_t cross_total,
   }
   c_epochs_->inc();
   c_cross_->inc(cross_total - last_cross_);
-  c_overflow_->inc(overflow_total - last_overflow_);
   last_cross_ = cross_total;
-  last_overflow_ = overflow_total;
   if (epochs_.size() < kMaxChromeEpochs) epochs_.push_back(cur_);
 }
 
@@ -145,7 +141,7 @@ std::vector<std::string> ShardProfiler::chrome_events() const {
       out.emplace_back(buf);
     }
   }
-  for (const RingRec& r : rings_) {
+  for (const HandoffRec& r : handoffs_) {
     // Sampled at the owning epoch's barrier (drain start).  epochs_ is
     // sorted by epoch number, so binary-search the timestamp.
     const auto it = std::lower_bound(
@@ -157,7 +153,7 @@ std::vector<std::string> ShardProfiler::chrome_events() const {
                   "{\"name\":\"ring_occupancy\",\"ph\":\"C\",\"pid\":%u,"
                   "\"tid\":0,\"ts\":%.3f,\"args\":{\"frames\":%llu}}",
                   kPidBase + r.lane, us(ts),
-                  static_cast<unsigned long long>(r.occupancy));
+                  static_cast<unsigned long long>(r.depth));
     out.emplace_back(buf);
   }
   return out;

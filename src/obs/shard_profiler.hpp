@@ -4,7 +4,7 @@
 // The span tracer answers "what did the FABRIC do" in sim time; this
 // answers "what did the MACHINE do" in host time: per-shard epoch
 // utilization, barrier-wait and coordinator-drain histograms, and
-// cross-shard ring occupancy/overflow — the numbers that tell you
+// cross-shard handoff depth per lane — the numbers that tell you
 // whether a shard plan is balanced or one lane is dragging every
 // barrier.  Everything lands in the MetricsRegistry under `shard/*`,
 // plus a second Perfetto track family (pid 1000000+lane: host-time
@@ -50,12 +50,13 @@ class ShardProfiler {
   void begin_epoch(std::uint64_t epoch);
   /// Workers parked again; epoch wall time ends here.
   void end_epoch();
-  /// Cross-shard ring occupancy for `lane`, sampled before the drain.
-  void sample_ring(std::uint32_t lane, std::size_t occupancy);
+  /// Cross-shard handoffs `lane` parked this epoch, sampled as the
+  /// barrier lands them (`shard/ring_occupancy`).
+  void sample_handoffs(std::uint32_t lane, std::size_t depth);
   void begin_drain();
   /// End of barrier work: folds the finished epoch into the registry.
-  /// `cross_total`/`overflow_total` are the driver's cumulative counts.
-  void end_drain(std::uint64_t cross_total, std::uint64_t overflow_total);
+  /// `cross_total` is the driver's cumulative cross-shard count.
+  void end_drain(std::uint64_t cross_total);
 
   /// Chrome trace_event JSON objects for the shard-lane track family
   /// (consumed by Tracer::chrome_trace_json as an aux event source).
@@ -84,33 +85,32 @@ class ShardProfiler {
     std::uint64_t epoch;
     std::uint64_t t_release, t_parked, t_drain0, t_drain1;
   };
-  struct RingRec {
+  struct HandoffRec {
     std::uint64_t epoch;
     std::uint32_t lane;
-    std::uint64_t occupancy;
+    std::uint64_t depth;
   };
 
   bool armed_ = false;
   std::uint32_t workers_ = 0;
   std::uint64_t cur_epoch_ = 0;
   std::uint64_t base_ns_ = 0;  ///< first epoch release (trace time 0)
-  std::uint64_t last_cross_ = 0, last_overflow_ = 0;
+  std::uint64_t last_cross_ = 0;
   EpochRec cur_{};
 
   /// SHARD_LANED: lanes_[lane] is written only by that worker thread.
   SHARD_LANED std::vector<LaneSeries> lanes_;
   std::vector<EpochRec> epochs_;  ///< bounded by kMaxChromeEpochs
-  std::vector<RingRec> rings_;    ///< bounded by kMaxChromeEpochs * lanes
+  std::vector<HandoffRec> handoffs_;  ///< bounded by kMaxChromeEpochs * lanes
 
   Histogram* h_epoch_ = nullptr;
   Histogram* h_exec_ = nullptr;
   Histogram* h_wait_ = nullptr;
   Histogram* h_drain_ = nullptr;
   Histogram* h_util_ = nullptr;
-  Histogram* h_ring_ = nullptr;
+  Histogram* h_handoff_ = nullptr;
   Counter* c_epochs_ = nullptr;
   Counter* c_cross_ = nullptr;
-  Counter* c_overflow_ = nullptr;
 };
 
 }  // namespace objrpc::obs

@@ -6,26 +6,13 @@
 #include <cstdlib>
 #include <utility>
 
+#include "common/canonical_key.hpp"
+#include "common/env.hpp"
 #include "common/exec_lane.hpp"
 
 namespace objrpc {
 
 namespace {
-
-bool env_truthy(const char* name) {
-  const char* v = std::getenv(name);
-  return v != nullptr && v[0] != '\0' && !(v[0] == '0' && v[1] == '\0');
-}
-
-/// Canonical execution order: ascending (at, key_a, key_b).  Takes any
-/// record carrying those three fields: wheel entries, sort records and
-/// the key-merge's cached heads.
-template <typename X, typename Y>
-bool key_less(const X& x, const Y& y) {
-  if (x.at != y.at) return x.at < y.at;
-  if (x.key_a != y.key_a) return x.key_a < y.key_a;
-  return x.key_b < y.key_b;
-}
 
 SimTime clamp_bound(std::uint64_t b) {
   const auto mx =

@@ -322,9 +322,9 @@ class EventLoop {
 
   /// Stamp a routed event's canonical key from the calling context
   /// WITHOUT inserting it.  Cross-shard handoff path: the sender stamps
-  /// (its own seq counter — no other thread touches it), the runner
-  /// carries the key through its rings, and the coordinator inserts at
-  /// the barrier with schedule_stamped.  The key is byte-identical to
+  /// (its own seq counter — no other thread touches it), the event
+  /// waits in its lane's handoff vector (Network::hand_off), and the
+  /// coordinator inserts it at the barrier with schedule_stamped.  The key is byte-identical to
   /// what schedule_routed(dst, at, key_time, fn) would have assigned.
   HOT_PATH void stamp_routed(SimTime key_time, std::uint64_t& key_a,
                              std::uint64_t& key_b);

@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <cstdlib>
 
+#include "common/env.hpp"
 #include "common/hash.hpp"
 #include "common/log.hpp"
 #include "sim/shard.hpp"
@@ -20,11 +21,6 @@ std::uint64_t pair_key(NodeId a, NodeId b) {
 }
 
 constexpr std::uint64_t kWireDigestSeed = 0x9E3779B97F4A7C15ull;
-
-bool env_truthy(const char* name) {
-  const char* v = std::getenv(name);
-  return v != nullptr && v[0] != '\0' && !(v[0] == '0' && v[1] == '\0');
-}
 
 }  // namespace
 
@@ -290,21 +286,26 @@ void Network::transmit(NodeId from, PortId port, Packet pkt) {
     payload_pool_.release(std::move(pkt.data));
     return;
   }
-  if (runner_ != nullptr) {
-    // Concurrent epoch in progress and the destination lives on another
-    // shard: hand the frame over through the runner's bounded rings
-    // (drained at the next barrier — the lookahead bound guarantees
+  auto deliver = [this, from, dst, dst_port, arrive,
+                  pkt = std::move(pkt)]() mutable {
+    deliver_now(from, dst, dst_port, arrive, std::move(pkt));
+  };
+  if (journal_.deferring() && loop_.shard_of_source(dst) != ExecLane::idx) {
+    // Concurrent epoch and the destination lives on another shard: park
+    // the delivery until the barrier (the lookahead bound guarantees
     // that is early enough).
-    if (runner_->offer_cross(from, dst, dst_port, arrive, at,
-                             std::move(pkt))) {
-      return;
-    }
+    hand_off(dst, at, arrive, std::move(deliver));
+    return;
   }
-  loop_.schedule_routed(
-      dst, at, arrive,
-      [this, from, dst, dst_port, arrive, pkt = std::move(pkt)]() mutable {
-        deliver_now(from, dst, dst_port, arrive, std::move(pkt));
-      });
+  loop_.schedule_routed(dst, at, arrive, std::move(deliver));
+}
+
+[[gnu::noinline]] void Network::hand_off(NodeId dst, SimTime at,
+                                         SimTime arrive,
+                                         EventLoop::Callback fn) {
+  Handoff h{dst, at, 0, 0, std::move(fn)};
+  loop_.stamp_routed(arrive, h.key_a, h.key_b);
+  handoff_.local().push_back(std::move(h));
 }
 
 void Network::deliver_now(NodeId from, NodeId dst, PortId dst_port,
@@ -384,18 +385,34 @@ void Network::fold_digest(std::uint64_t h) {
   ++wire_digest_count_;
 }
 
-void Network::merge_epoch_logs() {
+std::uint64_t Network::merge_epoch_logs() {
+  // Land the epoch's cross-shard deliveries first.  Landing order across
+  // lanes is irrelevant: the stamped key decides execution order.  An
+  // `at` behind dst's wheel clock can only mean the horizon exceeded
+  // the lookahead proof; the wheel aborts on it under strict mode
+  // ("lookahead violation").
+  std::uint64_t landed = 0;
+  for (std::uint32_t lane = 0; lane < handoff_.size(); ++lane) {
+    std::vector<Handoff>& parked = handoff_[lane];
+    shard_profiler_.sample_handoffs(lane, parked.size());
+    for (Handoff& h : parked) {
+      loop_.schedule_stamped(h.dst, h.at, h.key_a, h.key_b, std::move(h.fn));
+    }
+    landed += parked.size();
+    parked.clear();
+  }
   wire_digest_count_ += wire_digest_log_.merge(
       [this](SimTime, std::uint64_t h) {
         wire_digest_chain_ = mix64(wire_digest_chain_ ^ h);
       });
-  if (journal_.empty()) return;
+  if (journal_.empty()) return landed;
   // Replay on the coordinator thread disguised as the control lane:
   // observers read now() as each record's delivery time, and pooled
   // payload copies released by tap records land on the control lane's
   // free list (an explicit cross-shard return, see common/pool.hpp).
   EventLoop::ObserverReplayScope scope(loop_);
   journal_.replay([&scope](SimTime at) { scope.advance(at); });
+  return landed;
 }
 
 std::uint32_t Network::enable_sharding(const ShardPlan& plan) {
@@ -440,6 +457,7 @@ std::uint32_t Network::enable_sharding(const ShardPlan& plan) {
   stats_lanes_[0] = merged;
   wire_digest_log_.configure_lanes(lanes);
   journal_.configure_lanes(lanes);
+  handoff_.configure(shards);
   loop_.set_parallel_driver(nullptr);
   runner_.reset();
   if (shards > 1) {

@@ -7,7 +7,10 @@
 // frame-scoped allocator below is either per-direction (the loss RNG),
 // SHARD_LANED (frame ids, traffic counters, payload pool), or keyed by
 // the canonical event order (delivery), so a 1-shard and an 8-shard run
-// produce byte-identical wire traffic.
+// produce byte-identical wire traffic.  A delivery to another shard's
+// node sent inside a concurrent epoch is the same stamped event a
+// direct insert would schedule; it waits in the sending lane's handoff
+// vector until the barrier lands it (merge_epoch_logs).
 #pragma once
 
 #include <functional>
@@ -216,8 +219,8 @@ class Network {
   /// Enqueue a frame for transmission (called via NetworkNode::send).
   /// HOT_PATH: one call per frame per hop.  CROSS_SHARD: the delivery
   /// lands on the destination's shard — same-shard (or serialized) as a
-  /// direct wheel insert, cross-shard in a concurrent run through the
-  /// runner's bounded handoff rings.
+  /// direct wheel insert, cross-shard in a concurrent epoch through
+  /// hand_off.
   HOT_PATH CROSS_SHARD void transmit(NodeId from, PortId port, Packet pkt);
 
   /// Recycled payload buffers (DESIGN.md §14).  The fabric releases the
@@ -395,9 +398,19 @@ class Network {
   /// fold_digest.
   HOT_PATH void fold_wire_digest(NodeId from, NodeId dst, SimTime arrived,
                                  const Packet& pkt);
-  /// Fold the epoch's digest log, then replay the observer journal, both
-  /// in canonical key order.  Runner-only, at barriers (workers parked).
-  void merge_epoch_logs();
+  /// Park a cross-shard delivery sent inside a concurrent epoch: stamp
+  /// the key schedule_routed(dst, at, arrive, fn) would have assigned,
+  /// from the sender's own seq counter, and append the event to the
+  /// executing lane's handoff vector.  Out of line so transmit's
+  /// direct-insert path stays tight.
+  HOT_PATH CROSS_SHARD MAY_ALLOC void hand_off(NodeId dst, SimTime at,
+                                               SimTime arrive,
+                                               EventLoop::Callback fn);
+  /// Barrier work, runner-only (workers parked): land every lane's
+  /// handoffs with their stamped keys, fold the epoch's digest log,
+  /// then replay the observer journal, both in canonical key order.
+  /// Returns the number of handoffs landed.
+  std::uint64_t merge_epoch_logs();
   /// Fabric-unique frame id from the executing lane's strided allocator.
   HOT_PATH std::uint64_t mint_frame_id() {
     const std::uint32_t lane = exec_lane_below(frame_id_lanes_.size());
@@ -443,6 +456,19 @@ class Network {
   CROSS_SHARD SimTime last_flip_at_ = -1;
   /// Per-lane traffic counters; stats() merges them.
   SHARD_LANED PerLane<TrafficStats> stats_lanes_;
+  /// One cross-shard delivery parked until the barrier: its event with
+  /// the canonical key its sender stamped.
+  struct Handoff {
+    NodeId dst;
+    SimTime at;
+    std::uint64_t key_a;
+    std::uint64_t key_b;
+    EventLoop::Callback fn;
+  };
+  /// Per-shard-lane handoffs of the current epoch.  Unordered and
+  /// growable: the stamped key, not the append order, decides execution
+  /// order, so a lane's vector needs no bound.
+  SHARD_LANED PerLane<std::vector<Handoff>> handoff_;
   std::vector<PacketTap> taps_;
   NodeObserver node_observer_;
   /// Frame ids: strided per-lane counters (id = base + c*stride +

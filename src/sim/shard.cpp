@@ -1,9 +1,6 @@
 #include "sim/shard.hpp"
 
-#include <algorithm>
-
 #include "common/exec_lane.hpp"
-#include "common/log.hpp"
 #include "sim/network.hpp"
 
 namespace objrpc {
@@ -21,11 +18,6 @@ namespace {
 /// object workload loses 39-86 %, at 4096 and above fabric-forward
 /// loses 17-42 % (DESIGN.md §16).
 constexpr std::uint64_t kMinParallelEvents = 64;
-
-/// Default per-lane handoff ring: sized so steady-state cross-shard
-/// traffic of one epoch (bounded by lookahead * per-link rate) stays on
-/// the lock-free path; bursts beyond it degrade to the spill mutex.
-constexpr std::size_t kDefaultRingCapacity = 4096;
 
 }  // namespace
 
@@ -143,10 +135,7 @@ ShardRunner::ShardRunner(Network& net, SimDuration lookahead,
     : net_(net),
       lookahead_(lookahead < 1 ? 1 : lookahead),
       shards_(shards),
-      rings_(shards),
-      ring_capacity_(kDefaultRingCapacity),
       next_at_(shards, kNoEventTime) {
-  for (Ring& r : rings_) r.buf.reserve(ring_capacity_);
   threads_.reserve(shards_);
   for (std::uint32_t i = 0; i < shards_; ++i) {
     threads_.emplace_back([this, i] { worker_main(i); });
@@ -206,25 +195,18 @@ bool ShardRunner::run_window(SimTime limit) {
     if (prof.armed()) prof.begin_epoch(epoch_seq_ + 1);
     run_epoch(run_to);
     last_window_events_ = loop.events_executed() - events_before;
-    // Barrier work, workers parked: land cross-shard frames (keys
+    // Barrier work, workers parked: land cross-shard deliveries (keys
     // intact), fold the digest log, and replay journaled observer
     // records — both in canonical order.
     if (prof.armed()) {
       prof.end_epoch();
-      for (std::uint32_t i = 0; i < shards_; ++i) {
-        prof.sample_ring(i, rings_[i].buf.size());
-      }
       prof.begin_drain();
     }
-    drain_rings();
-    net_.merge_epoch_logs();
+    cross_frames_ += net_.merge_epoch_logs();
     for (auto& w : loop.wheels_) {
       if (w->now() > loop.global_now_) loop.global_now_ = w->now();
     }
-    if (prof.armed()) {
-      prof.end_drain(cross_frames_,
-                     overflow_count_.load(std::memory_order_relaxed));
-    }
+    if (prof.armed()) prof.end_drain(cross_frames_);
   }
   if (net_.barrier_hook_) net_.barrier_hook_();
   return true;
@@ -234,9 +216,9 @@ void ShardRunner::run_epoch(SimTime limit) {
   {
     std::lock_guard<std::mutex> lk(mu_);
     epoch_limit_ = limit;
-    // The one epoch flag: during the epoch digest folds and observer
-    // callbacks go to their lane logs and cross-shard frames to the
-    // rings; everywhere else (control events, serial segments) they run
+    // The one epoch flag: during the epoch digest folds, observer
+    // callbacks and cross-shard deliveries go to their lane logs;
+    // everywhere else (control events, serial segments) they run
     // inline.
     net_.journal_.set_deferring(true);
     running_ = shards_;
@@ -278,70 +260,6 @@ void ShardRunner::worker_main(std::uint32_t lane) {
     }
     if (last) cv_done_.notify_all();
   }
-}
-
-bool ShardRunner::offer_cross(NodeId from, NodeId dst, PortId dst_port,
-                              SimTime arrive, SimTime at, Packet&& pkt) {
-  if (!net_.journal_.deferring()) return false;
-  const std::uint32_t lane = ExecLane::idx;
-  if (lane >= shards_) return false;  // control/coordinator context
-  if (net_.loop_.shard_of_source(dst) == lane) return false;  // own wheel
-  CrossFrame cf;
-  cf.at = at;
-  cf.arrive = arrive;
-  cf.from = from;
-  cf.dst = dst;
-  cf.dst_port = dst_port;
-  cf.pkt = std::move(pkt);
-  net_.loop_.stamp_routed(arrive, cf.key_a, cf.key_b);
-  Ring& r = rings_[lane];
-  if (r.buf.size() < ring_capacity_) {
-    r.buf.push_back(std::move(cf));
-  } else {
-    spill_cross(std::move(cf));
-  }
-  return true;
-}
-
-void ShardRunner::spill_cross(CrossFrame&& cf) {
-  std::lock_guard<std::mutex> lk(spill_mu_);
-  spill_.push_back(std::move(cf));
-  overflow_count_.fetch_add(1, std::memory_order_relaxed);
-}
-
-void ShardRunner::drain_rings() {
-  for (Ring& r : rings_) {
-    for (CrossFrame& cf : r.buf) deliver_cross(std::move(cf));
-    cross_frames_ += r.buf.size();
-    r.buf.clear();
-  }
-  // The spill lock is uncontended here (workers parked); held for the
-  // drain anyway so TSan sees the pairing.
-  std::lock_guard<std::mutex> lk(spill_mu_);
-  cross_frames_ += spill_.size();
-  for (CrossFrame& cf : spill_) deliver_cross(std::move(cf));
-  spill_.clear();
-}
-
-void ShardRunner::deliver_cross(CrossFrame&& cf) {
-  Network* net = &net_;
-  const NodeId from = cf.from;
-  const NodeId dst = cf.dst;
-  const PortId dst_port = cf.dst_port;
-  const SimTime arrive = cf.arrive;
-  // Insertion order across rings is irrelevant: the stamped key decides
-  // execution order.  An `at` behind dst's wheel clock can only mean
-  // the horizon exceeded the lookahead proof; the wheel aborts on it
-  // under strict mode ("lookahead violation").
-  net_.loop_.schedule_stamped(
-      dst, cf.at, cf.key_a, cf.key_b,
-      [net, from, dst, dst_port, arrive, pkt = std::move(cf.pkt)]() mutable {
-        net->deliver_now(from, dst, dst_port, arrive, std::move(pkt));
-      });
-}
-
-void ShardRunner::set_ring_capacity_for_test(std::size_t cap) {
-  ring_capacity_ = cap < 1 ? 1 : cap;
 }
 
 }  // namespace objrpc

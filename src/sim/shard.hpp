@@ -14,8 +14,9 @@
 // (sim/event_loop.hpp) supplies `limit`, just below its next control
 // time, and asks the runner for one window at a time; the runner never
 // reads the control wheel.  A window on the workers is a BSP round:
-// release workers to H-1, park them at a barrier, drain the cross-shard
-// handoff rings, merge the digest and journal logs.
+// release workers to H-1, park them at a barrier, then let the network
+// land the epoch's cross-shard handoffs and merge its digest and
+// journal logs (Network::merge_epoch_logs).
 //
 // Windows that cannot pay for the round trip skip it: the coordinator
 // runs them itself with the loop's key-merge, no worker woken and
@@ -26,13 +27,13 @@
 // Determinism (the non-negotiable): event ORDER is a pure function of
 // the canonical key set (see sim/event_loop.hpp), and every key is
 // assigned by its sender's own clock and seq counter — identical in
-// serial and parallel runs.  Cross-shard frames carry their key through
-// the rings and are inserted with it intact, so a 1-, 2-, 4- and
+// serial and parallel runs.  A cross-shard delivery is stamped by its
+// sender, waits in the sender lane's handoff vector, and is inserted
+// with its key intact at the barrier, so a 1-, 2-, 4- and
 // 8-shard run of the same seed produces a byte-identical wire digest.
 // tests/shard_test.cpp and the bench sweep enforce this.
 #pragma once
 
-#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <mutex>
@@ -42,7 +43,6 @@
 #include "common/annotations.hpp"
 #include "common/time.hpp"
 #include "sim/event_loop.hpp"
-#include "sim/packet.hpp"
 #include "sim/topology.hpp"
 
 namespace objrpc {
@@ -115,82 +115,33 @@ class ShardRunner final : public EventLoop::ParallelDriver {
   /// `limit`.
   bool run_window(SimTime limit) override;
 
-  /// Cross-shard frame handoff, called by Network::transmit from a
-  /// worker thread mid-epoch.  The frame arrives at `arrive` and its
-  /// delivery executes at `at` (arrive + dst's receive residence).
-  /// Stamps the canonical delivery key (at, lane | arrive, sender
-  /// stamp) from the SENDER's seq counter — untouched by any other
-  /// thread — then parks the frame in the executing lane's bounded ring
-  /// for the coordinator to insert at the next barrier.
-  /// Returns false when the frame should be scheduled directly instead:
-  /// not inside a concurrent epoch (serial / control / coordinator
-  /// context), or the destination lives on the sender's own shard.
-  /// Ring drain order across lanes is irrelevant: insertion carries the
-  /// canonical key, and key order — not insertion order — decides
-  /// execution order.
-  HOT_PATH bool offer_cross(NodeId from, NodeId dst, PortId dst_port,
-                            SimTime arrive, SimTime at, Packet&& pkt);
-
-  /// Frames that arrived at a full ring and took the mutex-guarded
-  /// spill path instead (backpressure observability; shard_test floors
-  /// the ring to force it).
-  std::uint64_t overflow_count() const {
-    return overflow_count_.load(std::memory_order_relaxed);
-  }
+  /// Always 0: cross-shard handoffs wait in growable per-lane vectors
+  /// (Network::hand_off) and never overflow.  Its one remaining reader
+  /// is perfbench's `sim.shard.ring_overflow` column.
+  std::uint64_t overflow_count() const { return 0; }
   /// Completed epochs (BSP rounds on the workers) so far.
   std::uint64_t epochs() const { return epochs_; }
   /// Windows the coordinator ran itself, no worker woken (see the file
   /// header).
   std::uint64_t coordinator_windows() const { return coordinator_windows_; }
-  /// Cross-shard frames handed through the rings so far.
+  /// Cross-shard deliveries landed at barriers so far.
   std::uint64_t cross_frames() const { return cross_frames_; }
 
   // --- test hooks ----------------------------------------------------
-  /// Shrink the per-lane rings (forces the overflow spill path).
-  void set_ring_capacity_for_test(std::size_t cap);
   /// Replace the computed lookahead with `h` (an h larger than the real
   /// lookahead makes the runner UNSOUND: cross-shard frames can arrive
   /// behind the destination wheel's clock, which the wheel reports as a
   /// lookahead violation — the abort path shard_test exercises).
   void set_horizon_override_for_test(SimDuration h) { horizon_override_ = h; }
   /// Send every window to the workers, however little it holds: keeps
-  /// the epoch machinery (rings, journal, replay) under test on
+  /// the epoch machinery (handoffs, journal, replay) under test on
   /// workloads whose windows the coordinator would otherwise run.
   void force_worker_epochs_for_test() { force_workers_ = true; }
 
  private:
-  /// One cross-shard frame in flight between epochs: the delivery
-  /// (execution and arrival times) plus the canonical key its sender
-  /// stamped.
-  struct CrossFrame {
-    SimTime at = 0;
-    SimTime arrive = 0;
-    std::uint64_t key_a = 0;
-    std::uint64_t key_b = 0;
-    NodeId from = kInvalidNode;
-    NodeId dst = kInvalidNode;
-    PortId dst_port = kInvalidPort;
-    Packet pkt;
-  };
-  /// Per-worker-lane handoff ring.  Single producer (the owning worker,
-  /// mid-epoch), single consumer (the coordinator, at the barrier —
-  /// workers parked, ordered by the barrier's mutex).  Bounded: a full
-  /// ring spills to the shared mutex-guarded overflow vector, so a
-  /// burst degrades to a lock instead of deadlocking or growing
-  /// unboundedly.
-  struct alignas(64) Ring {
-    std::vector<CrossFrame> buf;
-  };
-
   /// Run one BSP epoch: every worker drives its wheel to `limit`
-  /// (inclusive), then parks.  Caller drains rings and merges digests.
+  /// (inclusive), then parks.  Caller does the barrier work.
   void run_epoch(SimTime limit);
-  /// Insert every ring/spill frame into its destination wheel with its
-  /// stamped key (coordinator only, workers parked).
-  CROSS_SHARD void drain_rings();
-  void deliver_cross(CrossFrame&& cf);
-  /// Full-ring slow path (the designed allocation point).
-  CROSS_SHARD MAY_ALLOC void spill_cross(CrossFrame&& cf);
   void worker_main(std::uint32_t lane);
 
   Network& net_;
@@ -199,19 +150,10 @@ class ShardRunner final : public EventLoop::ParallelDriver {
   SimDuration horizon_override_ = 0;
   bool force_workers_ = false;
 
-  /// CROSS_SHARD by construction: every field below the rings is either
-  /// written only at barriers (coordinator, workers parked) or guarded
-  /// by mu_ / spill_mu_.
-  SHARD_LANED std::vector<Ring> rings_;
-  std::size_t ring_capacity_;
-  std::mutex spill_mu_;
-  CROSS_SHARD std::vector<CrossFrame> spill_;
-  std::atomic<std::uint64_t> overflow_count_{0};
-
   // Epoch barrier.  epoch_seq_ bumps to release workers; running_
   // counts them back in.  All worker<->coordinator visibility (the
-  // epoch limit, the journal's deferring flag, ring contents) is
-  // ordered by mu_.
+  // epoch limit, the journal's deferring flag, the network's handoff
+  // lanes) is ordered by mu_.
   std::mutex mu_;
   std::condition_variable cv_work_;
   std::condition_variable cv_done_;

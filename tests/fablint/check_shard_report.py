@@ -58,10 +58,10 @@ def main() -> int:
 
     expectations = [
         ("cross_shard_state", "node_up_", "Network's topology up/down map"),
-        ("cross_shard_state", "spill_", "ShardRunner's overflow spill"),
+        ("cross_shard_state", "node_flips_", "Network's node transition log"),
         ("laned_state", "frame_id_lanes_", "laned frame-id allocators"),
         ("laned_state", "lanes_", "laned pool free lists"),
-        ("laned_state", "rings_", "per-lane cross-shard rings"),
+        ("laned_state", "handoff_", "per-lane cross-shard handoffs"),
         ("shard_guarded_state", "buckets_", "TimingWheel buckets"),
     ]
     for key, name, what in expectations:

@@ -60,7 +60,6 @@ PROFILE_METRIC_KEYS = [
     "shard/ring_occupancy",
     "shard/epochs",
     "shard/cross_frames",
-    "shard/ring_overflow",
 ]
 
 # Metric -> allowed drop vs baseline (higher is better for all of them).
