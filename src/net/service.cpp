@@ -2,9 +2,38 @@
 
 #include <algorithm>
 
+#include "common/canonical_key.hpp"
 #include "common/log.hpp"
 
 namespace objrpc {
+
+namespace {
+
+/// The response that completes an access of `kind`.
+MsgType response_type(MsgType kind) {
+  switch (kind) {
+    case MsgType::read_req:
+      return MsgType::read_resp;
+    case MsgType::write_req:
+      return MsgType::write_resp;
+    default:
+      return MsgType::atomic_resp;
+  }
+}
+
+/// A reply of `type` to `req`: addressed to its sender, echoing its
+/// object, seq and tenant (the reply leg bills the requesting tenant).
+Frame reply_to(const Frame& req, MsgType type) {
+  Frame r;
+  r.type = type;
+  r.dst_host = req.src_host;
+  r.object = req.object;
+  r.seq = req.seq;
+  r.tenant = req.tenant;
+  return r;
+}
+
+}  // namespace
 
 ObjNetService::ObjNetService(HostNode& host,
                              std::unique_ptr<DiscoveryStrategy> discovery,
@@ -51,60 +80,76 @@ Result<ObjectPtr> ObjNetService::create_object_with_id(ObjectId id,
 void ObjNetService::read(GlobalPtr ptr, std::uint32_t length, ReadCallback cb,
                          AccessOptions opts) {
   ++counters_.reads_issued;
-  const std::uint64_t token = next_token_++;
-  Pending p;
-  p.kind = MsgType::read_req;
-  p.ptr = ptr;
-  p.length = length;
-  p.read_cb = std::move(cb);
-  p.opts = opts;
-  p.stats.started_at = host_.event_loop().now();
-  pending_.try_emplace(token, std::move(p));
-  start_attempt(token);
+  begin({.kind = MsgType::read_req,
+         .ptr = ptr,
+         .length = length,
+         .cb = std::move(cb),
+         .opts = opts});
 }
 
 void ObjNetService::write(GlobalPtr ptr, Bytes data, WriteAckCallback cb,
                           AccessOptions opts) {
   ++counters_.writes_issued;
-  const std::uint64_t token = next_token_++;
-  Pending p;
-  p.kind = MsgType::write_req;
-  p.ptr = ptr;
-  p.length = static_cast<std::uint32_t>(data.size());
-  p.data = std::move(data);
-  p.write_cb = std::move(cb);
-  p.opts = opts;
-  p.stats.started_at = host_.event_loop().now();
-  pending_.try_emplace(token, std::move(p));
-  start_attempt(token);
+  begin({.kind = MsgType::write_req,
+         .ptr = ptr,
+         .length = static_cast<std::uint32_t>(data.size()),  // before the move
+         .data = std::move(data),
+         .cb = std::move(cb),
+         .opts = opts});
 }
 
 void ObjNetService::atomic_fetch_add(GlobalPtr ptr, std::uint64_t delta,
                                      AtomicCallback cb, AccessOptions opts) {
-  start_atomic(ptr, AtomicRequest{AtomicOp::fetch_add, delta, 0},
-               std::move(cb), opts);
+  ++counters_.atomics_issued;
+  begin({.kind = MsgType::atomic_req,
+         .ptr = ptr,
+         .data = encode_atomic_request({AtomicOp::fetch_add, delta, 0}),
+         .cb = std::move(cb),
+         .opts = opts});
 }
 
 void ObjNetService::atomic_cas(GlobalPtr ptr, std::uint64_t expected,
                                std::uint64_t desired, AtomicCallback cb,
                                AccessOptions opts) {
-  start_atomic(ptr, AtomicRequest{AtomicOp::compare_swap, desired, expected},
-               std::move(cb), opts);
+  ++counters_.atomics_issued;
+  begin({.kind = MsgType::atomic_req,
+         .ptr = ptr,
+         .data = encode_atomic_request(
+             {AtomicOp::compare_swap, desired, expected}),
+         .cb = std::move(cb),
+         .opts = opts});
 }
 
-void ObjNetService::start_atomic(GlobalPtr ptr, AtomicRequest req,
-                                 AtomicCallback cb, AccessOptions opts) {
-  ++counters_.atomics_issued;
+void ObjNetService::begin(Pending p) {
   const std::uint64_t token = next_token_++;
-  Pending p;
-  p.kind = MsgType::atomic_req;
-  p.ptr = ptr;
-  p.data = encode_atomic_request(req);
-  p.atomic_cb = std::move(cb);
-  p.opts = opts;
   p.stats.started_at = host_.event_loop().now();
   pending_.try_emplace(token, std::move(p));
   start_attempt(token);
+}
+
+void ObjNetService::finish(std::uint64_t token, Result<Bytes> result) {
+  Pending* found = pending_.find(token);
+  if (found == nullptr) return;
+  Pending p = std::move(*found);
+  pending_.erase(token);
+  p.stats.finished_at = host_.event_loop().now();
+  if (auto* read_cb = std::get_if<ReadCallback>(&p.cb)) {
+    if (*read_cb) (*read_cb)(std::move(result), p.stats);
+  } else if (auto* write_cb = std::get_if<WriteAckCallback>(&p.cb)) {
+    if (*write_cb) {
+      (*write_cb)(result ? Status::ok() : Status(result.error()), p.stats);
+    }
+  } else {
+    auto& atomic_cb = std::get<AtomicCallback>(p.cb);
+    if (!atomic_cb) return;
+    if (!result) {
+      atomic_cb(result.error(), p.stats);
+    } else if (auto resp = decode_atomic_response(*result)) {
+      atomic_cb(*resp, p.stats);
+    } else {
+      atomic_cb(Error{Errc::malformed, "bad atomic response"}, p.stats);
+    }
+  }
 }
 
 Result<AtomicResponse> ObjNetService::apply_atomic(ObjectId id,
@@ -143,16 +188,7 @@ Result<AtomicResponse> ObjNetService::apply_atomic(ObjectId id,
 
 void ObjNetService::on_atomic_req(const Frame& f) {
   // Atomics mutate: replicas redirect to the home, caches NACK.
-  if (write_redirector_) {
-    if (auto home = write_redirector_(f.object)) {
-      send_nack(f, Errc::moved, *home);
-      return;
-    }
-  }
-  if (!is_authoritative(f.object)) {
-    send_nack(f, Errc::not_found);
-    return;
-  }
+  if (!admit_mutation(f)) return;
   auto req = decode_atomic_request(f.payload);
   if (!req) {
     send_nack(f, Errc::malformed);
@@ -163,25 +199,10 @@ void ObjNetService::on_atomic_req(const Frame& f) {
     send_nack(f, result.error().code);
     return;
   }
-  Frame resp;
-  resp.type = MsgType::atomic_resp;
-  resp.dst_host = f.src_host;
-  resp.object = f.object;
-  resp.seq = f.seq;
+  Frame resp = reply_to(f, MsgType::atomic_resp);
   resp.offset = f.offset;
-  resp.tenant = f.tenant;
   resp.payload = encode_atomic_response(*result);
   host_.send_frame(std::move(resp));
-}
-
-void ObjNetService::finish_atomic(std::uint64_t token,
-                                  Result<AtomicResponse> result) {
-  Pending* found = pending_.find(token);
-  if (found == nullptr) return;
-  Pending p = std::move(*found);
-  pending_.erase(token);
-  p.stats.finished_at = host_.event_loop().now();
-  if (p.atomic_cb) p.atomic_cb(std::move(result), p.stats);
 }
 
 void ObjNetService::start_attempt(std::uint64_t token) {
@@ -190,14 +211,7 @@ void ObjNetService::start_attempt(std::uint64_t token) {
   Pending& p = *found;
   if (++p.stats.attempts > p.opts.max_attempts) {
     ++counters_.timeouts;
-    const Error err{Errc::timeout, "access attempts exhausted"};
-    if (p.kind == MsgType::read_req) {
-      finish_read(token, err);
-    } else if (p.kind == MsgType::write_req) {
-      finish_write(token, err);
-    } else {
-      finish_atomic(token, err);
-    }
+    finish(token, Error{Errc::timeout, "access attempts exhausted"});
     return;
   }
   // Local fast path: the object may already be resident (home copy or,
@@ -214,9 +228,9 @@ void ObjNetService::start_attempt(std::uint64_t token) {
       if (may_serve_read(p.ptr.object)) {
         auto span = local->read(p.ptr.offset, p.length);
         if (span) {
-          finish_read(token, Bytes(span->begin(), span->end()));
+          finish(token, Bytes(span->begin(), span->end()));
         } else {
-          finish_read(token, span.error());
+          finish(token, span.error());
         }
         return;
       }
@@ -225,14 +239,16 @@ void ObjNetService::start_attempt(std::uint64_t token) {
       if (p.kind == MsgType::write_req) {
         Status s = local->write(p.ptr.offset, p.data);
         if (s) notify_write_observers(p.ptr.object);
-        finish_write(token, s);
+        finish(token, s ? Result<Bytes>(Bytes{}) : s.error());
       } else {
         auto req = decode_atomic_request(p.data);
         if (!req) {
-          finish_atomic(token, Error{Errc::malformed, "bad atomic"});
+          finish(token, Error{Errc::malformed, "bad atomic"});
           return;
         }
-        finish_atomic(token, apply_atomic(p.ptr.object, p.ptr.offset, *req));
+        auto r = apply_atomic(p.ptr.object, p.ptr.offset, *req);
+        finish(token, r ? Result<Bytes>(encode_atomic_response(*r))
+                        : r.error());
       }
       return;
     }
@@ -245,12 +261,7 @@ void ObjNetService::start_attempt(std::uint64_t token) {
     if (found2 == nullptr) return;
     Pending& p2 = *found2;
     if (!out) {
-      const Error err = out.error();
-      if (p2.kind == MsgType::read_req) {
-        finish_read(token, err);
-      } else {
-        finish_write(token, err);
-      }
+      finish(token, out.error());
       return;
     }
     p2.stats.rtts += out->rtts;
@@ -289,11 +300,14 @@ void ObjNetService::arm_timeout(std::uint64_t token,
     });
     return;
   }
-  const Deadline d{{at, loop.reserve_key()}, token, generation};
+  const EventLoop::Key key = loop.reserve_key();
+  const Deadline d{{at, key.a, key.b}, token, generation};
   auto pos = deadlines_.end();
-  if (!deadlines_.empty() && earlier(d, deadlines_.back())) {
+  if (!deadlines_.empty() && key_less(d, deadlines_.back())) {
     // A shorter timeout than an earlier arm's: keep (at, key) order.
-    pos = std::upper_bound(deadlines_.begin(), deadlines_.end(), d, earlier);
+    pos = std::upper_bound(
+        deadlines_.begin(), deadlines_.end(), d,
+        [](const Deadline& x, const Deadline& y) { return key_less(x, y); });
   }
   deadlines_.insert(pos, d);
   arm_deadline_timer();
@@ -308,23 +322,23 @@ void ObjNetService::arm_deadline_timer() {
   for (const Slot& s : timer_slots_) {
     // An outstanding event fires at the head's own slot (reused, not
     // duplicated) or before it.
-    if (!earlier(head, s)) return;
+    if (!key_less(head, s)) return;
   }
-  const Slot slot{head.at, head.key};
+  const Slot slot = head;
   timer_slots_.push_back(slot);
-  host_.event_loop().schedule_keyed(slot.at, slot.key,
+  host_.event_loop().schedule_keyed(slot.at, {slot.key_a, slot.key_b},
                                     [this, slot] { on_timer(slot); });
 }
 
 void ObjNetService::on_timer(Slot slot) {
   timer_slots_.erase(std::find_if(
       timer_slots_.begin(), timer_slots_.end(), [&](const Slot& s) {
-        return !earlier(s, slot) && !earlier(slot, s);
+        return !key_less(s, slot) && !key_less(slot, s);
       }));
   // No live deadline precedes the slot, and keys are unique, so the
   // head is either the slot's own deadline or a later one (the slot's
   // died and was dropped, or a shorter arm superseded this event).
-  if (!deadlines_.empty() && !earlier(slot, deadlines_.front())) {
+  if (!deadlines_.empty() && !key_less(slot, deadlines_.front())) {
     const Deadline d = deadlines_.front();
     deadlines_.pop_front();
     on_deadline(d.token, d.generation);
@@ -349,24 +363,6 @@ void ObjNetService::on_deadline(std::uint64_t token,
   start_attempt(token);
 }
 
-void ObjNetService::finish_read(std::uint64_t token, Result<Bytes> result) {
-  Pending* found = pending_.find(token);
-  if (found == nullptr) return;
-  Pending p = std::move(*found);
-  pending_.erase(token);
-  p.stats.finished_at = host_.event_loop().now();
-  if (p.read_cb) p.read_cb(std::move(result), p.stats);
-}
-
-void ObjNetService::finish_write(std::uint64_t token, Status status) {
-  Pending* found = pending_.find(token);
-  if (found == nullptr) return;
-  Pending p = std::move(*found);
-  pending_.erase(token);
-  p.stats.finished_at = host_.event_loop().now();
-  if (p.write_cb) p.write_cb(status, p.stats);
-}
-
 void ObjNetService::on_read_req(const Frame& f) {
   auto obj = host_.store().get(f.object);
   if (!obj || !may_serve_read(f.object)) {
@@ -379,14 +375,9 @@ void ObjNetService::on_read_req(const Frame& f) {
     return;
   }
   ++counters_.reads_served;
-  Frame resp;
-  resp.type = MsgType::read_resp;
-  resp.dst_host = f.src_host;
-  resp.object = f.object;
-  resp.seq = f.seq;
+  Frame resp = reply_to(f, MsgType::read_resp);
   resp.offset = f.offset;
   resp.length = f.length;
-  resp.tenant = f.tenant;  // response leg bills the requesting tenant
   resp.payload.assign(span->begin(), span->end());
   host_.send_frame(std::move(resp));
 }
@@ -395,16 +386,7 @@ void ObjNetService::on_write_req(const Frame& f) {
   // A non-home holder that knows the home redirects the writer there
   // (replica write-through); anything else NACKs so the writer
   // rediscovers the authoritative holder.
-  if (write_redirector_) {
-    if (auto home = write_redirector_(f.object)) {
-      send_nack(f, Errc::moved, *home);
-      return;
-    }
-  }
-  if (!is_authoritative(f.object)) {
-    send_nack(f, Errc::not_found);
-    return;
-  }
+  if (!admit_mutation(f)) return;
   auto obj = host_.store().get(f.object);
   if (!obj) {
     send_nack(f, Errc::not_found);
@@ -417,15 +399,24 @@ void ObjNetService::on_write_req(const Frame& f) {
   }
   ++counters_.writes_served;
   notify_write_observers(f.object);
-  Frame resp;
-  resp.type = MsgType::write_resp;
-  resp.dst_host = f.src_host;
-  resp.object = f.object;
-  resp.seq = f.seq;
+  Frame resp = reply_to(f, MsgType::write_resp);
   resp.offset = f.offset;
   resp.length = f.length;
-  resp.tenant = f.tenant;
   host_.send_frame(std::move(resp));
+}
+
+bool ObjNetService::admit_mutation(const Frame& f) {
+  if (write_redirector_) {
+    if (auto home = write_redirector_(f.object)) {
+      send_nack(f, Errc::moved, *home);
+      return false;
+    }
+  }
+  if (!is_authoritative(f.object)) {
+    send_nack(f, Errc::not_found);
+    return false;
+  }
+  return true;
 }
 
 void ObjNetService::on_response(const Frame& f) {
@@ -433,21 +424,7 @@ void ObjNetService::on_response(const Frame& f) {
   Pending* found = pending_.find(token);
   if (found == nullptr) return;  // late duplicate
   found->stats.rtts += 1;        // request + response = one round trip
-  if (found->kind == MsgType::read_req &&
-      f.type == MsgType::read_resp) {
-    finish_read(token, f.payload);
-  } else if (found->kind == MsgType::write_req &&
-             f.type == MsgType::write_resp) {
-    finish_write(token, Status::ok());
-  } else if (found->kind == MsgType::atomic_req &&
-             f.type == MsgType::atomic_resp) {
-    auto resp = decode_atomic_response(f.payload);
-    if (resp) {
-      finish_atomic(token, *resp);
-    } else {
-      finish_atomic(token, Error{Errc::malformed, "bad atomic response"});
-    }
-  }
+  if (f.type == response_type(found->kind)) finish(token, f.payload);
 }
 
 void ObjNetService::on_nack(const Frame& f) {
@@ -475,25 +452,13 @@ void ObjNetService::on_nack(const Frame& f) {
     start_attempt(token);
     return;
   }
-  if (p.kind == MsgType::read_req) {
-    finish_read(token, Error{errc, "remote nack"});
-  } else if (p.kind == MsgType::write_req) {
-    finish_write(token, Error{errc, "remote nack"});
-  } else {
-    finish_atomic(token, Error{errc, "remote nack"});
-  }
+  finish(token, Error{errc, "remote nack"});
 }
 
 void ObjNetService::on_discover_req(const Frame& f) {
   if (!is_authoritative(f.object)) return;
   ++counters_.discover_replies_sent;
-  Frame reply;
-  reply.type = MsgType::discover_reply;
-  reply.dst_host = f.src_host;
-  reply.object = f.object;
-  reply.seq = f.seq;
-  reply.tenant = f.tenant;
-  host_.send_frame(std::move(reply));
+  host_.send_frame(reply_to(f, MsgType::discover_reply));
 }
 
 void ObjNetService::move_object(ObjectId id, HostAddr dst, MoveCallback cb) {
@@ -552,12 +517,7 @@ void ObjNetService::on_reliable_message(HostAddr src, MsgType inner,
 
 void ObjNetService::send_nack(const Frame& cause, Errc code, HostAddr hint) {
   ++counters_.nacks_sent;
-  Frame nack;
-  nack.type = MsgType::nack;
-  nack.dst_host = cause.src_host;
-  nack.object = cause.object;
-  nack.seq = cause.seq;
-  nack.tenant = cause.tenant;
+  Frame nack = reply_to(cause, MsgType::nack);
   nack.payload = encode_nack_payload(code, hint);
   host_.send_frame(std::move(nack));
 }

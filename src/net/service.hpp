@@ -10,6 +10,7 @@
 #include <deque>
 #include <functional>
 #include <memory>
+#include <variant>
 #include <vector>
 
 #include "common/flat_table.hpp"
@@ -170,42 +171,49 @@ class ObjNetService {
   std::size_t timer_events_pending() const { return timer_slots_.size(); }
 
  private:
+  /// One outstanding access, from begin to finish.  The starters fill
+  /// it with designated initializers; every field they may omit has a
+  /// default member initializer (-Wmissing-field-initializers).
   struct Pending {
     MsgType kind;  // read_req, write_req, or atomic_req
     GlobalPtr ptr;
     std::uint32_t length = 0;
-    Bytes data;  // for writes; encoded AtomicRequest for atomics
-    ReadCallback read_cb;
-    WriteAckCallback write_cb;
-    AtomicCallback atomic_cb;
+    Bytes data{};  // for writes; encoded AtomicRequest for atomics
+    /// The caller's callback; its alternative matches `kind`.
+    std::variant<ReadCallback, WriteAckCallback, AtomicCallback> cb;
     AccessOptions opts;
-    AccessStats stats;
+    AccessStats stats{};
     std::uint64_t generation = 0;  // invalidates stale timeout checks
     /// Where the last attempt was sent; a timeout reports it stale so
     /// discovery stops steering retries at a dead host.
     HostAddr last_dst = kUnspecifiedHost;
   };
 
-  void start_atomic(GlobalPtr ptr, AtomicRequest req, AtomicCallback cb,
-                    AccessOptions opts);
+  /// Start an access: assign its token, stamp its start, make the
+  /// first attempt.
+  void begin(Pending p);
+  /// Make the next attempt (local fast path or discovery + send), or
+  /// finish with a timeout once the attempts are spent.
+  void start_attempt(std::uint64_t token);
+  /// Complete an access: the one place a caller's callback fires.  On
+  /// success `result` holds the response payload: a read's bytes, a
+  /// write's (ignored) payload, an atomic's encoded AtomicResponse.
+  void finish(std::uint64_t token, Result<Bytes> result);
   /// Apply an atomic op against a locally resident object.
   Result<AtomicResponse> apply_atomic(ObjectId id, std::uint64_t offset,
                                       const AtomicRequest& req);
-  void start_attempt(std::uint64_t token);
-  void finish_read(std::uint64_t token, Result<Bytes> result);
-  void finish_write(std::uint64_t token, Status status);
-  void finish_atomic(std::uint64_t token, Result<AtomicResponse> result);
-  void on_atomic_req(const Frame& f);
   /// Arm attempt `generation`'s deadline, opts.timeout from now.
   void arm_timeout(std::uint64_t token, std::uint64_t generation);
   /// An attempt's deadline passed: retry, or give up (start_attempt).
   /// A completed or superseded attempt makes it a no-op.
   void on_deadline(std::uint64_t token, std::uint64_t generation);
 
-  /// Where a timer event runs: its time and its (reserved) key.
+  /// Where a timer event runs: its time and its (reserved) key, ordered
+  /// by key_less like every other event.
   struct Slot {
     SimTime at;
-    EventLoop::Key key;
+    std::uint64_t key_a;
+    std::uint64_t key_b;
   };
   /// One armed attempt deadline, in the slot its own timer event would
   /// have had (key reserved when armed).
@@ -213,12 +221,6 @@ class ObjNetService {
     std::uint64_t token;
     std::uint64_t generation;
   };
-  /// (at, key) order: the order the slots' events run in.
-  static bool earlier(const Slot& x, const Slot& y) {
-    if (x.at != y.at) return x.at < y.at;
-    if (x.key.a != y.key.a) return x.key.a < y.key.a;
-    return x.key.b < y.key.b;
-  }
   bool deadline_live(const Deadline& d) const {
     const Pending* p = pending_.find(d.token);
     return p != nullptr && p->generation == d.generation;
@@ -231,6 +233,11 @@ class ObjNetService {
   // Inbound handlers.
   void on_read_req(const Frame& f);
   void on_write_req(const Frame& f);
+  void on_atomic_req(const Frame& f);
+  /// A mutation request's prologue: redirect it to the home (NACK
+  /// moved) or refuse it without authority (NACK not_found).  True when
+  /// this host may apply it.
+  bool admit_mutation(const Frame& f);
   void on_response(const Frame& f);
   void on_nack(const Frame& f);
   void on_discover_req(const Frame& f);

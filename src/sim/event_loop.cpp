@@ -34,7 +34,7 @@ TimingWheel::TimingWheel(EventLoop* owner, std::uint32_t lane)
 
 std::uint32_t TimingWheel::alloc_node(SimTime at, std::uint64_t key_a,
                                       std::uint64_t key_b,
-                                      std::uint32_t exec_src, Callback fn) {
+                                      std::uint32_t exec_src, Callback&& fn) {
   if (free_head_ != kNoNode) {
     const std::uint32_t idx = free_head_;
     Entry& n = entries_[idx];
@@ -57,7 +57,7 @@ std::uint32_t TimingWheel::alloc_node(SimTime at, std::uint64_t key_a,
 
 void TimingWheel::schedule(SimTime at, std::uint64_t key_a,
                            std::uint64_t key_b, std::uint32_t exec_src,
-                           SimTime floor, Callback fn) {
+                           SimTime floor, Callback&& fn) {
   shard_.assert_held();
   if (at < floor) {
     ++clamped_past_schedules_;
@@ -474,7 +474,7 @@ void EventLoop::set_strict_past_schedules(bool strict) {
   for (auto& w : wheels_) w->set_strict_past_schedules(strict);
 }
 
-void EventLoop::schedule_at(SimTime at, Callback fn) {
+void EventLoop::schedule_at(SimTime at, Callback&& fn) {
   SchedCtx& c = tls_ctx_;
   if (c.owner == this && c.wheel != &control_) {
     // Node context: the event is this node's own timer — it stays on
@@ -496,7 +496,7 @@ void EventLoop::schedule_at(SimTime at, Callback fn) {
 }
 
 void EventLoop::schedule_routed(std::uint32_t dst, SimTime at,
-                                SimTime key_time, Callback fn) {
+                                SimTime key_time, Callback&& fn) {
   SchedCtx& c = tls_ctx_;
   std::uint32_t stamp_src = kExternalSource;
   SimTime sched_now = global_now_;
@@ -531,7 +531,7 @@ EventLoop::Key EventLoop::reserve_key() {
              stamp(kExternalSource)};
 }
 
-void EventLoop::schedule_keyed(SimTime at, Key key, Callback fn) {
+void EventLoop::schedule_keyed(SimTime at, Key key, Callback&& fn) {
   SchedCtx& c = tls_ctx_;
   if (c.owner == this && c.wheel != &control_) {
     TimingWheel* w = c.wheel;
@@ -545,7 +545,7 @@ void EventLoop::schedule_keyed(SimTime at, Key key, Callback fn) {
 
 void EventLoop::schedule_stamped(std::uint32_t dst, SimTime at,
                                  std::uint64_t key_a, std::uint64_t key_b,
-                                 Callback fn) {
+                                 Callback&& fn) {
   // floor == at: the "in the past" clamp can never fire here; an `at`
   // behind dst's wheel clock falls through to the lookahead-violation
   // check inside TimingWheel::schedule.
@@ -553,7 +553,7 @@ void EventLoop::schedule_stamped(std::uint32_t dst, SimTime at,
 }
 
 void EventLoop::schedule_on_source(std::uint32_t src, SimTime at,
-                                   Callback fn) {
+                                   Callback&& fn) {
   const SimTime sched_now = now();
   wheel_of_source(src)->schedule(
       at, kShardLaneBit | static_cast<std::uint64_t>(sched_now), stamp(src),

@@ -95,7 +95,7 @@ class TimingWheel {
   /// every wheel by definition, the parallel runner's workers hold
   /// exactly the one they acquired.
   HOT_PATH void schedule(SimTime at, std::uint64_t key_a, std::uint64_t key_b,
-                         std::uint32_t exec_src, SimTime floor, Callback fn);
+                         std::uint32_t exec_src, SimTime floor, Callback&& fn);
 
   /// Advance the cursor to the next pending event with time <= `limit`
   /// and return that time, or kNoEventTime (cursor parked at or before
@@ -174,7 +174,7 @@ class TimingWheel {
   /// when the free list is empty; steady state recycles via free_head_.
   MAY_ALLOC std::uint32_t alloc_node(SimTime at, std::uint64_t key_a,
                                      std::uint64_t key_b,
-                                     std::uint32_t exec_src, Callback fn)
+                                     std::uint32_t exec_src, Callback&& fn)
       REQUIRES_SHARD(shard_);
   /// File `idx` into its wheel bucket.  Fresh schedules append,
   /// cascades prepend — EXCEPT into the bucket the cursor is currently
@@ -304,9 +304,9 @@ class EventLoop {
   /// (`clamped_past_schedules`), and under strict mode
   /// (CHECK_INVARIANTS=1) it aborts with the offending times so the
   /// caller gets fixed instead of silently reordered.
-  HOT_PATH void schedule_at(SimTime at, Callback fn);
+  HOT_PATH void schedule_at(SimTime at, Callback&& fn);
   /// Schedule `fn` after `delay` from now.
-  HOT_PATH void schedule_after(SimDuration delay, Callback fn) {
+  HOT_PATH void schedule_after(SimDuration delay, Callback&& fn) {
     schedule_at(now() + delay, std::move(fn));
   }
 
@@ -318,7 +318,7 @@ class EventLoop {
   /// receive residence's own event used to carry (DESIGN.md §7).  This
   /// is the frame-delivery primitive.
   HOT_PATH void schedule_routed(std::uint32_t dst, SimTime at,
-                                SimTime key_time, Callback fn);
+                                SimTime key_time, Callback&& fn);
 
   /// Stamp a routed event's canonical key from the calling context
   /// WITHOUT inserting it.  Cross-shard handoff path: the sender stamps
@@ -333,7 +333,7 @@ class EventLoop {
   /// (barriers, workers parked).  An `at` behind dst's wheel clock is a
   /// lookahead violation (aborts under strict mode).
   void schedule_stamped(std::uint32_t dst, SimTime at, std::uint64_t key_a,
-                        std::uint64_t key_b, Callback fn);
+                        std::uint64_t key_b, Callback&& fn);
 
   /// A canonical key taken ahead of the event that will carry it.
   struct Key {
@@ -351,7 +351,7 @@ class EventLoop {
   /// Insert `fn` at `at` under a key reserved earlier by reserve_key in
   /// the SAME context (same node, or control lane).  Lands where
   /// schedule_at from that context would have put it.
-  HOT_PATH void schedule_keyed(SimTime at, Key key, Callback fn);
+  HOT_PATH void schedule_keyed(SimTime at, Key key, Callback&& fn);
   /// The source the calling context executes as: a node id inside a
   /// node callback (or with_source), kExternalSource elsewhere.
   std::uint32_t current_source() const {
@@ -383,7 +383,7 @@ class EventLoop {
   /// only (a node-context caller would race the target's counter); used
   /// for deterministic open-loop injection that bypasses the control
   /// wheel entirely (no barrier per injection in parallel runs).
-  void schedule_on_source(std::uint32_t src, SimTime at, Callback fn);
+  void schedule_on_source(std::uint32_t src, SimTime at, Callback&& fn);
 
   /// Run callbacks as node `src` (floor src's wheel clock to global
   /// now, point the scheduling context at src).  Used by control-lane

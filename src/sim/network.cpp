@@ -302,10 +302,9 @@ void Network::transmit(NodeId from, PortId port, Packet pkt) {
 
 [[gnu::noinline]] void Network::hand_off(NodeId dst, SimTime at,
                                          SimTime arrive,
-                                         EventLoop::Callback fn) {
-  Handoff h{dst, at, 0, 0, std::move(fn)};
+                                         EventLoop::Callback&& fn) {
+  Handoff& h = handoff_.local().emplace_back(dst, at, 0, 0, std::move(fn));
   loop_.stamp_routed(arrive, h.key_a, h.key_b);
-  handoff_.local().push_back(std::move(h));
 }
 
 void Network::deliver_now(NodeId from, NodeId dst, PortId dst_port,

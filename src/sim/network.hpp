@@ -206,7 +206,7 @@ class Network {
   /// control-lane code.  Open-loop load injection uses this instead of
   /// loop().schedule_at so a parallel run's control lane stays empty
   /// (every control event is a fleet-wide barrier).
-  void schedule_on(NodeId id, SimTime at, EventLoop::Callback fn) {
+  void schedule_on(NodeId id, SimTime at, EventLoop::Callback&& fn) {
     loop_.schedule_on_source(id, at, std::move(fn));
   }
 
@@ -405,7 +405,7 @@ class Network {
   /// direct-insert path stays tight.
   HOT_PATH CROSS_SHARD MAY_ALLOC void hand_off(NodeId dst, SimTime at,
                                                SimTime arrive,
-                                               EventLoop::Callback fn);
+                                               EventLoop::Callback&& fn);
   /// Barrier work, runner-only (workers parked): land every lane's
   /// handoffs with their stamped keys, fold the epoch's digest log,
   /// then replay the observer journal, both in canonical key order.

@@ -542,6 +542,140 @@ INSTANTIATE_TEST_SUITE_P(Schemes, SchemeParam,
                          ::testing::Values(DiscoveryScheme::e2e,
                                            DiscoveryScheme::controller));
 
+// --- access lifecycle -----------------------------------------------------------
+
+enum class AccessKind { read, write, fetch_add, cas };
+enum class Terminal { remote_ok, local_ok, nack, discovery_failure, exhausted };
+
+const char* access_kind_name(AccessKind k) {
+  switch (k) {
+    case AccessKind::read:
+      return "read";
+    case AccessKind::write:
+      return "write";
+    case AccessKind::fetch_add:
+      return "fetch_add";
+    case AccessKind::cas:
+      return "cas";
+  }
+  return "?";
+}
+
+const char* terminal_name(Terminal t) {
+  switch (t) {
+    case Terminal::remote_ok:
+      return "RemoteOk";
+    case Terminal::local_ok:
+      return "LocalOk";
+    case Terminal::nack:
+      return "OutOfRangeNack";
+    case Terminal::discovery_failure:
+      return "DiscoveryFailure";
+    case Terminal::exhausted:
+      return "AttemptsExhausted";
+  }
+  return "?";
+}
+
+void PrintTo(AccessKind k, std::ostream* os) { *os << access_kind_name(k); }
+void PrintTo(Terminal t, std::ostream* os) { *os << terminal_name(t); }
+
+class AccessLifecycle
+    : public ::testing::TestWithParam<std::tuple<AccessKind, Terminal>> {};
+
+// Every access kind, on every terminal path, completes exactly once with
+// the expected status and leaves nothing pending.
+TEST_P(AccessLifecycle, CompletesExactlyOnce) {
+  const auto [kind, path] = GetParam();
+  auto fabric = Fabric::build(base_config(DiscoveryScheme::e2e));
+  ObjNetService& svc = fabric->service(0);
+  GlobalPtr ptr = make_test_object(*fabric, path == Terminal::local_ok ? 0 : 1);
+  // make_test_object's pattern, read as the u64 the atomics operate on.
+  const std::uint64_t word = 0x0706050403020100ull;
+  AccessOptions opts;
+  Errc want = Errc::ok;
+  switch (path) {
+    case Terminal::remote_ok:
+    case Terminal::local_ok:
+      break;
+    case Terminal::nack:
+      ptr.offset = 1 << 20;
+      want = Errc::out_of_range;
+      break;
+    case Terminal::discovery_failure:
+      ptr = GlobalPtr{fixed_id(999), 64};
+      want = Errc::not_found;
+      break;
+    case Terminal::exhausted:
+      // Learn the home's location, then crash it: the one attempt goes
+      // to a dead host and its deadline ends the access.
+      svc.read(ptr, 8, [](Result<Bytes>, const AccessStats&) {});
+      fabric->settle();
+      fabric->network().set_node_up(fabric->host(1).id(), false);
+      opts.max_attempts = 1;
+      want = Errc::timeout;
+      break;
+  }
+
+  int calls = 0;
+  Errc got = Errc::unavailable;
+  auto on_atomic = [&](Result<AtomicResponse> r, const AccessStats&) {
+    ++calls;
+    got = r ? Errc::ok : r.error().code;
+    if (r) {
+      EXPECT_EQ(r->old_value, word);
+      EXPECT_TRUE(r->applied);
+    }
+  };
+  switch (kind) {
+    case AccessKind::read:
+      svc.read(
+          ptr, 8,
+          [&](Result<Bytes> r, const AccessStats&) {
+            ++calls;
+            got = r ? Errc::ok : r.error().code;
+            if (r) {
+              EXPECT_EQ((*r)[5], 5);
+            }
+          },
+          opts);
+      break;
+    case AccessKind::write:
+      svc.write(
+          ptr, Bytes(8, 9),
+          [&](Status s, const AccessStats&) {
+            ++calls;
+            got = s ? Errc::ok : s.error().code;
+          },
+          opts);
+      break;
+    case AccessKind::fetch_add:
+      svc.atomic_fetch_add(ptr, 1, on_atomic, opts);
+      break;
+    case AccessKind::cas:
+      svc.atomic_cas(ptr, word, 1, on_atomic, opts);
+      break;
+  }
+  fabric->settle();
+  EXPECT_EQ(calls, 1);
+  EXPECT_EQ(got, want);
+  EXPECT_EQ(svc.pending_access_count(), 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Paths, AccessLifecycle,
+    ::testing::Combine(::testing::Values(AccessKind::read, AccessKind::write,
+                                         AccessKind::fetch_add,
+                                         AccessKind::cas),
+                       ::testing::Values(Terminal::remote_ok,
+                                         Terminal::local_ok, Terminal::nack,
+                                         Terminal::discovery_failure,
+                                         Terminal::exhausted)),
+    [](const auto& test) {
+      return std::string(access_kind_name(std::get<0>(test.param))) + "_" +
+             terminal_name(std::get<1>(test.param));
+    });
+
 // --- reliable channel ---------------------------------------------------------------
 
 TEST(Reliable, LargeObjectMovesAcrossFragments) {
