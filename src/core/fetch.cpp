@@ -7,7 +7,10 @@
 namespace objrpc {
 
 ObjectFetcher::ObjectFetcher(ObjNetService& service, FetchConfig cfg)
-    : service_(service), cfg_(cfg) {
+    : service_(service),
+      cfg_(cfg),
+      timer_(service.host().event_loop(), service.host().id(),
+             [this](ObjectId id) { on_deadline(id); }) {
   service_.set_authority_filter(
       [this](ObjectId id) { return cached_.count(id) == 0; });
   HostNode& host = service_.host();
@@ -86,7 +89,6 @@ void ObjectFetcher::fetch(ObjectId id, FetchCallback cb) {
   if (cb) it->second.waiters.push_back(std::move(cb));
   if (!fresh) return;  // coalesce concurrent fetches
   ++counters_.fetches_started;
-  it->second.attempts = 0;
   // Root of the fetch's span tree.  Ids come from unconditional
   // deterministic counters (wire bytes identical armed or not); the
   // span record itself only exists when the tracer is armed.
@@ -113,6 +115,7 @@ void ObjectFetcher::start(ObjectId id) {
   pf.buffer.clear();
   pf.outstanding_chunks.clear();
   pf.version = 0;  // re-lock onto whatever version the next stat reports
+  timer_.disarm(id);
   const std::uint64_t generation = ++pf.generation;
   service_.discovery().resolve(id, [this, id,
                                     generation](Result<ResolveOutcome> out) {
@@ -123,59 +126,36 @@ void ObjectFetcher::start(ObjectId id) {
       return;
     }
     it2->second.source = out->dst;
-    send_stat(id, out->dst);
-    arm_timer(id, generation);
+    send_chunk_req(id, it2->second, 0, 0);  // stat
+    timer_.arm(id, cfg_.timeout);
   });
 }
 
-void ObjectFetcher::arm_timer(ObjectId id, std::uint64_t generation) {
-  service_.host().event_loop().schedule_after(
-      cfg_.timeout, [this, id, generation] {
-        auto it = pending_.find(id);
-        if (it == pending_.end() || it->second.generation != generation) {
-          return;
-        }
-        // The locked-on source went quiet (crashed home, cut link).
-        // Report it stale so the retry's resolve steers at a live copy
-        // instead of the same dead address.
-        if (it->second.source != kUnspecifiedHost) {
-          ++counters_.timeout_rediscoveries;
-          service_.discovery().on_stale(id, it->second.source);
-        }
-        start(id);  // retry from scratch
-      });
+void ObjectFetcher::on_deadline(ObjectId id) {
+  // The locked-on source went quiet (crashed home, cut link).  Report
+  // it stale so the retry's resolve steers at a live copy instead of
+  // the same dead address.  (start and complete disarm, so a live
+  // deadline's pull is pending.)
+  const HostAddr source = pending_.at(id).source;
+  if (source != kUnspecifiedHost) {
+    ++counters_.timeout_rediscoveries;
+    service_.discovery().on_stale(id, source);
+  }
+  start(id);  // retry from scratch
 }
 
-void ObjectFetcher::send_stat(ObjectId id, HostAddr dst) {
-  auto it = pending_.find(id);
+void ObjectFetcher::send_chunk_req(ObjectId id, const PendingFetch& pf,
+                                   std::uint64_t offset,
+                                   std::uint32_t length) {
   Frame f;
   f.type = MsgType::chunk_req;
-  f.dst_host = dst;
+  f.dst_host = pf.source;
   f.object = id;
   f.seq = next_seq_++;
-  f.length = 0;  // stat
-  if (it != pending_.end()) f.trace = it->second.trace;
+  f.offset = offset;
+  f.length = length;
+  f.trace = pf.trace;
   service_.host().send_frame(std::move(f));
-}
-
-void ObjectFetcher::send_chunk_reqs(ObjectId id) {
-  auto it = pending_.find(id);
-  if (it == pending_.end()) return;
-  PendingFetch& pf = it->second;
-  for (std::uint64_t off = 0; off < pf.total_size; off += cfg_.chunk_bytes) {
-    pf.outstanding_chunks.insert(off);
-    ++counters_.chunks_requested;
-    Frame f;
-    f.type = MsgType::chunk_req;
-    f.dst_host = pf.source;
-    f.object = id;
-    f.seq = next_seq_++;
-    f.offset = off;
-    f.length = static_cast<std::uint32_t>(
-        std::min<std::uint64_t>(cfg_.chunk_bytes, pf.total_size - off));
-    f.trace = pf.trace;
-    service_.host().send_frame(std::move(f));
-  }
 }
 
 void ObjectFetcher::on_chunk_req(const Frame& f) {
@@ -247,7 +227,13 @@ void ObjectFetcher::on_chunk_resp(const Frame& f) {
     pf.buffer.assign(pf.total_size, 0);
     pf.source = f.src_host;  // lock onto whoever answered
     pf.version = f.obj_version;
-    send_chunk_reqs(f.object);
+    for (std::uint64_t off = 0; off < pf.total_size; off += cfg_.chunk_bytes) {
+      pf.outstanding_chunks.insert(off);
+      ++counters_.chunks_requested;
+      send_chunk_req(f.object, pf, off,
+                     static_cast<std::uint32_t>(std::min<std::uint64_t>(
+                         cfg_.chunk_bytes, pf.total_size - off)));
+    }
     return;
   }
   // Data chunk.
@@ -317,6 +303,7 @@ void ObjectFetcher::complete(ObjectId id, Status s) {
     tracer.end_span(trace.parent, now);
   }
   pending_.erase(it);
+  timer_.disarm(id);
   if (s) {
     ++counters_.fetches_completed;
   } else {

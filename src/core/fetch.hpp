@@ -126,6 +126,8 @@ class ObjectFetcher {
 
   /// In-flight introspection (invariant checker / tests).
   std::size_t pending_fetch_count() const { return pending_.size(); }
+  /// Pull deadlines, keyed by object.
+  const DeadlineTimer<ObjectId>& deadline_timer() const { return timer_; }
   /// Objects with a pull in flight, sorted (deterministic reporting).
   std::vector<ObjectId> pending_objects() const {
     std::vector<ObjectId> ids;
@@ -142,6 +144,7 @@ class ObjectFetcher {
     Bytes buffer;
     std::unordered_set<std::uint64_t> outstanding_chunks;  // offsets
     int attempts = 0;
+    /// Guards the attempt's resolve callback: a restart supersedes it.
     std::uint64_t generation = 0;
     HostAddr source = kUnspecifiedHost;
     /// Version of the image this pull locked onto (from the stat reply);
@@ -160,9 +163,11 @@ class ObjectFetcher {
   };
 
   void start(ObjectId id);
-  void arm_timer(ObjectId id, std::uint64_t generation);
-  void send_stat(ObjectId id, HostAddr dst);
-  void send_chunk_reqs(ObjectId id);
+  /// The locked-on source went quiet: report it stale and retry.
+  void on_deadline(ObjectId id);
+  /// Ask pf.source for [offset, offset + length) of `id` (0 bytes: stat).
+  void send_chunk_req(ObjectId id, const PendingFetch& pf,
+                      std::uint64_t offset, std::uint32_t length);
   void on_chunk_req(const Frame& f);
   void on_chunk_resp(const Frame& f);
   void on_invalidate(const Frame& f);
@@ -178,6 +183,7 @@ class ObjectFetcher {
   /// Home-side: who holds cached replicas of our objects.
   std::unordered_map<ObjectId, std::unordered_set<HostAddr>> copysets_;
   std::uint64_t next_seq_ = 1;
+  DeadlineTimer<ObjectId> timer_;
   InvalidateHook invalidate_hook_;
   ServeGuard serve_guard_;
   EpochProvider epoch_provider_;

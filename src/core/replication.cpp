@@ -14,7 +14,13 @@ constexpr std::size_t kReplicaHeaderBase = 8 + 4 + 1 + 4;
 
 ReplicaManager::ReplicaManager(ObjNetService& service, ObjectFetcher& fetcher,
                                ReplicaConfig cfg)
-    : service_(service), fetcher_(fetcher), cfg_(cfg) {
+    : service_(service),
+      fetcher_(fetcher),
+      cfg_(cfg),
+      probe_timer_(service.host().event_loop(), service.host().id(),
+                   [this](ObjectId id) { on_probe_timeout(id); }),
+      recovery_timer_(service.host().event_loop(), service.host().id(),
+                      [this](ObjectId id) { on_recovery_timeout(id); }) {
   service_.set_reliable_fallback(
       [this](HostAddr src, MsgType inner, ObjectId object, Bytes payload) {
         if (inner == MsgType::object_replica) {
@@ -44,12 +50,10 @@ ReplicaManager::ReplicaManager(ObjNetService& service, ObjectFetcher& fetcher,
   // must not answer discovery or take writes until its recovery probe
   // establishes it was not deposed.
   service_.set_authority_filter([this](ObjectId id) {
-    return !fetcher_.is_cached_replica(id) && recovering_.count(id) == 0;
+    return !fetcher_.is_cached_replica(id) && !is_recovering(id);
   });
-  service_.set_read_guard(
-      [this](ObjectId id) { return recovering_.count(id) == 0; });
-  fetcher_.set_serve_guard(
-      [this](ObjectId id) { return recovering_.count(id) == 0; });
+  service_.set_read_guard([this](ObjectId id) { return !is_recovering(id); });
+  fetcher_.set_serve_guard([this](ObjectId id) { return !is_recovering(id); });
   fetcher_.set_epoch_provider([this](ObjectId id) { return home_epoch(id); });
   fetcher_.set_coherence_guard([this](const Frame& f) {
     auto it = homes_.find(f.object);
@@ -202,10 +206,9 @@ void ReplicaManager::on_member_update(HostAddr src, ObjectId object,
 }
 
 void ReplicaManager::suspect_home(ObjectId id) {
-  if (probing_.count(id) != 0) return;
+  if (probe_timer_.armed(id)) return;
   auto it = primaries_.find(id);
   if (it == primaries_.end()) return;
-  probing_.insert(id);
   ++counters_.probes_sent;
   Frame probe;
   probe.type = MsgType::epoch_probe;
@@ -213,28 +216,25 @@ void ReplicaManager::suspect_home(ObjectId id) {
   probe.object = id;
   probe.epoch = it->second.epoch;
   service_.host().send_frame(std::move(probe));
-  const std::uint64_t gen = ++probe_gen_[id];
-  service_.host().event_loop().schedule_after(
-      cfg_.probe_timeout, [this, id, gen] {
-        auto git = probe_gen_.find(id);
-        if (git == probe_gen_.end() || git->second != gen) return;
-        if (probing_.erase(id) == 0) return;  // reply disarmed us
-        auto rit = primaries_.find(id);
-        if (rit == primaries_.end()) return;
-        if (rit->second.designated) {
-          Log::info("replica", "%s: home of %s silent; promoting",
-                    service_.host().name().c_str(), id.to_string().c_str());
-          promote(id);
-        } else {
-          // Not our job to take over — but stop steering writers at a
-          // corpse: drop the replica and let discovery find the
-          // promoted home.
-          ++counters_.replicas_dropped;
-          primaries_.erase(rit);
-          (void)service_.host().store().remove(id);
-          service_.discovery().on_departed(id);
-        }
-      });
+  probe_timer_.arm(id, cfg_.probe_timeout);
+}
+
+void ReplicaManager::on_probe_timeout(ObjectId id) {
+  auto rit = primaries_.find(id);
+  if (rit == primaries_.end()) return;
+  if (rit->second.designated) {
+    Log::info("replica", "%s: home of %s silent; promoting",
+              service_.host().name().c_str(), id.to_string().c_str());
+    promote(id);
+  } else {
+    // Not our job to take over — but stop steering writers at a
+    // corpse: drop the replica and let discovery find the promoted
+    // home.
+    ++counters_.replicas_dropped;
+    primaries_.erase(rit);
+    (void)service_.host().store().remove(id);
+    service_.discovery().on_departed(id);
+  }
 }
 
 void ReplicaManager::promote(ObjectId id) {
@@ -242,8 +242,7 @@ void ReplicaManager::promote(ObjectId id) {
   if (it == primaries_.end()) return;
   ReplicaInfo info = std::move(it->second);
   primaries_.erase(it);
-  probing_.erase(id);
-  ++probe_gen_[id];  // disarm any in-flight probe timer
+  probe_timer_.disarm(id);
   const std::uint32_t new_epoch = info.epoch + 1;
   homes_[id] = HomeInfo{new_epoch, {}};
   ++counters_.promotions;
@@ -278,7 +277,7 @@ void ReplicaManager::promote(ObjectId id) {
 void ReplicaManager::on_epoch_probe(const Frame& f) {
   // While recovering we may already be deposed: claiming authority
   // could mislead the prober, so stay silent and let promotion win.
-  if (recovering_.count(f.object) != 0) return;
+  if (recovery_timer_.armed(f.object)) return;
   std::uint32_t epoch = 0;
   HostAddr believed = kUnspecifiedHost;
   if (auto hit = homes_.find(f.object); hit != homes_.end()) {
@@ -299,11 +298,10 @@ void ReplicaManager::on_epoch_reply(const Frame& f) {
     return;
   }
   // Replica side: a liveness probe came back.
-  if (probing_.count(f.object) == 0) return;
+  if (!probe_timer_.armed(f.object)) return;
   auto it = primaries_.find(f.object);
   if (it == primaries_.end() || f.src_host != it->second.home) return;
-  probing_.erase(f.object);
-  ++probe_gen_[f.object];  // disarm the timeout
+  probe_timer_.disarm(f.object);
   if (f.epoch == 0) {
     // The home answered but no longer owns the object (it moved or was
     // dropped): this replica is orphaned.
@@ -333,7 +331,7 @@ void ReplicaManager::demote(ObjectId id, std::uint32_t seen_epoch) {
             service_.host().name().c_str(), id.to_string().c_str(),
             it->second.epoch, seen_epoch);
   homes_.erase(it);
-  recovering_.erase(id);
+  recovery_timer_.disarm(id);
   ++counters_.demotions;
   if (event_observer_) event_observer_(Event::demoted, id, seen_epoch);
   if (obs::Tracer& tracer = service_.host().tracer(); tracer.armed()) {
@@ -354,7 +352,6 @@ void ReplicaManager::on_revival() {
   for (ObjectId id : homed_objects()) {
     HomeInfo& home = homes_.at(id);
     if (home.members.empty()) continue;  // nobody could have promoted
-    recovering_.insert(id);
     for (HostAddr member : home.members) {
       ++counters_.probes_sent;
       Frame probe;
@@ -364,28 +361,18 @@ void ReplicaManager::on_revival() {
       probe.epoch = home.epoch;
       service_.host().send_frame(std::move(probe));
     }
-    const std::uint64_t gen = ++probe_gen_[id];
-    const ObjectId object = id;
-    service_.host().event_loop().schedule_after(
-        cfg_.recovery_timeout, [this, object, gen] {
-          auto git = probe_gen_.find(object);
-          if (git == probe_gen_.end() || git->second != gen) return;
-          // No higher epoch surfaced: no promotion happened while we
-          // were down; resume serving.
-          if (recovering_.erase(object) > 0) {
-            ++counters_.recoveries_resumed;
-            if (event_observer_) {
-              event_observer_(Event::resumed, object,
-                              homes_.count(object) ? homes_[object].epoch : 0);
-            }
-            if (obs::Tracer& tracer = service_.host().tracer();
-                tracer.armed()) {
-              tracer.instant(0, 0, service_.host().id(),
-                             "resumed:" + object.to_string(),
-                             service_.host().event_loop().now());
-            }
-          }
-        });
+    recovery_timer_.arm(id, cfg_.recovery_timeout);
+  }
+}
+
+void ReplicaManager::on_recovery_timeout(ObjectId id) {
+  // No higher epoch surfaced: no promotion happened while we were
+  // down; resume serving.
+  ++counters_.recoveries_resumed;
+  if (event_observer_) event_observer_(Event::resumed, id, home_epoch(id));
+  if (obs::Tracer& tracer = service_.host().tracer(); tracer.armed()) {
+    tracer.instant(0, 0, service_.host().id(), "resumed:" + id.to_string(),
+                   service_.host().event_loop().now());
   }
 }
 

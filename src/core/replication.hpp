@@ -38,7 +38,6 @@
 
 #include <algorithm>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "core/fetch.hpp"
@@ -86,7 +85,7 @@ class ReplicaManager {
   }
   /// Is a revived home still quarantined for `id`?
   bool is_recovering(ObjectId id) const {
-    return recovering_.count(id) != 0;
+    return recovery_timer_.armed(id);
   }
 
   /// Promote the local replica of `id` to writable home under a bumped
@@ -101,8 +100,12 @@ class ReplicaManager {
   void set_event_observer(EventObserver o) { event_observer_ = std::move(o); }
 
   /// In-flight / at-rest introspection (invariant checker / tests).
-  std::size_t probing_count() const { return probing_.size(); }
-  std::size_t recovering_count() const { return recovering_.size(); }
+  std::size_t probing_count() const { return probe_timer_.armed_count(); }
+  std::size_t recovering_count() const {
+    return recovery_timer_.armed_count();
+  }
+  /// Home-liveness probe deadlines, keyed by object.
+  const DeadlineTimer<ObjectId>& probe_timer() const { return probe_timer_; }
   /// Objects homed here, sorted (deterministic reporting).
   std::vector<ObjectId> homed_objects() const {
     std::vector<ObjectId> ids;
@@ -157,11 +160,16 @@ class ReplicaManager {
   /// A write bounced off this replica toward `home`; verify the home is
   /// still breathing, and take over (designated) or step aside if not.
   void suspect_home(ObjectId id);
+  /// The probe went unanswered: the designated replica promotes itself,
+  /// any other replica steps aside.
+  void on_probe_timeout(ObjectId id);
   /// Step down as home for `id`: a higher epoch owns history now.
   void demote(ObjectId id, std::uint32_t seen_epoch);
   /// Revival recovery: quarantine every homed object that had replicas
   /// out and probe the old members for a higher epoch.
   void on_revival();
+  /// No higher epoch surfaced while recovering: resume serving `id`.
+  void on_recovery_timeout(ObjectId id);
   void send_epoch_reply(HostAddr dst, ObjectId id, std::uint32_t epoch,
                         HostAddr believed_home);
 
@@ -175,12 +183,10 @@ class ReplicaManager {
   /// Sibling lists that arrived (member_update) before the replica
   /// image itself finished installing.
   std::unordered_map<ObjectId, std::vector<HostAddr>> pending_siblings_;
-  /// Objects with a home-liveness probe in flight.
-  std::unordered_set<ObjectId> probing_;
-  /// Probe/recovery timer generations (stale timer invalidation).
-  std::unordered_map<ObjectId, std::uint64_t> probe_gen_;
-  /// Revived-home quarantine.
-  std::unordered_set<ObjectId> recovering_;
+  /// Home-liveness probes in flight, by object.
+  DeadlineTimer<ObjectId> probe_timer_;
+  /// Revived-home quarantine: recoveries in flight, by object.
+  DeadlineTimer<ObjectId> recovery_timer_;
   EventObserver event_observer_;
   Counters counters_;
   /// Declared last: detaches from the registry before members it reads.

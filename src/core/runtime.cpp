@@ -16,7 +16,11 @@ ObjectResolver InvokeContext::resolver() {
 
 InvokeRuntime::InvokeRuntime(ObjNetService& service, CodeRegistry& registry,
                              ObjectFetcher& fetcher)
-    : service_(service), registry_(registry), fetcher_(fetcher) {
+    : service_(service),
+      registry_(registry),
+      fetcher_(fetcher),
+      timer_(service.host().event_loop(), service.host().id(),
+             [this](std::uint64_t token) { on_deadline(token); }) {
   service_.set_invoke_handler(
       [this](const Frame& f) { on_invoke_req(f); });
   service_.host().set_handler(MsgType::invoke_resp, [this](const Frame& f) {
@@ -87,44 +91,48 @@ void InvokeRuntime::execute_local(FuncId fn, std::vector<GlobalPtr> args,
   };
 
   // Ensure the argument objects are resident, then run fault rounds.
-  auto remaining = std::make_shared<int>(0);
-  auto failed = std::make_shared<bool>(false);
   std::vector<ObjectId> to_fetch;
   for (const auto& a : args) {
     if (!a.is_null() && !service_.host().store().contains(a.object)) {
       to_fetch.push_back(a.object);
     }
   }
-  *remaining = static_cast<int>(to_fetch.size());
-  auto proceed = [this, fn, args = std::move(args),
-                  inline_arg = std::move(inline_arg), opts, stats,
-                  done]() mutable {
-    run_rounds(fn, std::move(args), std::move(inline_arg), opts, stats,
-               done, 1);
-  };
-  if (to_fetch.empty()) {
-    proceed();
+  fetch_then(to_fetch, stats, done,
+             [this, fn, args = std::move(args),
+              inline_arg = std::move(inline_arg), opts, stats,
+              done]() mutable {
+               run_rounds(fn, std::move(args), std::move(inline_arg), opts,
+                          stats, done, 1);
+             });
+}
+
+void InvokeRuntime::fetch_then(const std::vector<ObjectId>& ids,
+                               std::shared_ptr<InvokeStats> stats, Done done,
+                               std::function<void()> then) {
+  if (ids.empty()) {
+    then();
     return;
   }
-  for (ObjectId id : to_fetch) {
-    fetcher_.fetch(id, [remaining, failed, stats, done,
-                        proceed](Status s) mutable {
-      if (*failed) return;
+  // Zero outstanding before the last success means a failure already
+  // completed the call.
+  auto remaining = std::make_shared<std::size_t>(ids.size());
+  for (ObjectId id : ids) {
+    fetcher_.fetch(id, [remaining, stats, done, then](Status s) mutable {
+      if (*remaining == 0) return;
       if (!s) {
-        *failed = true;
+        *remaining = 0;
         done(s.error());
         return;
       }
       ++stats->objects_fetched;
-      if (--*remaining == 0) proceed();
+      if (--*remaining == 0) then();
     });
   }
 }
 
 void InvokeRuntime::run_rounds(FuncId fn, std::vector<GlobalPtr> args,
                                Bytes inline_arg, InvokeOptions opts,
-                               std::shared_ptr<InvokeStats> stats,
-                               std::function<void(Result<Bytes>)> done,
+                               std::shared_ptr<InvokeStats> stats, Done done,
                                int round) {
   if (round > opts.max_fault_rounds) {
     done(Error{Errc::timeout, "fault-round budget exhausted"});
@@ -144,25 +152,13 @@ void InvokeRuntime::run_rounds(FuncId fn, std::vector<GlobalPtr> args,
   }
   // Object faults: fetch everything the round discovered, then re-run.
   ++counters_.fault_rounds;
-  auto faults = ctx.faults();
-  auto remaining = std::make_shared<int>(static_cast<int>(faults.size()));
-  auto failed = std::make_shared<bool>(false);
-  for (ObjectId id : faults) {
-    fetcher_.fetch(id, [this, fn, args, inline_arg, opts, stats, done,
-                        remaining, failed, round](Status s) mutable {
-      if (*failed) return;
-      if (!s) {
-        *failed = true;
-        done(s.error());
-        return;
-      }
-      ++stats->objects_fetched;
-      if (--*remaining == 0) {
-        run_rounds(fn, std::move(args), std::move(inline_arg), opts,
-                   std::move(stats), std::move(done), round + 1);
-      }
-    });
-  }
+  fetch_then(ctx.faults(), stats, done,
+             [this, fn, args = std::move(args),
+              inline_arg = std::move(inline_arg), opts, stats, done,
+              round]() mutable {
+               run_rounds(fn, std::move(args), std::move(inline_arg), opts,
+                          std::move(stats), std::move(done), round + 1);
+             });
 }
 
 // --- remote invocation -------------------------------------------------------------
@@ -177,45 +173,36 @@ void InvokeRuntime::invoke_at(HostAddr executor, FuncId fn,
   }
   ++counters_.remote_invocations;
   const std::uint64_t token = next_token_++;
-  PendingInvoke p;
+  PendingInvoke& p = pending_[token];
   p.cb = std::move(cb);
   p.opts = opts;
-  p.fn = fn;
-  p.args = std::move(args);
-  p.inline_arg = std::move(inline_arg);
-  p.executor = executor;
+  p.payload = encode_invoke(fn, args, inline_arg);
   p.stats.started_at = service_.host().event_loop().now();
   p.stats.executor = executor;
-  pending_.emplace(token, std::move(p));
   send_remote(token);
 }
 
 void InvokeRuntime::send_remote(std::uint64_t token) {
-  auto it = pending_.find(token);
-  if (it == pending_.end()) return;
-  PendingInvoke& p = it->second;
+  PendingInvoke& p = pending_.at(token);
   Frame f;
   f.type = MsgType::invoke_req;
-  f.dst_host = p.executor;
+  f.dst_host = p.stats.executor;
   f.seq = token;
   f.tenant = p.opts.tenant;
-  f.payload = encode_invoke(p.fn, p.args, p.inline_arg);
-  const std::uint64_t generation = ++p.generation;
+  f.payload = p.payload;
+  ++p.attempts;
   service_.host().send_frame(std::move(f));
-  service_.host().event_loop().schedule_after(
-      p.opts.timeout, [this, token, generation] {
-        auto it2 = pending_.find(token);
-        if (it2 == pending_.end() || it2->second.generation != generation) {
-          return;
-        }
-        // generation counts send attempts.
-        if (it2->second.generation >=
-            static_cast<std::uint64_t>(it2->second.opts.max_attempts)) {
-          finish_remote(token, Error{Errc::timeout, "invoke timed out"});
-          return;
-        }
-        send_remote(token);
-      });
+  timer_.arm(token, p.opts.timeout);
+}
+
+void InvokeRuntime::on_deadline(std::uint64_t token) {
+  // finish_remote disarms, so a live deadline's invocation is pending.
+  const PendingInvoke& p = pending_.at(token);
+  if (p.attempts >= p.opts.max_attempts) {
+    finish_remote(token, Error{Errc::timeout, "invoke timed out"});
+    return;
+  }
+  send_remote(token);
 }
 
 void InvokeRuntime::finish_remote(std::uint64_t token, Result<Bytes> result) {
@@ -223,14 +210,13 @@ void InvokeRuntime::finish_remote(std::uint64_t token, Result<Bytes> result) {
   if (it == pending_.end()) return;
   PendingInvoke p = std::move(it->second);
   pending_.erase(it);
+  timer_.disarm(token);
   p.stats.finished_at = service_.host().event_loop().now();
   if (!result) ++counters_.failures;
   if (p.cb) p.cb(std::move(result), p.stats);
 }
 
 void InvokeRuntime::on_invoke_req(const Frame& f) {
-  // Responses come back through invoke_resp which the service does not
-  // handle; register lazily here (both roles share this runtime).
   auto decoded = decode_invoke(f.payload);
   if (!decoded) {
     Log::warn("invoke", "malformed invoke_req dropped");

@@ -107,24 +107,31 @@ class InvokeRuntime {
 
   ObjNetService& service() { return service_; }
   ObjectFetcher& fetcher() { return fetcher_; }
+  /// Remote-invocation deadlines, keyed by token.
+  const DeadlineTimer<std::uint64_t>& deadline_timer() const { return timer_; }
 
  private:
   struct PendingInvoke {
     InvokeCallback cb;
     InvokeOptions opts;
-    InvokeStats stats;
-    FuncId fn;
-    std::vector<GlobalPtr> args;
-    Bytes inline_arg;
-    HostAddr executor;
-    std::uint64_t generation = 0;
+    InvokeStats stats;  // stats.executor is the invoke_req's destination
+    Bytes payload;      // the encoded invocation, resent as is
+    int attempts = 0;   // invoke_reqs sent
   };
+  using Done = std::function<void(Result<Bytes>)>;
 
   void on_invoke_req(const Frame& f);
+  /// Fetch `ids` in order, counting each in objects_fetched; the first
+  /// failure completes through `done`, the last success runs `then`.
+  void fetch_then(const std::vector<ObjectId>& ids,
+                  std::shared_ptr<InvokeStats> stats, Done done,
+                  std::function<void()> then);
   void run_rounds(FuncId fn, std::vector<GlobalPtr> args, Bytes inline_arg,
                   InvokeOptions opts, std::shared_ptr<InvokeStats> stats,
-                  std::function<void(Result<Bytes>)> done, int round);
+                  Done done, int round);
   void send_remote(std::uint64_t token);
+  /// A remote attempt went unanswered: resend, or give up.
+  void on_deadline(std::uint64_t token);
   void finish_remote(std::uint64_t token, Result<Bytes> result);
 
   static Bytes encode_invoke(FuncId fn, const std::vector<GlobalPtr>& args,
@@ -141,6 +148,7 @@ class InvokeRuntime {
   ObjectFetcher& fetcher_;
   std::unordered_map<std::uint64_t, PendingInvoke> pending_;
   std::uint64_t next_token_ = 1;
+  DeadlineTimer<std::uint64_t> timer_;
   Counters counters_;
 };
 

@@ -5,7 +5,10 @@
 namespace objrpc {
 
 E2EDiscovery::E2EDiscovery(HostNode& host, E2EConfig cfg)
-    : host_(host), cfg_(cfg) {
+    : host_(host),
+      cfg_(cfg),
+      timer_(host.event_loop(), host.id(),
+             [this](ObjectId object) { on_deadline(object); }) {
   host_.set_handler(MsgType::discover_reply,
                     [this](const Frame& f) { on_discover_reply(f); });
 }
@@ -21,10 +24,8 @@ void E2EDiscovery::resolve(ObjectId object, ResolveCallback cb) {
   auto [pit, fresh] = pending_.try_emplace(object);
   pit->second.waiters.push_back(std::move(cb));
   if (!fresh) return;  // a discovery is already in flight; coalesce
-  pit->second.attempts = 1;
-  pit->second.generation++;
   broadcast_discover(object);
-  arm_discovery_timer(object, pit->second.generation);
+  timer_.arm(object, cfg_.discovery_timeout);
 }
 
 void E2EDiscovery::broadcast_discover(ObjectId object) {
@@ -36,40 +37,30 @@ void E2EDiscovery::broadcast_discover(ObjectId object) {
   host_.send_frame(std::move(f));
 }
 
-void E2EDiscovery::arm_discovery_timer(ObjectId object,
-                                       std::uint64_t generation) {
-  host_.event_loop().schedule_after(
-      cfg_.discovery_timeout, [this, object, generation] {
-        auto it = pending_.find(object);
-        if (it == pending_.end() || it->second.generation != generation) {
-          return;
-        }
-        PendingDiscovery& pd = it->second;
-        if (++pd.attempts > cfg_.max_discovery_attempts) {
-          ++counters_.discovery_failures;
-          auto waiters = std::move(pd.waiters);
-          pending_.erase(it);
-          for (auto& w : waiters) {
-            w(Error{Errc::not_found, "discovery failed: no host replied"});
-          }
-          return;
-        }
-        pd.generation++;
-        broadcast_discover(object);
-        arm_discovery_timer(object, pd.generation);
-      });
+void E2EDiscovery::on_deadline(ObjectId object) {
+  // on_discover_reply disarms, so a live deadline's discovery is pending.
+  auto it = pending_.find(object);
+  if (++it->second.attempts > cfg_.max_discovery_attempts) {
+    ++counters_.discovery_failures;
+    auto waiters = std::move(it->second.waiters);
+    pending_.erase(it);
+    for (auto& w : waiters) {
+      w(Error{Errc::not_found, "discovery failed: no host replied"});
+    }
+    return;
+  }
+  broadcast_discover(object);
+  timer_.arm(object, cfg_.discovery_timeout);
 }
 
 void E2EDiscovery::on_discover_reply(const Frame& f) {
-  auto it = pending_.find(f.object);
-  if (it == pending_.end()) {
-    // Unsolicited (e.g. second replica answered later); refresh cache.
-    cache_put(f.object, f.src_host);
-    return;
-  }
   cache_put(f.object, f.src_host);
+  auto it = pending_.find(f.object);
+  // Unsolicited (e.g. a second replica answered later): cache refreshed.
+  if (it == pending_.end()) return;
   auto waiters = std::move(it->second.waiters);
   pending_.erase(it);
+  timer_.disarm(f.object);
   for (auto& w : waiters) {
     w(ResolveOutcome{f.src_host, 1, true});
   }

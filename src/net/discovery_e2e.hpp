@@ -14,6 +14,7 @@
 
 #include "net/discovery.hpp"
 #include "net/host_node.hpp"
+#include "sim/deadline_timer.hpp"
 
 namespace objrpc {
 
@@ -57,16 +58,18 @@ class E2EDiscovery final : public DiscoveryStrategy {
     std::uint64_t discovery_failures = 0;
   };
   const Counters& counters() const { return counters_; }
+  /// Rebroadcast deadlines, keyed by object.
+  const DeadlineTimer<ObjectId>& deadline_timer() const { return timer_; }
 
  private:
   struct PendingDiscovery {
     std::vector<ResolveCallback> waiters;
-    int attempts = 0;
-    std::uint64_t generation = 0;
+    int attempts = 1;
   };
 
   void broadcast_discover(ObjectId object);
-  void arm_discovery_timer(ObjectId object, std::uint64_t generation);
+  /// No host replied in time: rebroadcast, or fail the waiters.
+  void on_deadline(ObjectId object);
   void on_discover_reply(const Frame& f);
   void cache_put(ObjectId object, HostAddr host);
 
@@ -75,6 +78,7 @@ class E2EDiscovery final : public DiscoveryStrategy {
   std::unordered_map<ObjectId, HostAddr> cache_;
   std::deque<ObjectId> cache_order_;  // FIFO eviction when bounded
   std::unordered_map<ObjectId, PendingDiscovery> pending_;
+  DeadlineTimer<ObjectId> timer_;
   std::uint64_t broadcasts_ = 0;
   Counters counters_;
 };

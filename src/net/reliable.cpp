@@ -9,7 +9,10 @@ constexpr std::size_t kCompletedMemory = 1024;
 }  // namespace
 
 ReliableChannel::ReliableChannel(HostNode& host, ReliableConfig cfg)
-    : host_(host), cfg_(cfg) {
+    : host_(host),
+      cfg_(cfg),
+      timer_(host.event_loop(), host.id(),
+             [this](std::uint32_t msg_id) { on_deadline(msg_id); }) {
   host_.set_handler(MsgType::push_frag,
                     [this](const Frame& f) { on_push_frag(f); });
   host_.set_handler(MsgType::frag_ack,
@@ -65,7 +68,7 @@ void ReliableChannel::send(HostAddr dst, MsgType inner_type, ObjectId object,
   ++counters_.messages_sent;
 
   for (std::uint32_t i = 0; i < frag_count; ++i) send_fragment(msg_id, i);
-  arm_timer(msg_id);
+  timer_.arm(msg_id, cfg_.rto);
 }
 
 void ReliableChannel::send_fragment(std::uint32_t msg_id,
@@ -92,50 +95,33 @@ void ReliableChannel::send_fragment(std::uint32_t msg_id,
   host_.send_frame(std::move(f));
 }
 
-void ReliableChannel::arm_timer(std::uint32_t msg_id) {
-  Outbound* found = outbound_.find(msg_id);
-  if (found == nullptr) return;
-  // Exponential backoff, and never shorter than the time the remaining
-  // fragments need just to serialize onto the wire.
-  const int shift = std::min(found->retries, 10);
-  const SimDuration delay = cfg_.rto << shift;
-  host_.event_loop().schedule_after(delay, [this, msg_id] {
-    Outbound* live = outbound_.find(msg_id);
-    if (live == nullptr) return;  // fully acked meanwhile
-    Outbound& out = *live;
-    if (out.progressed) {
-      // Acks are flowing; restart the timer instead of retransmitting.
-      out.progressed = false;
-      out.retries = 0;
-      arm_timer(msg_id);
-      return;
-    }
-    if (++out.retries > cfg_.max_retries) {
-      ++counters_.failures;
-      auto cb = std::move(out.on_done);
-      if (host_.tracer().armed()) {
-        host_.tracer().instant(out.trace.trace, out.trace.parent, host_.id(),
-                               "reliable_failed", host_.event_loop().now());
-        host_.tracer().end_span(out.trace.parent, host_.event_loop().now());
-      }
-      outbound_.erase(msg_id);
-      if (cb) cb(Error{Errc::timeout, "retry budget exhausted"});
-      return;
-    }
-    // Retransmit everything still unacked (copy: sending mutates nothing
-    // but iteration safety matters if callbacks reenter).
-    std::vector<std::uint32_t> pending(out.unacked.begin(),
-                                       out.unacked.end());
-    counters_.retransmissions += pending.size();
-    if (host_.tracer().armed()) {
-      host_.tracer().instant(
-          out.trace.trace, out.trace.parent, host_.id(),
-          "retransmit x" + std::to_string(pending.size()),
-          host_.event_loop().now());
-    }
-    for (std::uint32_t idx : pending) send_fragment(msg_id, idx);
-    arm_timer(msg_id);
-  });
+void ReliableChannel::on_deadline(std::uint32_t msg_id) {
+  // on_frag_ack disarms, so a live deadline's message is outbound.
+  Outbound& out = *outbound_.find(msg_id);
+  if (out.progressed) {
+    // Acks are flowing; restart the timer instead of retransmitting.
+    out.progressed = false;
+    out.retries = 0;
+    timer_.arm(msg_id, cfg_.rto);
+    return;
+  }
+  if (++out.retries > cfg_.max_retries) {
+    ++counters_.failures;
+    finish(msg_id, Error{Errc::timeout, "retry budget exhausted"});
+    return;
+  }
+  // Retransmit everything still unacked (copy: sending mutates nothing
+  // but iteration safety matters if callbacks reenter).
+  std::vector<std::uint32_t> pending(out.unacked.begin(), out.unacked.end());
+  const SimDuration backoff = cfg_.rto << std::min(out.retries, 10);
+  counters_.retransmissions += pending.size();
+  if (host_.tracer().armed()) {
+    host_.tracer().instant(out.trace.trace, out.trace.parent, host_.id(),
+                           "retransmit x" + std::to_string(pending.size()),
+                           host_.event_loop().now());
+  }
+  for (std::uint32_t idx : pending) send_fragment(msg_id, idx);
+  timer_.arm(msg_id, backoff);
 }
 
 void ReliableChannel::on_push_frag(const Frame& f) {
@@ -211,14 +197,23 @@ void ReliableChannel::on_frag_ack(const Frame& f) {
     return;
   }
   if (out.unacked.erase(frag_idx) > 0) out.progressed = true;
-  if (out.unacked.empty()) {
-    auto cb = std::move(out.on_done);
-    if (host_.tracer().armed()) {
-      host_.tracer().end_span(out.trace.parent, host_.event_loop().now());
+  if (out.unacked.empty()) finish(msg_id, Status::ok());
+}
+
+void ReliableChannel::finish(std::uint32_t msg_id, Status s) {
+  Outbound& out = *outbound_.find(msg_id);
+  auto cb = std::move(out.on_done);
+  if (host_.tracer().armed()) {
+    const SimTime now = host_.event_loop().now();
+    if (!s) {
+      host_.tracer().instant(out.trace.trace, out.trace.parent, host_.id(),
+                             "reliable_failed", now);
     }
-    outbound_.erase(msg_id);
-    if (cb) cb(Status::ok());
+    host_.tracer().end_span(out.trace.parent, now);
   }
+  outbound_.erase(msg_id);
+  timer_.disarm(msg_id);
+  if (cb) cb(std::move(s));
 }
 
 void ReliableChannel::remember_completed(const InboundKey& key) {

@@ -21,6 +21,7 @@
 
 #include "common/flat_table.hpp"
 #include "net/host_node.hpp"
+#include "sim/deadline_timer.hpp"
 
 namespace objrpc {
 
@@ -84,6 +85,8 @@ class ReliableChannel {
   /// In-flight state introspection (tests / leak detection).
   std::size_t inbound_in_progress() const { return inbound_.size(); }
   std::size_t outbound_in_progress() const { return outbound_.size(); }
+  /// Retransmission deadlines, keyed by message id.
+  const DeadlineTimer<std::uint32_t>& deadline_timer() const { return timer_; }
 
   const ReliableConfig& config() const { return cfg_; }
 
@@ -177,7 +180,10 @@ class ReliableChannel {
   }
 
   HOT_PATH void send_fragment(std::uint32_t msg_id, std::uint32_t frag_idx);
-  void arm_timer(std::uint32_t msg_id);
+  /// No full ack in time: restart on progress, retransmit, or give up.
+  void on_deadline(std::uint32_t msg_id);
+  /// Complete an outbound message: the one place on_done fires.
+  void finish(std::uint32_t msg_id, Status s);
   HOT_PATH void on_push_frag(const Frame& f);
   HOT_PATH void on_frag_ack(const Frame& f);
   void remember_completed(const InboundKey& key);
@@ -195,6 +201,7 @@ class ReliableChannel {
   /// re-acked without re-delivery.
   FlatHashSet<InboundKey, InboundKeyHash> completed_;
   std::deque<InboundKey> completed_order_;
+  DeadlineTimer<std::uint32_t> timer_;
   Counters counters_;
   /// Declared last: detaches from the registry before members it reads.
   obs::SourceGroup metrics_;

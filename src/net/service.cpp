@@ -1,8 +1,5 @@
 #include "net/service.hpp"
 
-#include <algorithm>
-
-#include "common/canonical_key.hpp"
 #include "common/log.hpp"
 
 namespace objrpc {
@@ -40,7 +37,9 @@ ObjNetService::ObjNetService(HostNode& host,
                              ReliableConfig reliable_cfg)
     : host_(host),
       discovery_(std::move(discovery)),
-      reliable_(host, reliable_cfg) {
+      reliable_(host, reliable_cfg),
+      timer_(host.event_loop(), host.id(),
+             [this](std::uint64_t token) { on_deadline(token); }) {
   host_.set_handler(MsgType::read_req,
                     [this](const Frame& f) { on_read_req(f); });
   host_.set_handler(MsgType::write_req,
@@ -132,6 +131,7 @@ void ObjNetService::finish(std::uint64_t token, Result<Bytes> result) {
   if (found == nullptr) return;
   Pending p = std::move(*found);
   pending_.erase(token);
+  timer_.disarm(token);
   p.stats.finished_at = host_.event_loop().now();
   if (auto* read_cb = std::get_if<ReadCallback>(&p.cb)) {
     if (*read_cb) (*read_cb)(std::move(result), p.stats);
@@ -278,84 +278,17 @@ void ObjNetService::start_attempt(std::uint64_t token) {
     if (p2.kind == MsgType::write_req || p2.kind == MsgType::atomic_req) {
       f.payload = p2.data;
     }
-    p2.generation++;
-    arm_timeout(token, p2.generation);
+    timer_.arm(token, p2.opts.timeout);
     host_.send_frame(std::move(f));
   });
 }
 
-void ObjNetService::arm_timeout(std::uint64_t token,
-                                std::uint64_t generation) {
-  Pending* found = pending_.find(token);
-  if (found == nullptr) return;
-  EventLoop& loop = host_.event_loop();
-  const SimTime at = loop.now() + found->opts.timeout;
-  if (loop.current_source() != host_.id()) {
-    // Armed from outside this host's own context (a test driver, the
-    // control lane, another node): the timer would live on that
-    // context's wheel, which this service's timer must not write.  Give
-    // it its own event there, as schedule_at always has.
-    loop.schedule_at(at, [this, token, generation] {
-      on_deadline(token, generation);
-    });
-    return;
-  }
-  const EventLoop::Key key = loop.reserve_key();
-  const Deadline d{{at, key.a, key.b}, token, generation};
-  auto pos = deadlines_.end();
-  if (!deadlines_.empty() && key_less(d, deadlines_.back())) {
-    // A shorter timeout than an earlier arm's: keep (at, key) order.
-    pos = std::upper_bound(
-        deadlines_.begin(), deadlines_.end(), d,
-        [](const Deadline& x, const Deadline& y) { return key_less(x, y); });
-  }
-  deadlines_.insert(pos, d);
-  arm_deadline_timer();
-}
-
-void ObjNetService::arm_deadline_timer() {
-  while (!deadlines_.empty() && !deadline_live(deadlines_.front())) {
-    deadlines_.pop_front();
-  }
-  if (deadlines_.empty()) return;
-  const Deadline& head = deadlines_.front();
-  for (const Slot& s : timer_slots_) {
-    // An outstanding event fires at the head's own slot (reused, not
-    // duplicated) or before it.
-    if (!key_less(head, s)) return;
-  }
-  const Slot slot = head;
-  timer_slots_.push_back(slot);
-  host_.event_loop().schedule_keyed(slot.at, {slot.key_a, slot.key_b},
-                                    [this, slot] { on_timer(slot); });
-}
-
-void ObjNetService::on_timer(Slot slot) {
-  timer_slots_.erase(std::find_if(
-      timer_slots_.begin(), timer_slots_.end(), [&](const Slot& s) {
-        return !key_less(s, slot) && !key_less(slot, s);
-      }));
-  // No live deadline precedes the slot, and keys are unique, so the
-  // head is either the slot's own deadline or a later one (the slot's
-  // died and was dropped, or a shorter arm superseded this event).
-  if (!deadlines_.empty() && !key_less(slot, deadlines_.front())) {
-    const Deadline d = deadlines_.front();
-    deadlines_.pop_front();
-    on_deadline(d.token, d.generation);
-  }
-  arm_deadline_timer();
-}
-
-void ObjNetService::on_deadline(std::uint64_t token,
-                                std::uint64_t generation) {
-  Pending* live = pending_.find(token);
-  if (live == nullptr) return;
-  if (live->generation != generation) return;  // superseded
+void ObjNetService::on_deadline(std::uint64_t token) {
   // The request leg burned a round trip with no reply.  Whoever we
   // addressed is unreachable (crashed host, stale route): report the
   // location stale so the retry re-resolves instead of re-sending into
-  // the void.
-  Pending& p = *live;
+  // the void.  (finish disarms, so a live deadline's access is pending.)
+  Pending& p = *pending_.find(token);
   p.stats.rtts += 1;
   if (p.last_dst != kUnspecifiedHost) {
     discovery_->on_stale(p.ptr.object, p.last_dst);
@@ -440,19 +373,16 @@ void ObjNetService::on_nack(const Frame& f) {
   if (errc == Errc::not_found) {
     // Stale location: tell discovery, then retry (it will re-resolve).
     discovery_->on_stale(f.object, f.src_host);
-    p.generation++;  // cancel the in-flight timeout
-    start_attempt(token);
-    return;
-  }
-  if (errc == Errc::moved && info->hint != kUnspecifiedHost) {
+  } else if (errc == Errc::moved && info->hint != kUnspecifiedHost) {
     // Redirect: the responder named the authoritative home (e.g. a read
     // replica bouncing a write).  Teach discovery and retry there.
     discovery_->on_redirect(f.object, info->hint);
-    p.generation++;
-    start_attempt(token);
+  } else {
+    finish(token, Error{errc, "remote nack"});
     return;
   }
-  finish(token, Error{errc, "remote nack"});
+  timer_.disarm(token);  // the retry supersedes the attempt in flight
+  start_attempt(token);
 }
 
 void ObjNetService::on_discover_req(const Frame& f) {

@@ -7,7 +7,6 @@
 // experiments drive exactly this service.
 #pragma once
 
-#include <deque>
 #include <functional>
 #include <memory>
 #include <variant>
@@ -166,9 +165,8 @@ class ObjNetService {
   /// non-empty count at quiesce means an access got stuck with no timer
   /// left to finish it).
   std::size_t pending_access_count() const { return pending_.size(); }
-  /// Wheel events this service's deadline timer has outstanding: at
-  /// most one in steady state, whatever the number of armed attempts.
-  std::size_t timer_events_pending() const { return timer_slots_.size(); }
+  /// Attempt deadlines, keyed by access token.
+  const DeadlineTimer<std::uint64_t>& deadline_timer() const { return timer_; }
 
  private:
   /// One outstanding access, from begin to finish.  The starters fill
@@ -183,7 +181,6 @@ class ObjNetService {
     std::variant<ReadCallback, WriteAckCallback, AtomicCallback> cb;
     AccessOptions opts;
     AccessStats stats{};
-    std::uint64_t generation = 0;  // invalidates stale timeout checks
     /// Where the last attempt was sent; a timeout reports it stale so
     /// discovery stops steering retries at a dead host.
     HostAddr last_dst = kUnspecifiedHost;
@@ -202,33 +199,8 @@ class ObjNetService {
   /// Apply an atomic op against a locally resident object.
   Result<AtomicResponse> apply_atomic(ObjectId id, std::uint64_t offset,
                                       const AtomicRequest& req);
-  /// Arm attempt `generation`'s deadline, opts.timeout from now.
-  void arm_timeout(std::uint64_t token, std::uint64_t generation);
   /// An attempt's deadline passed: retry, or give up (start_attempt).
-  /// A completed or superseded attempt makes it a no-op.
-  void on_deadline(std::uint64_t token, std::uint64_t generation);
-
-  /// Where a timer event runs: its time and its (reserved) key, ordered
-  /// by key_less like every other event.
-  struct Slot {
-    SimTime at;
-    std::uint64_t key_a;
-    std::uint64_t key_b;
-  };
-  /// One armed attempt deadline, in the slot its own timer event would
-  /// have had (key reserved when armed).
-  struct Deadline : Slot {
-    std::uint64_t token;
-    std::uint64_t generation;
-  };
-  bool deadline_live(const Deadline& d) const {
-    const Pending* p = pending_.find(d.token);
-    return p != nullptr && p->generation == d.generation;
-  }
-  /// Drop dead heads; make sure a timer event fires no later than the
-  /// earliest live deadline, under that deadline's own key.
-  void arm_deadline_timer();
-  void on_timer(Slot slot);
+  void on_deadline(std::uint64_t token);
 
   // Inbound handlers.
   void on_read_req(const Frame& f);
@@ -263,16 +235,7 @@ class ObjNetService {
   /// the per-response completion path allocation- and chase-free.
   FlatHashMap<std::uint64_t, Pending> pending_;
   std::uint64_t next_token_ = 1;
-  /// The deadline timer (DESIGN.md §7): every deadline armed from this
-  /// host's own context, in (at, key) order.  One wheel event stands
-  /// for all of them, at the head's time and key, so a live timeout
-  /// runs exactly where its own event would have, and a completed op's
-  /// deadline costs no event at all.
-  std::deque<Deadline> deadlines_;
-  /// Slots of the outstanding timer events, one per slot.  Usually one.
-  /// A deadline armed ahead of the earliest adds another; the later
-  /// event fires as a no-op unless its slot is the head's again.
-  std::vector<Slot> timer_slots_;
+  DeadlineTimer<std::uint64_t> timer_;
   Counters counters_;
 };
 

@@ -5,7 +5,10 @@
 namespace objrpc {
 
 RpcClient::RpcClient(HostNode& host, RpcCostModel cost)
-    : host_(host), cost_(cost) {
+    : host_(host),
+      cost_(cost),
+      timer_(host.event_loop(), host.id(),
+             [this](std::uint64_t call_id) { attempt(call_id); }) {
   host_.set_handler(MsgType::invoke_resp,
                     [this](const Frame& f) { on_response(f); });
 }
@@ -49,20 +52,12 @@ void RpcClient::attempt(std::uint64_t call_id) {
   f.payload = env.encode();
   p.stats.bytes_sent += f.payload.size();
 
-  const std::uint64_t generation = ++p.generation;
   // Serialize-then-send: marshalling burns simulated CPU time first.
   host_.event_loop().schedule_after(
       cost_.marshal_time(p.args.size()), [this, f = std::move(f)]() mutable {
         host_.send_frame(std::move(f));
       });
-  host_.event_loop().schedule_after(
-      p.opts.timeout, [this, call_id, generation] {
-        auto it2 = pending_.find(call_id);
-        if (it2 == pending_.end() || it2->second.generation != generation) {
-          return;
-        }
-        attempt(call_id);
-      });
+  timer_.arm(call_id, p.opts.timeout);
 }
 
 void RpcClient::on_response(const Frame& f) {
@@ -92,6 +87,7 @@ void RpcClient::finish(std::uint64_t call_id, Result<Bytes> result) {
   if (it == pending_.end()) return;
   PendingCall p = std::move(it->second);
   pending_.erase(it);
+  timer_.disarm(call_id);
   p.stats.finished_at = host_.event_loop().now();
   if (p.cb) p.cb(std::move(result), p.stats);
 }

@@ -14,6 +14,7 @@
 #include <unordered_map>
 
 #include "net/host_node.hpp"
+#include "sim/deadline_timer.hpp"
 
 namespace objrpc {
 
@@ -65,6 +66,8 @@ class RpcClient {
     std::uint64_t retries = 0;
   };
   const Counters& counters() const { return counters_; }
+  /// Call-attempt deadlines, keyed by call id.
+  const DeadlineTimer<std::uint64_t>& deadline_timer() const { return timer_; }
 
  private:
   struct PendingCall {
@@ -74,7 +77,6 @@ class RpcClient {
     RpcResponseCallback cb;
     RpcCallOptions opts;
     RpcCallStats stats;
-    std::uint64_t generation = 0;
   };
 
   void attempt(std::uint64_t call_id);
@@ -85,6 +87,8 @@ class RpcClient {
   RpcCostModel cost_;
   std::unordered_map<std::uint64_t, PendingCall> pending_;
   std::uint64_t next_call_id_ = 1;
+  /// An attempt's deadline retries the call (attempt).
+  DeadlineTimer<std::uint64_t> timer_;
   Counters counters_;
 };
 

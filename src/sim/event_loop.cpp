@@ -22,8 +22,6 @@ SimTime clamp_bound(std::uint64_t b) {
 
 }  // namespace
 
-thread_local EventLoop::SchedCtx EventLoop::tls_ctx_;
-
 // ---------------------------------------------------------------- wheel
 
 TimingWheel::TimingWheel(EventLoop* owner, std::uint32_t lane)

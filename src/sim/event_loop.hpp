@@ -515,7 +515,11 @@ class EventLoop {
  private:
   static constexpr std::uint64_t kShardLaneBit = std::uint64_t{1} << 62;
 
-  static thread_local SchedCtx tls_ctx_;
+  /// Defined here, constant-initialised: every read is a plain TLS
+  /// access, with no TLS wrapper call for a definition in another
+  /// translation unit.
+  static inline thread_local constinit SchedCtx tls_ctx_{
+      nullptr, nullptr, kExternalSource, 0, 0};
 
   TimingWheel* wheel_of_source(std::uint32_t src) {
     return wheels_[shard_of_source(src)].get();

@@ -259,6 +259,101 @@ INSTANTIATE_TEST_SUITE_P(Schemes, FetchTest,
                          ::testing::Values(DiscoveryScheme::e2e,
                                            DiscoveryScheme::controller));
 
+// --- timeouts: one deadline timer per requester ----------------------------------
+
+/// Runs `f` at `at` in host `h`'s own context, where a requester's
+/// deadline timer keeps one wheel event for all of its deadlines.
+template <typename F>
+void on_host(Cluster& c, std::size_t h, SimTime at, F f) {
+  c.fabric().network().schedule_on(c.host(h).id(), at, std::move(f));
+}
+
+std::vector<ObjectId> make_objects(Cluster& c, std::size_t host, int n) {
+  std::vector<ObjectId> ids;
+  for (int i = 0; i < n; ++i) {
+    auto obj = c.create_object(host, 4096);
+    EXPECT_TRUE(obj);
+    ids.push_back((*obj)->id());
+  }
+  c.settle();
+  return ids;
+}
+
+TEST(FetchTimeout, CrashedHomeFailsOnSchedule) {
+  auto cluster = Cluster::build(small_cluster());
+  const std::vector<ObjectId> ids = make_objects(*cluster, 1, 8);
+  ObjectFetcher& fetcher = cluster->fetcher(0);
+  // A batch of pulls, every one complete long before its 20 ms
+  // deadline: one timer event stands for all of them.
+  const SimTime t0 = cluster->loop().now();
+  int ok = 0;
+  on_host(*cluster, 0, t0, [&] {
+    for (ObjectId id : ids) {
+      fetcher.fetch(id, [&](Status s) { ok += s.is_ok() ? 1 : 0; });
+    }
+  });
+  cluster->loop().run_until(t0 + 5 * kMillisecond);
+  EXPECT_EQ(ok, 8);
+  EXPECT_LE(fetcher.deadline_timer().events_pending(), 1u);
+  cluster->settle();
+  EXPECT_EQ(fetcher.deadline_timer().events_pending(), 0u);
+
+  // The home crashes.  A pull of a location the client still caches
+  // times out against it (20 ms), reports it stale, rediscovers, and
+  // no host answers (three broadcasts, 5 ms apart).
+  fetcher.evict(ids[0]);
+  cluster->fabric().network().set_node_up(cluster->host(1).id(), false);
+  const SimTime t1 = cluster->loop().now();
+  Status failed = Status::ok();
+  SimTime failed_at = 0;
+  on_host(*cluster, 0, t1, [&] {
+    fetcher.fetch(ids[0], [&](Status s) {
+      failed = s;
+      failed_at = cluster->loop().now();
+    });
+  });
+  cluster->settle();
+  ASSERT_FALSE(failed.is_ok());
+  EXPECT_EQ(failed.error().code, Errc::not_found);
+  EXPECT_EQ(fetcher.counters().timeout_rediscoveries, 1u);
+  EXPECT_EQ(failed_at - t1, 35 * kMillisecond);
+}
+
+TEST(FetchTimeout, CompletedPullsDeadlineSparesTheNextPull) {
+  // A pull's deadline dies with the pull.  A later pull of the same
+  // object, in flight when the first one's deadline comes due, must
+  // not be restarted by it (it used to be, when each pull numbered its
+  // attempts from one and the old timer matched the new attempt).
+  auto cluster = Cluster::build(small_cluster());
+  const ObjectId id = make_objects(*cluster, 1, 1)[0];
+  ObjectFetcher& fetcher = cluster->fetcher(0);
+  fetcher.fetch(id, nullptr);  // warm the location cache
+  cluster->settle();
+  fetcher.evict(id);
+  const SimTime t0 = cluster->loop().now();
+  const SimDuration timeout = FetchConfig{}.timeout;
+  SimTime first_took = 0;
+  SimTime second_took = 0;
+  on_host(*cluster, 0, t0, [&] {
+    fetcher.fetch(id, [&](Status s) {
+      EXPECT_TRUE(s.is_ok());
+      first_took = cluster->loop().now() - t0;
+      fetcher.evict(id);
+    });
+  });
+  const SimTime t1 = t0 + timeout - 10 * kMicrosecond;
+  on_host(*cluster, 0, t1, [&] {
+    fetcher.fetch(id, [&](Status s) {
+      EXPECT_TRUE(s.is_ok());
+      second_took = cluster->loop().now() - t1;
+    });
+  });
+  cluster->settle();
+  ASSERT_GT(first_took, 10 * kMicrosecond);  // still in flight at t0 + timeout
+  EXPECT_EQ(second_took, first_took);
+  EXPECT_EQ(fetcher.counters().timeout_rediscoveries, 0u);
+}
+
 // --- invocation -------------------------------------------------------------------
 
 /// Registers a function that sums u64s at the argument pointers.
@@ -434,6 +529,48 @@ TEST(Invoke, InlineArgDelivered) {
   cluster->settle();
   ASSERT_TRUE(got);
   EXPECT_EQ(*got, (Bytes{7, 8, 9}));
+}
+
+TEST(Invoke, RemoteToCrashedExecutorTimesOutOnSchedule) {
+  auto cluster = Cluster::build(small_cluster());
+  const FuncId sum = register_sum(*cluster);
+  InvokeRuntime& runtime = cluster->runtime(0);
+  // A batch of remote invocations, each answered long before its
+  // 100 ms deadline: one timer event stands for all of them.
+  const SimTime t0 = cluster->loop().now();
+  int ok = 0;
+  on_host(*cluster, 0, t0, [&] {
+    for (int i = 0; i < 8; ++i) {
+      cluster->invoke_at(0, cluster->addr_of(1), sum, {}, {},
+                         [&](Result<Bytes> r, const InvokeStats&) {
+                           ok += r ? 1 : 0;
+                         });
+    }
+  });
+  cluster->loop().run_until(t0 + 5 * kMillisecond);
+  EXPECT_EQ(ok, 8);
+  EXPECT_LE(runtime.deadline_timer().events_pending(), 1u);
+  cluster->settle();
+  EXPECT_EQ(runtime.deadline_timer().events_pending(), 0u);
+
+  // The executor crashes: both attempts go unanswered, 100 ms apart.
+  cluster->fabric().network().set_node_up(cluster->host(1).id(), false);
+  const SimTime t1 = cluster->loop().now();
+  Result<Bytes> got{Errc::ok};
+  InvokeStats stats;
+  on_host(*cluster, 0, t1, [&] {
+    cluster->invoke_at(0, cluster->addr_of(1), sum, {}, {},
+                       [&](Result<Bytes> r, const InvokeStats& s) {
+                         got = std::move(r);
+                         stats = s;
+                       });
+  });
+  cluster->settle();
+  ASSERT_FALSE(got);
+  EXPECT_EQ(got.error().code, Errc::timeout);
+  EXPECT_EQ(stats.started_at, t1);
+  EXPECT_EQ(stats.finished_at - t1, 200 * kMillisecond);
+  EXPECT_EQ(runtime.counters().failures, 1u);
 }
 
 // --- cluster-level placement -----------------------------------------------------

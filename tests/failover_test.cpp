@@ -217,6 +217,57 @@ TEST(Failover, RecoveryResumesWhenNoPromotionHappened) {
   EXPECT_EQ(*v, 5u);
 }
 
+TEST(Failover, ProbeOfDeadHomeTimesOutOnSchedule) {
+  FailoverWorld w;
+  Cluster& c = *w.cluster;
+  ReplicaManager& replica = c.replicas(2);
+  const NodeId h2 = c.host(2).id();
+  // More objects homed on host 1, each with a replica on host 2.
+  std::vector<ObjectId> ids;
+  for (int i = 0; i < 8; ++i) {
+    auto obj = c.create_object(1, 4096);
+    ASSERT_TRUE(obj);
+    ids.push_back((*obj)->id());
+    c.replicate_object(ids.back(), 1, 2, nullptr);
+  }
+  c.settle();
+  // A write issued on the replica host bounces toward the home, and the
+  // bounce probes it.  A batch of probes, every one answered long
+  // before its 5 ms deadline: one timer event stands for all of them.
+  const SimTime t0 = c.loop().now();
+  c.fabric().network().schedule_on(h2, t0, [&] {
+    for (ObjectId id : ids) {
+      c.service(2).write(GlobalPtr{id, Object::kDataStart}, u64_bytes(1),
+                         nullptr);
+    }
+  });
+  c.loop().run_until(t0 + 2 * kMillisecond);
+  EXPECT_EQ(replica.counters().probes_sent, 8u);
+  EXPECT_EQ(replica.probing_count(), 0u);
+  EXPECT_LE(replica.probe_timer().events_pending(), 1u);
+  c.settle();
+  EXPECT_EQ(replica.probe_timer().events_pending(), 0u);
+  EXPECT_EQ(replica.counters().promotions, 0u);
+
+  // The home is dead: the probe goes unanswered, and the designated
+  // replica promotes itself exactly one probe timeout later.
+  w.crash(1);
+  const SimTime t1 = c.loop().now();
+  c.fabric().network().schedule_on(h2, t1, [&] {
+    c.service(2).write(GlobalPtr{w.id, Object::kDataStart}, u64_bytes(2),
+                       nullptr);
+  });
+  const SimDuration probe_timeout = ReplicaConfig{}.probe_timeout;
+  c.loop().run_until(t1 + probe_timeout - 1);
+  EXPECT_EQ(replica.probing_count(), 1u);
+  EXPECT_FALSE(replica.is_home(w.id));
+  c.loop().run_until(t1 + probe_timeout);
+  EXPECT_TRUE(replica.is_home(w.id));
+  EXPECT_EQ(replica.probing_count(), 0u);
+  EXPECT_EQ(replica.counters().promotions, 1u);
+  c.settle();
+}
+
 TEST(Failover, PromotionInvalidatesSiblingReplicas) {
   FailoverWorld w(DiscoveryScheme::e2e, 4096, /*seed=*/7, /*hosts=*/4);
   // Second replica on host 3; the designated successor (host 2) learns

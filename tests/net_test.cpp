@@ -912,6 +912,48 @@ TEST(Reliable, LinkDownExhaustsRetryBudget) {
   EXPECT_EQ(fabric->service(1).reliable().outbound_in_progress(), 0u);
 }
 
+TEST(Reliable, CutLinkFailsOnSchedule) {
+  auto fabric = Fabric::build(base_config(DiscoveryScheme::e2e));
+  ReliableChannel& ch = fabric->service(1).reliable();
+  const NodeId h1 = fabric->host(1).id();
+  // A batch of messages, every one acknowledged before its first
+  // retransmission deadline: one timer event stands for all of them.
+  const SimTime t0 = fabric->loop().now();
+  int ok = 0;
+  fabric->network().schedule_on(h1, t0, [&] {
+    for (std::uint64_t i = 0; i < 8; ++i) {
+      ch.send(fabric->host(2).addr(), MsgType::object_replica, fixed_id(i),
+              Bytes(100, 1), [&](Status s) { ok += s.is_ok() ? 1 : 0; });
+    }
+  });
+  fabric->loop().run_until(t0 + ch.config().rto / 2);
+  EXPECT_EQ(ok, 8);
+  EXPECT_EQ(ch.counters().retransmissions, 0u);
+  EXPECT_LE(ch.deadline_timer().events_pending(), 1u);
+  fabric->settle();
+  EXPECT_EQ(ch.deadline_timer().events_pending(), 0u);
+
+  // The link is cut: eleven deadlines, each twice the last (rto << 0
+  // through rto << 10), then the retry budget is spent.
+  fabric->network().set_link_up(h1, 0, false);
+  const SimTime t1 = fabric->loop().now();
+  Status sent = Status::ok();
+  SimTime failed_at = 0;
+  fabric->network().schedule_on(h1, t1, [&] {
+    ch.send(fabric->host(2).addr(), MsgType::object_replica, fixed_id(99),
+            Bytes(100, 1), [&](Status s) {
+              sent = s;
+              failed_at = fabric->loop().now();
+            });
+  });
+  fabric->settle();
+  ASSERT_FALSE(sent.is_ok());
+  EXPECT_EQ(sent.error().code, Errc::timeout);
+  EXPECT_EQ(failed_at - t1, ch.config().rto * 2047);
+  EXPECT_EQ(ch.counters().failures, 1u);
+  EXPECT_EQ(ch.counters().retransmissions, 10u);
+}
+
 TEST(Reliable, LinkFlapRecoversWithoutDuplicateDelivery) {
   auto fabric = Fabric::build(base_config(DiscoveryScheme::e2e));
   Network& net = fabric->network();
@@ -1296,7 +1338,7 @@ TEST(ObjNetService, LiveTimeoutsRunWhereTheirOwnTimersDid) {
   // timer reuses it rather than scheduling a second one under its key.
   fabric->loop().run_until(t0 + 4 * kMillisecond);
   ASSERT_TRUE(fast.done);
-  EXPECT_EQ(svc.timer_events_pending(), 1u);
+  EXPECT_EQ(svc.deadline_timer().events_pending(), 1u);
   fabric->settle();
   ASSERT_TRUE(slow.done);
   ASSERT_TRUE(fast.done);
@@ -1311,7 +1353,7 @@ TEST(ObjNetService, LiveTimeoutsRunWhereTheirOwnTimersDid) {
   EXPECT_EQ(fast.stats.rtts, 3);
   EXPECT_EQ(fast.stats.finished_at - t0, 3 * kMillisecond);
   EXPECT_EQ(svc.counters().timeouts, 2u);
-  EXPECT_EQ(svc.timer_events_pending(), 0u);
+  EXPECT_EQ(svc.deadline_timer().events_pending(), 0u);
 }
 
 TEST(ObjNetService, LiveTimeoutKeepsItsKeyWhenTheTimerReArms) {
@@ -1379,19 +1421,58 @@ TEST(ObjNetService, CompletedAccessesLeaveOneTimerEvent) {
   // 50 armed deadlines, all dead: one wheel event per issuing service
   // (at its earliest deadline), none anywhere else.
   for (std::size_t h = 0; h < fabric->host_count(); ++h) {
-    EXPECT_EQ(fabric->service(h).timer_events_pending(),
+    EXPECT_EQ(fabric->service(h).deadline_timer().events_pending(),
               h == 0 || h == 2 ? 1u : 0u)
         << h;
   }
   fabric->settle();
   for (std::size_t h = 0; h < fabric->host_count(); ++h) {
-    EXPECT_EQ(fabric->service(h).timer_events_pending(), 0u) << h;
+    EXPECT_EQ(fabric->service(h).deadline_timer().events_pending(), 0u) << h;
     EXPECT_EQ(fabric->service(h).counters().timeouts, 0u) << h;
   }
   // The run drained at host 2's first deadline (its first access went
   // out 10 us after host 0's), not at the last access's deadline.
   EXPECT_EQ(fabric->loop().now(),
             t0 + 10 * kMicrosecond + AccessOptions{}.timeout);
+}
+
+TEST(E2EScheme, UnansweredDiscoveryFailsOnSchedule) {
+  auto fabric = Fabric::build(base_config(DiscoveryScheme::e2e));
+  std::vector<GlobalPtr> ptrs;
+  for (int i = 0; i < 8; ++i) ptrs.push_back(make_test_object(*fabric, 1));
+  fabric->settle();
+  const NodeId h0 = fabric->host(0).id();
+  E2EDiscovery& discovery = *fabric->e2e_of(0);
+  // A batch of discoveries, every one answered long before its 5 ms
+  // deadline: one timer event stands for all of them.
+  const SimTime t0 = fabric->loop().now();
+  int ok = 0;
+  fabric->network().schedule_on(h0, t0, [&] {
+    for (const GlobalPtr& ptr : ptrs) {
+      fabric->service(0).read(ptr, 8, [&](Result<Bytes> r, const AccessStats&) {
+        ok += r ? 1 : 0;
+      });
+    }
+  });
+  fabric->loop().run_until(t0 + 2 * kMillisecond);
+  EXPECT_EQ(ok, 8);
+  EXPECT_EQ(discovery.broadcasts_sent(), 8u);
+  EXPECT_LE(discovery.deadline_timer().events_pending(), 1u);
+  fabric->settle();
+  EXPECT_EQ(discovery.deadline_timer().events_pending(), 0u);
+
+  // No host holds the object: three broadcasts, 5 ms apart, then the
+  // access fails.
+  const SimTime t1 = fabric->loop().now();
+  ReadOutcome missing;
+  fabric->network().schedule_on(h0, t1, [&] {
+    fabric->service(0).read(GlobalPtr{fixed_id(999), 64}, 8, record(missing));
+  });
+  fabric->settle();
+  ASSERT_TRUE(missing.done);
+  EXPECT_EQ(missing.code, Errc::not_found);
+  EXPECT_EQ(missing.stats.finished_at - t1, 15 * kMillisecond);
+  EXPECT_EQ(discovery.counters().discovery_failures, 1u);
 }
 
 }  // namespace

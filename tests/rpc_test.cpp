@@ -148,19 +148,48 @@ TEST(Rpc, RetryAfterLossEventuallySucceeds) {
 
 TEST(Rpc, TimeoutWhenServerAbsent) {
   RpcWorld w;
+  w.server->register_method(
+      "echo", [](HostAddr, ByteSpan args, RpcServer::ReplyFn reply) {
+        reply(Bytes(args.begin(), args.end()));
+      });
+  // A batch of calls from the client's own context, every one answered
+  // long before its 50 ms deadline: one timer event stands for all.
+  const NodeId h0 = w.fabric->host(0).id();
+  const SimTime t0 = w.fabric->loop().now();
+  int ok = 0;
+  w.fabric->network().schedule_on(h0, t0, [&] {
+    for (int i = 0; i < 8; ++i) {
+      w.client->call(w.fabric->host(1).addr(), "echo", Bytes{1, 2},
+                     [&](Result<Bytes> r, const RpcCallStats&) {
+                       ok += r ? 1 : 0;
+                     });
+    }
+  });
+  w.fabric->loop().run_until(t0 + 5 * kMillisecond);
+  EXPECT_EQ(ok, 8);
+  EXPECT_LE(w.client->deadline_timer().events_pending(), 1u);
+  w.fabric->settle();
+  EXPECT_EQ(w.client->deadline_timer().events_pending(), 0u);
+
   Result<Bytes> got{Errc::ok};
+  RpcCallStats stats;
   RpcCallOptions opts;
   opts.timeout = 1 * kMillisecond;
   opts.max_attempts = 2;
   // Host 2 runs no server: invoke_req frames are dropped unhandled.
+  // Both attempts go unanswered, 1 ms apart.
+  const SimTime t1 = w.fabric->loop().now();
   w.client->call(w.fabric->host(2).addr(), "echo", {},
-                 [&](Result<Bytes> r, const RpcCallStats&) {
+                 [&](Result<Bytes> r, const RpcCallStats& s) {
                    got = std::move(r);
+                   stats = s;
                  },
                  opts);
   w.fabric->settle();
   EXPECT_FALSE(got);
   EXPECT_EQ(got.error().code, Errc::timeout);
+  EXPECT_EQ(stats.attempts, 3);
+  EXPECT_EQ(stats.finished_at - t1, 2 * kMillisecond);
 }
 
 TEST(Rpc, ConcurrentCallsKeepIdentity) {

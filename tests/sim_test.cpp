@@ -11,6 +11,7 @@
 #include <tuple>
 
 #include "common/rng.hpp"
+#include "sim/deadline_timer.hpp"
 #include "sim/event_loop.hpp"
 #include "sim/network.hpp"
 #include "sim/pipeline.hpp"
@@ -392,6 +393,129 @@ TEST(EventLoop, MergeRunSeesCrossWheelScheduleBelowCachedHead) {
                                            "B@100/5/50"};
     EXPECT_EQ(ran, want);
   }
+}
+
+// --- DeadlineTimer -------------------------------------------------------------
+
+/// A loop with the timer's owner (source 0) and one other node
+/// (source 1), and a timer that records each expiry as (id, time).
+struct TimerRig {
+  EventLoop loop;
+  std::vector<std::pair<int, SimTime>> expired;
+  DeadlineTimer<int> timer{loop, 0, [this](int id) {
+                             expired.emplace_back(id, loop.now());
+                           }};
+  TimerRig() {
+    loop.register_source(0);
+    loop.register_source(1);
+  }
+  /// Run `f` at `at` in the owner's own context.
+  template <typename F>
+  void as_owner(SimTime at, F f) {
+    loop.schedule_on_source(0, at, std::move(f));
+  }
+};
+
+using Expiries = std::vector<std::pair<int, SimTime>>;
+
+TEST(DeadlineTimer, ReArmReplacesTheEarlierDeadline) {
+  TimerRig r;
+  r.as_owner(0, [&] {
+    r.timer.arm(1, 100);
+    r.timer.arm(2, 100);
+  });
+  r.as_owner(50, [&] {
+    r.timer.arm(1, 100);  // later: expires at 150, not 100
+    r.timer.arm(2, 20);   // earlier: expires at 70, not 100
+  });
+  r.loop.run();
+  EXPECT_EQ(r.expired, (Expiries{{2, 70}, {1, 150}}));
+  EXPECT_EQ(r.timer.events_pending(), 0u);
+}
+
+TEST(DeadlineTimer, DisarmedIdNeverExpires) {
+  TimerRig r;
+  r.as_owner(0, [&] {
+    r.timer.arm(1, 100);
+    r.timer.arm(2, 200);
+    r.timer.arm(3, 300);
+  });
+  r.as_owner(50, [&] {
+    r.timer.disarm(1);
+    r.timer.disarm(3);
+  });
+  r.loop.run();
+  EXPECT_EQ(r.expired, (Expiries{{2, 200}}));
+  // The dead tail cost no event: the run drained at the live deadline.
+  EXPECT_EQ(r.loop.now(), 200);
+  EXPECT_EQ(r.timer.events_pending(), 0u);
+}
+
+TEST(DeadlineTimer, LiveDeadlineAfterDeadHeadFiresUnderItsReservedKey) {
+  // Both deadlines fall at t=100.  The dead head's event fires first;
+  // the live one must then run under the key it reserved when armed at
+  // t=10, ahead of the owner's own event for t=100 scheduled at t=20.
+  TimerRig r;
+  std::vector<std::string> order;
+  DeadlineTimer<int> timer(
+      r.loop, 0, [&](int id) { order.push_back(std::to_string(id)); });
+  r.as_owner(0, [&] { timer.arm(1, 100); });
+  r.as_owner(10, [&] { timer.arm(2, 90); });
+  r.as_owner(20, [&] {
+    r.loop.schedule_at(100, [&] { order.push_back("later event"); });
+  });
+  r.as_owner(30, [&] { timer.disarm(1); });
+  r.loop.run();
+  EXPECT_EQ(order, (std::vector<std::string>{"2", "later event"}));
+}
+
+TEST(DeadlineTimer, ArmOutsideTheOwnersContextGetsItsOwnEvent) {
+  TimerRig r;
+  // From the test driver (control lane) and from another node: each
+  // arm is its own event in the arming context, where schedule_at from
+  // there would have put it, and none is the timer's own.
+  std::vector<std::string> order;
+  r.timer.arm(1, 100);
+  r.loop.schedule_at(100, [&] { order.push_back("driver event"); });
+  EXPECT_EQ(r.loop.pending(), 2u);
+  r.loop.schedule_on_source(1, 0, [&] { r.timer.arm(2, 150); });
+  // The owner's own arm gets the timer's one event.
+  r.as_owner(0, [&] { r.timer.arm(3, 120); });
+  r.loop.run_until(0);
+  EXPECT_EQ(r.loop.pending(), 4u);
+  EXPECT_EQ(r.timer.events_pending(), 1u);
+  // Re-armed from outside: the first event stays, and fires as a no-op.
+  r.loop.schedule_on_source(1, 10, [&] { r.timer.arm(2, 200); });
+  r.loop.run_until(10);
+  EXPECT_EQ(r.loop.pending(), 5u);
+  r.loop.run_until(100);
+  EXPECT_EQ(r.expired, (Expiries{{1, 100}}));
+  EXPECT_EQ(order, (std::vector<std::string>{"driver event"}));
+  r.loop.run();
+  EXPECT_EQ(r.expired, (Expiries{{1, 100}, {3, 120}, {2, 210}}));
+  EXPECT_EQ(r.timer.events_pending(), 0u);
+}
+
+TEST(DeadlineTimer, EventsPendingCountsOneEventPerEarliestArm) {
+  TimerRig r;
+  r.as_owner(0, [&] {
+    for (int i = 0; i < 50; ++i) r.timer.arm(i, 1000 + i);
+    EXPECT_EQ(r.timer.events_pending(), 1u);
+    r.timer.arm(99, 10);  // ahead of the outstanding event: a second one
+    EXPECT_EQ(r.timer.events_pending(), 2u);
+  });
+  r.loop.run_until(10);
+  EXPECT_EQ(r.expired, (Expiries{{99, 10}}));
+  EXPECT_EQ(r.timer.events_pending(), 1u);
+  r.as_owner(20, [&] {
+    for (int i = 0; i < 50; ++i) r.timer.disarm(i);
+  });
+  r.loop.run();
+  EXPECT_EQ(r.expired.size(), 1u);
+  EXPECT_EQ(r.timer.events_pending(), 0u);
+  // The lone event fired at the earliest dead deadline and found
+  // nothing live behind it.
+  EXPECT_EQ(r.loop.now(), 1000);
 }
 
 // --- MatchActionTable ---------------------------------------------------------
