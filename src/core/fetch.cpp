@@ -11,51 +11,14 @@ ObjectFetcher::ObjectFetcher(ObjNetService& service, FetchConfig cfg)
       cfg_(cfg),
       timer_(service.host().event_loop(), service.host().id(),
              [this](ObjectId id) { on_deadline(id); }) {
-  service_.set_authority_filter(
-      [this](ObjectId id) { return cached_.count(id) == 0; });
   HostNode& host = service_.host();
   host.set_handler(MsgType::chunk_req,
                    [this](const Frame& f) { on_chunk_req(f); });
   host.set_handler(MsgType::chunk_resp,
                    [this](const Frame& f) { on_chunk_resp(f); });
-  host.set_handler(MsgType::invalidate,
-                   [this](const Frame& f) { on_invalidate(f); });
   host.set_handler(MsgType::invalidate_ack,
                    [this](const Frame& f) { on_invalidate_ack(f); });
-  service_.add_write_observer([this](ObjectId id) {
-    auto it = copysets_.find(id);
-    if (it == copysets_.end()) return;
-    // Version that obsoleted the replicas: the post-write counter.
-    std::uint64_t version = 0;
-    if (const ObjectPtr* obj = service_.host().store().find(id)) {
-      version = (*obj)->version();
-    }
-    // Switch cache agents sit on the read path between us and every host
-    // replica — invalidate them FIRST, so a host that re-fetches cannot
-    // be answered by a not-yet-invalidated switch holding the old image.
-    // Sorting within each class keeps the wire order independent of the
-    // copyset's hash layout (seeded replay determinism).
-    std::vector<HostAddr> members(it->second.begin(), it->second.end());
-    std::sort(members.begin(), members.end(), [](HostAddr a, HostAddr b) {
-      const bool ca = is_inc_cache_addr(a), cb = is_inc_cache_addr(b);
-      if (ca != cb) return ca;
-      return a < b;
-    });
-    const std::uint32_t epoch = epoch_provider_ ? epoch_provider_(id) : 0;
-    for (HostAddr member : members) {
-      ++counters_.invalidates_sent;
-      Frame inv;
-      inv.type = MsgType::invalidate;
-      inv.dst_host = member;
-      inv.object = id;
-      inv.obj_version = version;
-      inv.epoch = epoch;
-      service_.host().send_frame(std::move(inv));
-    }
-    copysets_.erase(it);
-  });
-  HostNode& h = service_.host();
-  metrics_.attach(h.metrics(), h.name() + "/fetch");
+  metrics_.attach(host.metrics(), host.name() + "/fetch");
   metrics_.add("fetches_started", [this] { return counters_.fetches_started; });
   metrics_.add("fetches_completed",
                [this] { return counters_.fetches_completed; });
@@ -75,8 +38,38 @@ ObjectFetcher::ObjectFetcher(ObjNetService& service, FetchConfig cfg)
   metrics_.add("stale_rejects", [this] { return counters_.stale_rejects; });
   metrics_.add("timeout_rediscoveries",
                [this] { return counters_.timeout_rediscoveries; });
-  metrics_.add("invalidates_rejected",
-               [this] { return counters_.invalidates_rejected; });
+}
+
+void ObjectFetcher::invalidate_copyset(ObjectId id, std::uint32_t epoch) {
+  auto it = copysets_.find(id);
+  if (it == copysets_.end()) return;
+  // Version that obsoleted the replicas: the post-write counter.
+  std::uint64_t version = 0;
+  if (const ObjectPtr* obj = service_.host().store().find(id)) {
+    version = (*obj)->version();
+  }
+  // Switch cache agents sit on the read path between us and every host
+  // replica — invalidate them FIRST, so a host that re-fetches cannot
+  // be answered by a not-yet-invalidated switch holding the old image.
+  // Sorting within each class keeps the wire order independent of the
+  // copyset's hash layout (seeded replay determinism).
+  std::vector<HostAddr> members(it->second.begin(), it->second.end());
+  std::sort(members.begin(), members.end(), [](HostAddr a, HostAddr b) {
+    const bool ca = is_inc_cache_addr(a), cb = is_inc_cache_addr(b);
+    if (ca != cb) return ca;
+    return a < b;
+  });
+  for (HostAddr member : members) {
+    ++counters_.invalidates_sent;
+    Frame inv;
+    inv.type = MsgType::invalidate;
+    inv.dst_host = member;
+    inv.object = id;
+    inv.obj_version = version;
+    inv.epoch = epoch;
+    service_.host().send_frame(std::move(inv));
+  }
+  copysets_.erase(it);
 }
 
 void ObjectFetcher::fetch(ObjectId id, FetchCallback cb) {
@@ -166,7 +159,7 @@ void ObjectFetcher::on_chunk_req(const Frame& f) {
   resp.object = f.object;
   resp.seq = f.seq;
   resp.trace = f.trace;  // the reply stays in the requester's trace
-  if (!obj || (serve_guard_ && !serve_guard_(f.object))) {
+  if (!obj || !service_.may_serve_read(f.object)) {
     // Absent — or present but quarantined (a revived home mid-recovery
     // must not hand out possibly pre-promotion bytes).
     resp.offset = kChunkNotHere;
@@ -314,20 +307,9 @@ void ObjectFetcher::complete(ObjectId id, Status s) {
   }
 }
 
-void ObjectFetcher::on_invalidate(const Frame& f) {
-  if (coherence_guard_ && !coherence_guard_(f)) {
-    // A deposed home writing under a stale epoch; the guard has sent the
-    // fence.  No ack: the sender must not count this as delivered.
-    ++counters_.invalidates_rejected;
-    return;
-  }
+void ObjectFetcher::accept_invalidate(const Frame& f) {
   ++counters_.invalidates_received;
-  if (cached_.erase(f.object) > 0) {
-    ++counters_.evictions;
-    (void)service_.host().store().remove(f.object);
-  } else if (invalidate_hook_) {
-    invalidate_hook_(f.object);
-  }
+  evict(f.object);
   // A fetch in flight is pulling the very image this invalidate just
   // obsoleted.  Raise the floor past it (unversioned invalidates
   // obsolete whatever version we locked) and restart through discovery;

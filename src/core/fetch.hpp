@@ -14,7 +14,9 @@
 //   coherence-lite — when the home observes a write it sends invalidate
 //     to the copyset; cachers evict their replica and re-fetch on next
 //     use (exactly the re-implemented-at-every-layer pattern §5 wants
-//     hoisted into one place).
+//     hoisted into one place).  The replication layer above owns the
+//     host's write observer and invalidate handler (epoch fencing
+//     first) and calls down into invalidate_copyset / accept_invalidate.
 #pragma once
 
 #include <algorithm>
@@ -75,9 +77,6 @@ class ObjectFetcher {
     /// Pull attempts that timed out against an unresponsive source and
     /// reported it stale before re-resolving (crash rediscovery).
     std::uint64_t timeout_rediscoveries = 0;
-    /// Inbound invalidates rejected by the coherence guard (stale-epoch
-    /// writer fenced off).
-    std::uint64_t invalidates_rejected = 0;
   };
   const Counters& counters() const { return counters_; }
 
@@ -91,32 +90,16 @@ class ObjectFetcher {
     copysets_[id].insert(member);
   }
 
-  /// Hook invoked when an invalidate arrives for an object that is NOT
-  /// one of this fetcher's cached replicas (e.g. a full read replica
-  /// managed by the replication layer).
-  using InvalidateHook = std::function<void(ObjectId)>;
-  void set_invalidate_hook(InvalidateHook h) {
-    invalidate_hook_ = std::move(h);
-  }
+  /// Home side: a local write obsoleted `id`'s replicas.  Invalidate
+  /// every copyset member (switch caches first), stamped with the home's
+  /// `epoch` (0 when the object has never been replicated), and forget
+  /// the copyset.
+  void invalidate_copyset(ObjectId id, std::uint32_t epoch);
 
-  /// Gate on serving chunk_reqs: a revived home that may have been
-  /// deposed answers "not here" until its recovery probe settles, so
-  /// pre-promotion bytes are never handed out.
-  using ServeGuard = std::function<bool(ObjectId)>;
-  void set_serve_guard(ServeGuard g) { serve_guard_ = std::move(g); }
-
-  /// Source of the home-epoch stamp carried on outgoing invalidates
-  /// (0 when the object has never been replicated).
-  using EpochProvider = std::function<std::uint32_t(ObjectId)>;
-  void set_epoch_provider(EpochProvider p) { epoch_provider_ = std::move(p); }
-
-  /// Inbound invalidate admission control.  Returns false to reject the
-  /// frame (a deposed home writing under a stale epoch); the guard is
-  /// responsible for any fence reply.
-  using CoherenceGuard = std::function<bool(const Frame&)>;
-  void set_coherence_guard(CoherenceGuard g) {
-    coherence_guard_ = std::move(g);
-  }
+  /// Holder side: apply an invalidate the coherence layer admitted.
+  /// Evicts a cached replica, raises the floor of a pull in flight and
+  /// restarts it, and acks the sender.
+  void accept_invalidate(const Frame& f);
 
   /// Observation hook for the invariant checker: fires when a completed
   /// pull is adopted into the local store, with the image version the
@@ -170,7 +153,6 @@ class ObjectFetcher {
                       std::uint64_t offset, std::uint32_t length);
   void on_chunk_req(const Frame& f);
   void on_chunk_resp(const Frame& f);
-  void on_invalidate(const Frame& f);
   void on_invalidate_ack(const Frame& f);
   void complete(ObjectId id, Status s);
   void run_prefetch(const Object& fetched);
@@ -184,10 +166,6 @@ class ObjectFetcher {
   std::unordered_map<ObjectId, std::unordered_set<HostAddr>> copysets_;
   std::uint64_t next_seq_ = 1;
   DeadlineTimer<ObjectId> timer_;
-  InvalidateHook invalidate_hook_;
-  ServeGuard serve_guard_;
-  EpochProvider epoch_provider_;
-  CoherenceGuard coherence_guard_;
   AdoptObserver adopt_observer_;
   Counters counters_;
   /// Declared last: detaches from the registry before members it reads.

@@ -21,66 +21,32 @@ ReplicaManager::ReplicaManager(ObjNetService& service, ObjectFetcher& fetcher,
                    [this](ObjectId id) { on_probe_timeout(id); }),
       recovery_timer_(service.host().event_loop(), service.host().id(),
                       [this](ObjectId id) { on_recovery_timeout(id); }) {
-  service_.set_reliable_fallback(
-      [this](HostAddr src, MsgType inner, ObjectId object, Bytes payload) {
-        if (inner == MsgType::object_replica) {
-          on_replica_message(src, object, std::move(payload));
-        } else if (inner == MsgType::member_update) {
-          on_member_update(src, object, std::move(payload));
-        }
-      });
+  // The host's coherence front door: the one write observer, the one
+  // invalidate handler, and the replica wire messages.
+  service_.set_write_observer([this](ObjectId id) { on_local_write(id); });
   service_.set_write_redirector(
-      [this](ObjectId id) -> std::optional<HostAddr> {
-        auto it = primaries_.find(id);
-        if (it == primaries_.end()) return std::nullopt;
-        ++counters_.writes_redirected;
-        // The bounce is also our failure detector: verify the home we
-        // are pointing the writer at still answers.
-        suspect_home(id);
-        return it->second.home;
-      });
-  fetcher_.set_invalidate_hook([this](ObjectId id) {
-    auto it = primaries_.find(id);
-    if (it == primaries_.end()) return;
-    primaries_.erase(it);
-    ++counters_.replicas_invalidated;
-    (void)service_.host().store().remove(id);
-  });
-  // Tighten the fetcher's authority filter: a quarantined revived home
-  // must not answer discovery or take writes until its recovery probe
-  // establishes it was not deposed.
+      [this](ObjectId id) { return redirect_write(id); });
+  // A cached copy never has authority, and neither does a quarantined
+  // revived home: it must not answer discovery or take writes until its
+  // recovery probe establishes it was not deposed.
   service_.set_authority_filter([this](ObjectId id) {
     return !fetcher_.is_cached_replica(id) && !is_recovering(id);
   });
+  // The same quarantine gates reads and the fetcher's chunk serving.
   service_.set_read_guard([this](ObjectId id) { return !is_recovering(id); });
-  fetcher_.set_serve_guard([this](ObjectId id) { return !is_recovering(id); });
-  fetcher_.set_epoch_provider([this](ObjectId id) { return home_epoch(id); });
-  fetcher_.set_coherence_guard([this](const Frame& f) {
-    auto it = homes_.find(f.object);
-    if (it == homes_.end()) return true;
-    if (f.epoch != 0 && f.epoch < it->second.epoch) {
-      // A deposed home (crashed, promoted around, revived) is still
-      // writing under its old epoch.  Reject, and fence it off.
-      ++counters_.stale_epoch_rejects;
-      send_epoch_reply(f.src_host, f.object, it->second.epoch,
-                       service_.host().addr());
-      return false;
-    }
-    if (f.epoch != 0 && f.epoch > it->second.epoch) {
-      // The invalidate itself proves a newer home exists: step down
-      // first, then let the eviction proceed.
-      demote(f.object, f.epoch);
-    }
-    return true;
-  });
-  service_.add_write_observer([this](ObjectId id) {
-    // The fetcher's observer (registered first) just invalidated every
-    // replica; membership restarts empty and the next push re-picks a
-    // designated successor.  The epoch survives.
-    auto it = homes_.find(id);
-    if (it != homes_.end()) it->second.members.clear();
-  });
+  service_.reliable().set_handler(
+      MsgType::object_replica,
+      [this](HostAddr, MsgType, ObjectId object, Bytes payload) {
+        on_replica_message(object, std::move(payload));
+      });
+  service_.reliable().set_handler(
+      MsgType::member_update,
+      [this](HostAddr src, MsgType, ObjectId object, Bytes payload) {
+        on_member_update(src, object, std::move(payload));
+      });
   HostNode& host = service_.host();
+  host.set_handler(MsgType::invalidate,
+                   [this](const Frame& f) { on_invalidate(f); });
   host.set_handler(MsgType::epoch_probe,
                    [this](const Frame& f) { on_epoch_probe(f); });
   host.set_handler(MsgType::epoch_reply,
@@ -149,8 +115,54 @@ void ReplicaManager::replicate(ObjectId id, HostAddr dst,
                            std::move(w).take(), std::move(cb));
 }
 
-void ReplicaManager::on_replica_message(HostAddr /*src*/, ObjectId object,
-                                        Bytes payload) {
+void ReplicaManager::on_local_write(ObjectId id) {
+  // Invalidate every replica under the home's epoch, then restart the
+  // membership empty: the next push re-picks a designated successor.
+  // The epoch survives.
+  fetcher_.invalidate_copyset(id, home_epoch(id));
+  auto it = homes_.find(id);
+  if (it != homes_.end()) it->second.members.clear();
+}
+
+std::optional<HostAddr> ReplicaManager::redirect_write(ObjectId id) {
+  auto it = primaries_.find(id);
+  if (it == primaries_.end()) return std::nullopt;
+  ++counters_.writes_redirected;
+  // The bounce is also our failure detector: verify the home we are
+  // pointing the writer at still answers.
+  suspect_home(id);
+  return it->second.home;
+}
+
+void ReplicaManager::on_invalidate(const Frame& f) {
+  if (auto it = homes_.find(f.object); it != homes_.end()) {
+    if (f.epoch != 0 && f.epoch < it->second.epoch) {
+      // A deposed home (crashed, promoted around, revived) is still
+      // writing under its old epoch.  Reject and fence it off; no ack,
+      // so the sender must not count this as delivered.
+      ++counters_.stale_epoch_rejects;
+      send_epoch_reply(f.src_host, f.object, it->second.epoch,
+                       service_.host().addr());
+      return;
+    }
+    if (f.epoch != 0 && f.epoch > it->second.epoch) {
+      // The invalidate itself proves a newer home exists: step down
+      // first, then let the eviction proceed.
+      demote(f.object, f.epoch);
+    }
+  }
+  // A read replica is ours to drop; a cached copy is the fetcher's.
+  if (!fetcher_.is_cached_replica(f.object)) {
+    if (auto it = primaries_.find(f.object); it != primaries_.end()) {
+      primaries_.erase(it);
+      ++counters_.replicas_invalidated;
+      (void)service_.host().store().remove(f.object);
+    }
+  }
+  fetcher_.accept_invalidate(f);
+}
+
+void ReplicaManager::on_replica_message(ObjectId object, Bytes payload) {
   BufReader r(payload);
   ReplicaInfo info;
   info.home = r.get_u64();

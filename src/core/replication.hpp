@@ -37,6 +37,7 @@
 #pragma once
 
 #include <algorithm>
+#include <optional>
 #include <unordered_map>
 #include <vector>
 
@@ -127,7 +128,7 @@ class ReplicaManager {
     /// Recoveries that finished with authority resumed (no promotion
     /// had happened while the home was down).
     std::uint64_t recoveries_resumed = 0;
-    /// Stale-epoch invalidates bounced by the coherence guard.
+    /// Stale-epoch invalidates bounced by the invalidate admission.
     std::uint64_t stale_epoch_rejects = 0;
     /// Replicas dropped because their home vanished and this host was
     /// not the designated successor.
@@ -152,7 +153,16 @@ class ReplicaManager {
     std::vector<HostAddr> members;
   };
 
-  void on_replica_message(HostAddr src, ObjectId object, Bytes payload);
+  /// The host's write observer: invalidate the copyset under the home
+  /// epoch, then reset the replica membership.
+  void on_local_write(ObjectId id);
+  /// The service's write redirector: a replica points writers at its
+  /// home (and suspects the home while doing so).
+  std::optional<HostAddr> redirect_write(ObjectId id);
+  /// The host's invalidate handler: admit by epoch (or fence the stale
+  /// sender), drop a read replica, then let the fetcher evict and ack.
+  void on_invalidate(const Frame& f);
+  void on_replica_message(ObjectId object, Bytes payload);
   void on_member_update(HostAddr src, ObjectId object, Bytes payload);
   void on_epoch_probe(const Frame& f);
   void on_epoch_reply(const Frame& f);

@@ -21,9 +21,10 @@ InvokeRuntime::InvokeRuntime(ObjNetService& service, CodeRegistry& registry,
       fetcher_(fetcher),
       timer_(service.host().event_loop(), service.host().id(),
              [this](std::uint64_t token) { on_deadline(token); }) {
-  service_.set_invoke_handler(
-      [this](const Frame& f) { on_invoke_req(f); });
-  service_.host().set_handler(MsgType::invoke_resp, [this](const Frame& f) {
+  HostNode& host = service_.host();
+  host.set_handler(MsgType::invoke_req,
+                   [this](const Frame& f) { on_invoke_req(f); });
+  host.set_handler(MsgType::invoke_resp, [this](const Frame& f) {
     BufReader r(f.payload);
     const auto errc = static_cast<Errc>(r.get_u16());
     if (errc == Errc::ok) {

@@ -143,7 +143,7 @@ void IncCacheStage::on_direct_req(const Frame& req, PortId in_port) {
   resp.seq = req.seq;
   resp.offset = kChunkNotHere;
   resp.trace = req.trace;
-  emit(std::move(resp), in_port);
+  switch_emit(switch_, resp, in_port);
 }
 
 void IncCacheStage::serve(const Frame& req, PortId in_port, Entry& entry) {
@@ -179,7 +179,7 @@ void IncCacheStage::serve(const Frame& req, PortId in_port, Entry& entry) {
   // The requester now holds (part of) a replica the home knows nothing
   // about; WE owe it the invalidate when the home invalidates us.
   readers_[req.object].insert(req.src_host);
-  emit(std::move(resp), in_port);
+  switch_emit(switch_, resp, in_port);
 }
 
 void IncCacheStage::maybe_start_fill(const Frame& req, PortId in_port) {
@@ -198,7 +198,7 @@ void IncCacheStage::maybe_start_fill(const Frame& req, PortId in_port) {
   stat.seq = fill.stat_seq;
   stat.length = 0;
   stat.trace = req.trace;  // the fill is caused by this request
-  emit(std::move(stat), in_port);
+  switch_emit(switch_, stat, in_port);
 }
 
 void IncCacheStage::on_fill_resp(const Frame& f, PortId in_port) {
@@ -237,7 +237,7 @@ void IncCacheStage::on_fill_resp(const Frame& f, PortId in_port) {
     pull.offset = 0;
     pull.length = static_cast<std::uint32_t>(fill.size);
     pull.trace = f.trace;  // continue the fill's causal chain
-    emit(std::move(pull), in_port);
+    switch_emit(switch_, pull, in_port);
     return;
   }
 
@@ -331,7 +331,7 @@ void IncCacheStage::on_invalidate(const Frame& f, PortId in_port) {
       inv.obj_version = floor;
       inv.seq = next_seq_++;
       inv.trace = f.trace;  // forwarded leg of the same invalidate wave
-      emit(std::move(inv), in_port);
+      switch_emit(switch_, inv, in_port);
     }
     readers_.erase(rit);
   }
@@ -343,39 +343,7 @@ void IncCacheStage::on_invalidate(const Frame& f, PortId in_port) {
   ack.object = f.object;
   ack.seq = f.seq;
   ack.trace = f.trace;
-  emit(std::move(ack), in_port);
-}
-
-void IncCacheStage::emit(Frame frame, PortId in_port) {
-  Packet out;
-  out.data = frame.encode();
-  // Keep the simulator packet in the frame's causal trace (per-hop
-  // queue/wire/pipeline spans attribute to the right operation).
-  out.trace_id = frame.trace.trace;
-  out.span_parent = frame.trace.parent;
-  if (frame.dst_host != kUnspecifiedHost) {
-    // Host-addressed (replies, pulls from a known home, invalidates to
-    // readers): the switch's own host routes, else flood.
-    if (auto a = switch_.table().lookup(host_route_key(frame.dst_host));
-        a && a->kind == ActionKind::forward) {
-      switch_.forward(a->port, std::move(out));
-      return;
-    }
-  } else {
-    // Identity-routed (controller scheme): object route, else the punt
-    // path — the controller redirects toward the home like any other
-    // table-missed data frame.
-    if (auto a = switch_.table().lookup(object_route_key(frame.object));
-        a && a->kind == ActionKind::forward) {
-      switch_.forward(a->port, std::move(out));
-      return;
-    }
-    if (switch_.config().punt_port != kInvalidPort) {
-      switch_.forward(switch_.config().punt_port, std::move(out));
-      return;
-    }
-  }
-  switch_.flood(in_port, out);
+  switch_emit(switch_, ack, in_port);
 }
 
 }  // namespace objrpc

@@ -145,9 +145,6 @@ class IncCacheStage {
   void admit(ObjectId id, Bytes image, std::uint64_t version);
   void drop_entry(ObjectId id);
   void abort_fill(ObjectId id);
-  /// Route a cache-agent frame: host table, then object table, then the
-  /// punt path (controller redirect), then flood — mirrors the pipeline.
-  void emit(Frame frame, PortId in_port);
 
   std::uint64_t entry_cost(std::uint64_t image_bytes) const {
     return image_bytes + cfg_.entry_overhead_bytes;

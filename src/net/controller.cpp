@@ -191,8 +191,7 @@ void ControllerNode::on_punted(const Frame& f, PortId /*in_port*/) {
   // Re-emit through any managed switch; host routes take it from there.
   // send_frame would overwrite src_host (the original requester), so
   // build the packet directly.
-  Packet pkt;
-  pkt.data = redirected.encode();
+  Packet pkt = redirected.to_packet();
   if (!control_ports_.empty()) {
     loop().schedule_after(config().processing_delay,
                           [this, pkt = std::move(pkt)]() mutable {
@@ -270,8 +269,7 @@ void ControllerNode::send_to_switch(std::size_t switch_idx, MsgType type,
   f.type = type;
   f.src_host = addr();
   f.payload = std::move(payload);
-  Packet pkt;
-  pkt.data = f.encode();
+  Packet pkt = f.to_packet();
   const PortId port = control_ports_.at(switch_idx);
   loop().schedule_after(config().processing_delay,
                         [this, port, pkt = std::move(pkt)]() mutable {

@@ -20,15 +20,7 @@ HostNode::HostNode(Network& net, NodeId id, std::string name, HostConfig cfg)
 void HostNode::send_frame(Frame frame) {
   frame.src_host = addr();
   ++counters_.frames_out;
-  Packet pkt;
-  pkt.data = frame.encode();
-  // Propagate the frame's causal context onto the simulator packet so
-  // per-hop queue/wire/pipeline spans parent under the right operation.
-  pkt.trace_id = frame.trace.trace;
-  pkt.span_parent = frame.trace.parent;
-  // Tenant tag likewise, so switch-side fair queueing and admission
-  // control classify without decoding the frame.
-  pkt.tenant = frame.tenant;
+  Packet pkt = frame.to_packet();
   if (net().tracer().armed() && frame.trace.valid()) {
     // Software time between the protocol decision and the NIC.
     net().tracer().leaf_span(frame.trace.trace, frame.trace.parent, id(),

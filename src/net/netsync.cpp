@@ -72,15 +72,9 @@ bool SyncOffload::handle(SwitchNode& sw, PortId in_port, const Packet& pkt) {
   reply.object = frame->object;
   reply.seq = frame->seq;
   reply.offset = frame->offset;
+  reply.tenant = frame->tenant;  // the reply leg bills the requester
   reply.payload = encode_atomic_response(resp);
-  Packet out;
-  out.data = reply.encode();
-  if (auto action = sw.table().lookup(host_route_key(frame->src_host));
-      action && action->kind == ActionKind::forward) {
-    sw.forward(action->port, std::move(out));
-  } else {
-    sw.flood(in_port, out);
-  }
+  switch_emit(sw, reply, in_port);
   return true;
 }
 

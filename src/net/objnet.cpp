@@ -1,5 +1,7 @@
 #include "net/objnet.hpp"
 
+#include "sim/switch_node.hpp"
+
 namespace objrpc {
 
 const char* msg_type_name(MsgType t) {
@@ -91,6 +93,39 @@ Bytes Frame::encode() const {
   w.put_u32(0);
   w.put_blob(payload);
   return std::move(w).take();
+}
+
+Packet Frame::to_packet() const {
+  Packet pkt;
+  pkt.data = encode();
+  pkt.trace_id = trace.trace;
+  pkt.span_parent = trace.parent;
+  pkt.tenant = tenant;
+  return pkt;
+}
+
+void switch_emit(SwitchNode& sw, const Frame& frame, PortId in_port) {
+  Packet out = frame.to_packet();
+  if (frame.dst_host != kUnspecifiedHost) {
+    if (auto a = sw.table().lookup(host_route_key(frame.dst_host));
+        a && a->kind == ActionKind::forward) {
+      sw.forward(a->port, std::move(out));
+      return;
+    }
+  } else {
+    // Identity-routed (controller scheme): the controller redirects a
+    // punted frame toward the home like any other table miss.
+    if (auto a = sw.table().lookup(object_route_key(frame.object));
+        a && a->kind == ActionKind::forward) {
+      sw.forward(a->port, std::move(out));
+      return;
+    }
+    if (sw.config().punt_port != kInvalidPort) {
+      sw.forward(sw.config().punt_port, std::move(out));
+      return;
+    }
+  }
+  sw.flood(in_port, out);
 }
 
 Result<Frame> Frame::decode(ByteSpan data) {

@@ -164,6 +164,11 @@ struct Frame {
   bool is_broadcast() const { return (flags & kFlagBroadcast) != 0; }
 
   Bytes encode() const;
+  /// The simulator packet that carries this frame: the encoded bytes,
+  /// plus the trace context (per-hop spans parent under the operation)
+  /// and the tenant tag (switch fair queueing and admission classify
+  /// without decoding).  Every sender converts through here.
+  Packet to_packet() const;
   static Result<Frame> decode(ByteSpan data);
   /// decode without the payload copy: accepts exactly the frames decode
   /// accepts and fills every header field, but leaves `payload` empty
@@ -184,6 +189,14 @@ struct Frame {
 
   std::string to_string() const;
 };
+
+class SwitchNode;
+
+/// Send `frame` from a switch-resident responder (in-network cache,
+/// sync offload).  Host-addressed frames take the switch's host route;
+/// identity-routed ones the object route, else the punt port.  Anything
+/// without a route floods, except back out `in_port`.
+void switch_emit(SwitchNode& sw, const Frame& frame, PortId in_port);
 
 /// Routing keys: the switch tables hold both host routes and object
 /// routes in one exact-match space.  Host keys live under a reserved

@@ -33,6 +33,17 @@ ReliableChannel::ReliableChannel(HostNode& host, ReliableConfig cfg)
                [this] { return counters_.misdirected_acks; });
 }
 
+void ReliableChannel::set_handler(MsgType inner_type,
+                                  MessageHandler handler) {
+  for (auto& [type, h] : handlers_) {
+    if (type == inner_type) {
+      h = std::move(handler);
+      return;
+    }
+  }
+  handlers_.emplace_back(inner_type, std::move(handler));
+}
+
 void ReliableChannel::send(HostAddr dst, MsgType inner_type, ObjectId object,
                            Bytes payload, StatusCallback on_done) {
   const std::uint32_t msg_id = next_msg_id_++;
@@ -179,7 +190,14 @@ void ReliableChannel::on_push_frag(const Frame& f) {
     inbound_.erase(key);
     remember_completed(key);
     ++counters_.messages_delivered;
-    if (handler_) handler_(src, inner, obj, std::move(whole));
+    for (auto& [type, handler] : handlers_) {
+      if (type == inner) {
+        handler(src, inner, obj, std::move(whole));
+        return;
+      }
+    }
+    Log::debug("reliable", "%s: unhandled inner type %s",
+               host_.name().c_str(), msg_type_name(inner));
   }
 }
 

@@ -17,6 +17,7 @@
 #include <deque>
 #include <functional>
 #include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "common/flat_table.hpp"
@@ -58,9 +59,9 @@ class ReliableChannel {
   void send(HostAddr dst, MsgType inner_type, ObjectId object, Bytes payload,
             StatusCallback on_done);
 
-  void set_message_handler(MessageHandler handler) {
-    handler_ = std::move(handler);
-  }
+  /// Route reassembled messages of `inner_type` to `handler` (one
+  /// handler per inner type, as HostNode::set_handler does for frames).
+  void set_handler(MsgType inner_type, MessageHandler handler);
 
   struct Counters {
     std::uint64_t messages_sent = 0;
@@ -190,7 +191,9 @@ class ReliableChannel {
 
   HostNode& host_;
   ReliableConfig cfg_;
-  MessageHandler handler_;
+  /// A few inner types per host; dispatch runs once per reassembled
+  /// message, so a linear scan is the whole table.
+  std::vector<std::pair<MsgType, MessageHandler>> handlers_;
   std::uint32_t next_msg_id_ = 1;
   /// Open addressing (common/flat_table.hpp): these are the per-fragment
   /// frame-path lookups.  Keyed access only; the one iteration site

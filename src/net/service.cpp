@@ -55,12 +55,10 @@ ObjNetService::ObjNetService(HostNode& host,
                     [this](const Frame& f) { on_response(f); });
   host_.set_handler(MsgType::discover_req,
                     [this](const Frame& f) { on_discover_req(f); });
-  host_.set_handler(MsgType::invoke_req, [this](const Frame& f) {
-    if (invoke_handler_) invoke_handler_(f);
-  });
-  reliable_.set_message_handler(
-      [this](HostAddr src, MsgType inner, ObjectId object, Bytes payload) {
-        on_reliable_message(src, inner, object, std::move(payload));
+  reliable_.set_handler(
+      MsgType::object_adopt,
+      [this](HostAddr, MsgType, ObjectId object, Bytes payload) {
+        on_object_adopt(object, std::move(payload));
       });
 }
 
@@ -181,7 +179,7 @@ Result<AtomicResponse> ObjNetService::apply_atomic(ObjectId id,
   }
   if (resp.applied) {
     ++counters_.atomics_served;
-    notify_write_observers(id);
+    notify_write(id);
   }
   return resp;
 }
@@ -238,7 +236,7 @@ void ObjNetService::start_attempt(std::uint64_t token) {
     } else if (!redirected_away && is_authoritative(p.ptr.object)) {
       if (p.kind == MsgType::write_req) {
         Status s = local->write(p.ptr.offset, p.data);
-        if (s) notify_write_observers(p.ptr.object);
+        if (s) notify_write(p.ptr.object);
         finish(token, s ? Result<Bytes>(Bytes{}) : s.error());
       } else {
         auto req = decode_atomic_request(p.data);
@@ -331,7 +329,7 @@ void ObjNetService::on_write_req(const Frame& f) {
     return;
   }
   ++counters_.writes_served;
-  notify_write_observers(f.object);
+  notify_write(f.object);
   Frame resp = reply_to(f, MsgType::write_resp);
   resp.offset = f.offset;
   resp.length = f.length;
@@ -415,17 +413,7 @@ void ObjNetService::move_object(ObjectId id, HostAddr dst, MoveCallback cb) {
                  });
 }
 
-void ObjNetService::on_reliable_message(HostAddr src, MsgType inner,
-                                        ObjectId object, Bytes payload) {
-  if (inner != MsgType::object_adopt) {
-    if (reliable_fallback_) {
-      reliable_fallback_(src, inner, object, std::move(payload));
-      return;
-    }
-    Log::debug("service", "%s: unhandled reliable inner type %s",
-               host_.name().c_str(), msg_type_name(inner));
-    return;
-  }
+void ObjNetService::on_object_adopt(ObjectId object, Bytes payload) {
   auto obj = Object::from_bytes(object, std::move(payload));
   if (!obj) {
     Log::warn("service", "%s: corrupt object image for %s",

@@ -10,7 +10,6 @@
 #include <functional>
 #include <memory>
 #include <variant>
-#include <vector>
 
 #include "common/flat_table.hpp"
 #include "net/discovery.hpp"
@@ -85,17 +84,11 @@ class ObjNetService {
   /// channel); the local replica is dropped once the move completes.
   void move_object(ObjectId id, HostAddr dst, MoveCallback cb);
 
-  /// Handler invoked when an invoke_req frame arrives (wired up by the
-  /// core invocation layer; kept here so the frame dispatch lives in one
-  /// place).
-  using InvokeHandler = std::function<void(const Frame&)>;
-  void set_invoke_handler(InvokeHandler h) { invoke_handler_ = std::move(h); }
-
   /// Authority predicate: does this host hold `id` as its HOME (not as
   /// a cached replica)?  Only authoritative holders answer broadcast
   /// discovery and accept writes — otherwise a cache holder could be
   /// discovered and mutated, splitting the object's history.  Installed
-  /// by the caching layer; defaults to "any resident object".
+  /// by the replication layer; defaults to "any resident object".
   using AuthorityFilter = std::function<bool(ObjectId)>;
   void set_authority_filter(AuthorityFilter f) {
     authority_filter_ = std::move(f);
@@ -114,29 +107,15 @@ class ObjNetService {
     write_redirector_ = std::move(r);
   }
 
-  /// Fallback for reliable-channel messages the service itself does not
-  /// consume (anything but object_adopt) — replication and other layers
-  /// register here.
-  using ReliableFallback =
-      std::function<void(HostAddr src, MsgType inner, ObjectId, Bytes)>;
-  void set_reliable_fallback(ReliableFallback f) {
-    reliable_fallback_ = std::move(f);
-  }
-
-  /// Observers fired whenever a write_req mutates a local object — the
-  /// caching layer invalidates remote replicas here, and the replication
-  /// layer resets its membership bookkeeping.  Observers run in
-  /// registration order.
+  /// Observer fired whenever a write or atomic mutates a local object:
+  /// the coherence layer invalidates remote replicas here.
   using WriteObserver = std::function<void(ObjectId)>;
-  void add_write_observer(WriteObserver o) {
-    write_observers_.push_back(std::move(o));
-  }
-  /// Fire the observers for a local (in-process) mutation.
-  void notify_local_write(ObjectId id) { notify_write_observers(id); }
+  void set_write_observer(WriteObserver o) { write_observer_ = std::move(o); }
 
-  /// Gate on serving remote reads (and the local read fast path): the
-  /// replication layer denies while a revived home is still verifying it
-  /// was not deposed, so possibly-stale bytes are never surfaced.
+  /// Gate on serving remote reads, chunk pulls and the local read fast
+  /// path: the replication layer denies while a revived home is still
+  /// verifying it was not deposed, so possibly-stale bytes are never
+  /// surfaced.
   using ReadGuard = std::function<bool(ObjectId)>;
   void set_read_guard(ReadGuard g) { read_guard_ = std::move(g); }
   bool may_serve_read(ObjectId id) const {
@@ -213,24 +192,21 @@ class ObjNetService {
   void on_response(const Frame& f);
   void on_nack(const Frame& f);
   void on_discover_req(const Frame& f);
-  void on_reliable_message(HostAddr src, MsgType inner, ObjectId object,
-                           Bytes payload);
+  void on_object_adopt(ObjectId object, Bytes payload);
   void send_nack(const Frame& cause, Errc code,
                  HostAddr hint = kUnspecifiedHost);
 
-  void notify_write_observers(ObjectId id) {
-    for (auto& o : write_observers_) o(id);
+  void notify_write(ObjectId id) {
+    if (write_observer_) write_observer_(id);
   }
 
   HostNode& host_;
   std::unique_ptr<DiscoveryStrategy> discovery_;
   ReliableChannel reliable_;
-  InvokeHandler invoke_handler_;
-  std::vector<WriteObserver> write_observers_;
+  WriteObserver write_observer_;
   ReadGuard read_guard_;
   AuthorityFilter authority_filter_;
   WriteRedirector write_redirector_;
-  ReliableFallback reliable_fallback_;
   /// Token-keyed lookups only (never iterated): open addressing keeps
   /// the per-response completion path allocation- and chase-free.
   FlatHashMap<std::uint64_t, Pending> pending_;

@@ -217,6 +217,147 @@ TEST(Failover, RecoveryResumesWhenNoPromotionHappened) {
   EXPECT_EQ(*v, 5u);
 }
 
+/// Frames host 0 sends straight at host 1, and what comes back to it:
+/// one request of each kind a revived home's quarantine gates.
+struct QuarantineProbe {
+  FailoverWorld& w;
+  std::vector<Frame> replies;
+
+  explicit QuarantineProbe(FailoverWorld& world) : w(world) {
+    const NodeId client = w.cluster->host(0).id();
+    w.net().add_tap([this, client](NodeId, NodeId to, const Packet& pkt) {
+      if (to != client) return;
+      if (auto f = Frame::decode(pkt.data)) replies.push_back(std::move(*f));
+    });
+  }
+
+  void send(MsgType type, std::uint64_t seq, std::uint32_t length = 0,
+            Bytes payload = {}) {
+    Frame f;
+    f.type = type;
+    f.dst_host = w.cluster->addr_of(1);
+    f.object = w.id;
+    f.seq = seq;
+    f.offset = type == MsgType::chunk_req ? 0 : Object::kDataStart;
+    f.length = length;
+    f.payload = std::move(payload);
+    w.cluster->host(0).send_frame(std::move(f));
+  }
+  /// One chunk stat, read, write, atomic and discovery request.
+  void send_all() {
+    replies.clear();
+    send(MsgType::chunk_req, 1);
+    send(MsgType::read_req, 2, 8);
+    send(MsgType::write_req, 3, 8, u64_bytes(0xABC));
+    send(MsgType::atomic_req, 4, 0,
+         encode_atomic_request({AtomicOp::fetch_add, 1, 0}));
+    send(MsgType::discover_req, 5);
+  }
+  const Frame* reply(std::uint64_t seq) const {
+    for (const Frame& f : replies) {
+      if (f.seq == seq) return &f;
+    }
+    return nullptr;
+  }
+  Errc nack_code(std::uint64_t seq) const {
+    const Frame* f = reply(seq);
+    if (f == nullptr || f->type != MsgType::nack) return Errc::ok;
+    auto info = decode_nack_payload(f->payload);
+    return info ? info->code : Errc::malformed;
+  }
+};
+
+TEST(Failover, RecoveringHomeServesNothingUntilResumed) {
+  FailoverWorld w;
+  w.crash(1);
+  w.revive(1);
+  ReplicaManager& home = w.cluster->replicas(1);
+  ASSERT_TRUE(home.is_recovering(w.id));
+  const ObjNetService::Counters before = w.cluster->service(1).counters();
+  QuarantineProbe probe(w);
+
+  // Inside the recovery window (well short of recovery_timeout).
+  probe.send_all();
+  EventLoop& loop = w.cluster->loop();
+  loop.run_until(loop.now() + 2 * kMillisecond);
+  ASSERT_TRUE(home.is_recovering(w.id));
+  const Frame* chunk = probe.reply(1);
+  ASSERT_NE(chunk, nullptr);
+  EXPECT_EQ(chunk->type, MsgType::chunk_resp);
+  EXPECT_EQ(chunk->offset, kChunkNotHere);
+  EXPECT_EQ(probe.nack_code(2), Errc::not_found);
+  EXPECT_EQ(probe.nack_code(3), Errc::not_found);
+  EXPECT_EQ(probe.nack_code(4), Errc::not_found);
+  EXPECT_EQ(probe.reply(5), nullptr);
+  const ObjNetService::Counters& during = w.cluster->service(1).counters();
+  EXPECT_EQ(during.reads_served, before.reads_served);
+  EXPECT_EQ(during.writes_served, before.writes_served);
+  EXPECT_EQ(during.atomics_served, before.atomics_served);
+  EXPECT_EQ(during.discover_replies_sent, before.discover_replies_sent);
+  EXPECT_EQ(*(*w.cluster->host(1).store().get(w.id))
+                 ->read_u64(Object::kDataStart),
+            0x5EEDu);
+
+  // No higher epoch surfaced: the home resumes and serves all four.
+  w.cluster->settle();
+  ASSERT_EQ(home.counters().recoveries_resumed, 1u);
+  ASSERT_FALSE(home.is_recovering(w.id));
+  probe.send_all();
+  w.cluster->settle();
+  chunk = probe.reply(1);
+  ASSERT_NE(chunk, nullptr);
+  EXPECT_EQ(chunk->type, MsgType::chunk_resp);
+  EXPECT_NE(chunk->offset, kChunkNotHere);
+  const Frame* read = probe.reply(2);
+  ASSERT_NE(read, nullptr);
+  EXPECT_EQ(read->type, MsgType::read_resp);
+  EXPECT_EQ(bytes_u64(read->payload), 0x5EEDu);
+  ASSERT_NE(probe.reply(3), nullptr);
+  EXPECT_EQ(probe.reply(3)->type, MsgType::write_resp);
+  ASSERT_NE(probe.reply(4), nullptr);
+  EXPECT_EQ(probe.reply(4)->type, MsgType::atomic_resp);
+  ASSERT_NE(probe.reply(5), nullptr);
+  EXPECT_EQ(probe.reply(5)->type, MsgType::discover_reply);
+  EXPECT_EQ(*(*w.cluster->host(1).store().get(w.id))
+                 ->read_u64(Object::kDataStart),
+            0xABDu);
+}
+
+TEST(Failover, HigherEpochInvalidateDemotesTheHome) {
+  FailoverWorld w;
+  ReplicaManager& home = w.cluster->replicas(1);
+  ASSERT_TRUE(home.is_home(w.id));
+  ASSERT_EQ(home.home_epoch(w.id), 1u);
+  std::vector<Frame> acks;
+  const NodeId client = w.cluster->host(0).id();
+  w.net().add_tap([&](NodeId, NodeId to, const Packet& pkt) {
+    if (to != client) return;
+    auto f = Frame::decode(pkt.data);
+    if (f && f->type == MsgType::invalidate_ack) acks.push_back(*f);
+  });
+
+  // An invalidate from a lineage one epoch ahead proves a newer home
+  // exists: the receiving home steps down, drops its copy, and acks.
+  Frame inv;
+  inv.type = MsgType::invalidate;
+  inv.dst_host = w.cluster->addr_of(1);
+  inv.object = w.id;
+  inv.epoch = 2;
+  inv.seq = 41;
+  w.cluster->host(0).send_frame(std::move(inv));
+  w.cluster->settle();
+
+  EXPECT_EQ(home.counters().demotions, 1u);
+  EXPECT_EQ(home.counters().stale_epoch_rejects, 0u);
+  EXPECT_FALSE(home.is_home(w.id));
+  EXPECT_FALSE(w.cluster->host(1).store().contains(w.id));
+  EXPECT_EQ(w.cluster->fetcher(1).counters().invalidates_received, 1u);
+  ASSERT_EQ(acks.size(), 1u);
+  EXPECT_EQ(acks[0].seq, 41u);
+  EXPECT_EQ(acks[0].object, w.id);
+  EXPECT_EQ(acks[0].src_host, w.cluster->addr_of(1));
+}
+
 TEST(Failover, ProbeOfDeadHomeTimesOutOnSchedule) {
   FailoverWorld w;
   Cluster& c = *w.cluster;

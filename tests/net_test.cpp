@@ -455,6 +455,36 @@ TEST(ControllerScheme, PuntFallbackRedirects) {
   EXPECT_GE(fabric->controller()->counters().punts_redirected, 1u);
 }
 
+TEST(ControllerScheme, PuntRedirectKeepsTheTenant) {
+  auto fabric = Fabric::build(base_config(DiscoveryScheme::controller));
+  GlobalPtr ptr = make_test_object(*fabric, 1);
+  fabric->settle();
+  for (std::size_t i = 0; i < fabric->switch_count(); ++i) {
+    (void)fabric->switch_at(i).table().erase(object_route_key(ptr.object));
+  }
+  // Every read_req that reaches the home, with its packet's tenant: the
+  // redirected leg leaves the controller, not the tagged requester.
+  std::vector<std::uint32_t> tenants_at_home;
+  const NodeId home = fabric->host(1).id();
+  fabric->network().add_tap([&](NodeId, NodeId to, const Packet& pkt) {
+    auto view = Frame::peek(pkt);
+    if (to == home && view && view->type == MsgType::read_req) {
+      tenants_at_home.push_back(pkt.tenant);
+    }
+  });
+  Result<Bytes> r{Errc::unavailable};
+  AccessOptions opts;
+  opts.tenant = 7;
+  fabric->service(0).read(
+      ptr, 8, [&](Result<Bytes> res, const AccessStats&) { r = std::move(res); },
+      opts);
+  fabric->settle();
+  ASSERT_TRUE(r) << r.error().to_string();
+  ASSERT_GE(fabric->controller()->counters().punts_redirected, 1u);
+  ASSERT_FALSE(tenants_at_home.empty());
+  for (std::uint32_t t : tenants_at_home) EXPECT_EQ(t, 7u);
+}
+
 TEST(ControllerScheme, WithdrawOnlyIfStillOwner) {
   auto fabric = Fabric::build(base_config(DiscoveryScheme::controller));
   GlobalPtr ptr = make_test_object(*fabric, 1);
@@ -742,7 +772,8 @@ TEST(Reliable, UnreachablePeerTimesOut) {
 TEST(Reliable, EmptyPayloadDelivered) {
   auto fabric = Fabric::build(base_config(DiscoveryScheme::e2e));
   bool got = false;
-  fabric->service(2).reliable().set_message_handler(
+  fabric->service(2).reliable().set_handler(
+      MsgType::invalidate,
       [&](HostAddr, MsgType inner, ObjectId, Bytes payload) {
         EXPECT_EQ(inner, MsgType::invalidate);
         EXPECT_TRUE(payload.empty());
@@ -821,7 +852,8 @@ TEST(Reliable, InboundKeysUseFullSourceAddress) {
   const HostAddr src_a = 0x1'0000'0005ULL;
   const HostAddr src_b = 0x2'0000'0005ULL;  // same low 32 bits as src_a
   std::vector<std::pair<HostAddr, Bytes>> delivered;
-  fabric->service(0).reliable().set_message_handler(
+  fabric->service(0).reliable().set_handler(
+      MsgType::object_replica,
       [&](HostAddr src, MsgType, ObjectId, Bytes payload) {
         delivered.emplace_back(src, std::move(payload));
       });
@@ -958,7 +990,8 @@ TEST(Reliable, LinkFlapRecoversWithoutDuplicateDelivery) {
   auto fabric = Fabric::build(base_config(DiscoveryScheme::e2e));
   Network& net = fabric->network();
   int deliveries = 0;
-  fabric->service(2).reliable().set_message_handler(
+  fabric->service(2).reliable().set_handler(
+      MsgType::object_replica,
       [&](HostAddr, MsgType, ObjectId, Bytes) { ++deliveries; });
   // Down for a few retry rounds (exercising backoff), then back up well
   // inside the budget.

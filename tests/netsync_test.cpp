@@ -171,6 +171,36 @@ TEST(SyncOffload, ServesAtomicsFromTheSwitch) {
   EXPECT_EQ(w.cluster->service(1).counters().atomics_served, 0u);
 }
 
+TEST(SyncOffload, ReplyEchoesTheRequesterTenant) {
+  OffloadWorld w;
+  // The atomic_resp frames host 0 receives: frame tag and packet tag.
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> tags;
+  const NodeId client = w.cluster->host(0).id();
+  w.cluster->fabric().network().add_tap(
+      [&](NodeId, NodeId to, const Packet& pkt) {
+        if (to != client) return;
+        auto f = Frame::decode(pkt.data);
+        if (f && f->type == MsgType::atomic_resp) {
+          tags.emplace_back(f->tenant, pkt.tenant);
+        }
+      });
+  Result<AtomicResponse> r{Errc::unavailable};
+  AccessOptions opts;
+  opts.tenant = 5;
+  w.cluster->service(0).atomic_fetch_add(
+      w.word, 3,
+      [&](Result<AtomicResponse> res, const AccessStats&) {
+        r = std::move(res);
+      },
+      opts);
+  w.cluster->settle();
+  ASSERT_TRUE(r);
+  ASSERT_EQ(w.offload->counters().served, 1u);
+  ASSERT_EQ(tags.size(), 1u);
+  EXPECT_EQ(tags[0].first, 5u);
+  EXPECT_EQ(tags[0].second, 5u);
+}
+
 TEST(SyncOffload, SwitchPathIsFasterThanHostPath) {
   // Offloaded: host0 -> sw0 (answered there).  Host path: host0 -> sw0
   // -> ... -> host1 and back.
