@@ -66,19 +66,23 @@ RunResult run(bool offload, int clients, int ops_per_client,
   int outstanding = clients * ops_per_client;
   const SimTime t0 = cluster->loop().now();
   SimTime t_end = t0;
+  // Completions arrive on whichever shard ran the response: record them
+  // through the observer journal (inline when serial, replayed in
+  // canonical order at the barrier in a parallel epoch).
+  obs::ShardJournal& journal = cluster->fabric().network().observer_journal();
   // Every client fires all its ops concurrently (max contention).
   for (int c = 0; c < clients; ++c) {
     for (int i = 0; i < ops_per_client; ++i) {
       cluster->service(static_cast<std::size_t>(c))
-          .atomic_fetch_add(word, 1,
-                            [&](Result<AtomicResponse> r,
-                                const AccessStats& s) {
-                              if (!r) std::abort();
-                              lat_us.add(to_micros(s.elapsed()));
-                              if (--outstanding == 0) {
-                                t_end = cluster->loop().now();
-                              }
-                            });
+          .atomic_fetch_add(
+              word, 1,
+              [&](Result<AtomicResponse> r, const AccessStats& s) {
+                if (!r) std::abort();
+                journal.run_or_defer([&, us = to_micros(s.elapsed())] {
+                  lat_us.add(us);
+                  if (--outstanding == 0) t_end = cluster->loop().now();
+                });
+              });
     }
   }
   cluster->settle();

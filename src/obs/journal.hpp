@@ -46,8 +46,8 @@ class ShardJournal {
   void configure_lanes(std::uint32_t n) { log_.configure_lanes(n); }
 
   /// True exactly while workers run a concurrent epoch.  Toggled by the
-  /// parallel driver under its epoch mutex (workers parked both times);
-  /// everywhere else records run inline.
+  /// parallel driver outside epochs, ordered against the workers by its
+  /// barrier's release/acquire pair; everywhere else records run inline.
   void set_deferring(bool on) { deferring_ = on; }
   bool deferring() const { return deferring_; }
 

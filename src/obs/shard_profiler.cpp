@@ -22,6 +22,8 @@ void ShardProfiler::arm(MetricsRegistry& metrics, std::uint32_t workers) {
   lanes_.assign(workers, LaneSeries{});
   h_epoch_ = &metrics.histogram("shard/epoch_host_ns");
   h_exec_ = &metrics.histogram("shard/exec_host_ns");
+  h_max_exec_ = &metrics.histogram("shard/max_lane_exec_ns");
+  h_skew_ = &metrics.histogram("shard/wake_skew_ns");
   h_wait_ = &metrics.histogram("shard/barrier_wait_ns");
   h_drain_ = &metrics.histogram("shard/drain_host_ns");
   h_util_ = &metrics.histogram("shard/lane_utilization_pct");
@@ -82,13 +84,17 @@ void ShardProfiler::end_drain(std::uint64_t cross_total) {
   const std::uint64_t epoch_ns = cur_.t_parked - cur_.t_release;
   h_epoch_->add(epoch_ns);
   h_drain_->add(cur_.t_drain1 - cur_.t_drain0);
+  std::uint64_t max_exec_ns = 0;
   for (const LaneSeries& s : lanes_) {
     const std::uint64_t exec_ns =
         s.last_t1 > s.last_t0 ? s.last_t1 - s.last_t0 : 0;
+    max_exec_ns = std::max(max_exec_ns, exec_ns);
     h_exec_->add(exec_ns);
     h_wait_->add(cur_.t_parked > s.last_t1 ? cur_.t_parked - s.last_t1 : 0);
     h_util_->add(epoch_ns > 0 ? exec_ns * 100 / epoch_ns : 0);
   }
+  h_max_exec_->add(max_exec_ns);
+  h_skew_->add(epoch_ns > max_exec_ns ? epoch_ns - max_exec_ns : 0);
   c_epochs_->inc();
   c_cross_->inc(cross_total - last_cross_);
   last_cross_ = cross_total;

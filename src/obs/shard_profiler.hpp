@@ -11,9 +11,17 @@
 // execution lanes alongside the sim-time span trees) so an imbalance
 // is visible as a literal gap in the trace.
 //
-// Threading: workers write only their own lane's series (begin_exec/
-// end_exec); the coordinator reads them and writes the registry only
-// at barriers with workers parked, ordered by the driver's mutex.
+// Each epoch splits into the slowest lane's execution
+// (`shard/max_lane_exec_ns`) and everything else the coordinator waited
+// for — release latency, wake-up and finish skew (`shard/wake_skew_ns`,
+// epoch minus max-lane exec) — with the barrier work after it in
+// `shard/drain_host_ns`.
+//
+// Threading: each lane's series is written only by the thread that
+// runs the lane (begin_exec/end_exec): a worker, or the coordinator for
+// lane 0.  The coordinator reads them and writes the registry only at
+// barriers, after every worker's end-of-epoch decrement has been seen
+// (the driver's release/acquire barrier, sim/shard.hpp).
 // Disarmed (the default), every call is a cheap early-return and the
 // registry never sees a `shard/` cell — so byte-compare tests of
 // traces and metric snapshots are unaffected.
@@ -32,17 +40,17 @@ namespace objrpc::obs {
 
 class ShardProfiler {
  public:
-  /// First pid of the shard-lane Perfetto track family (worker lane N
-  /// = kPidBase + N, coordinator = kPidBase + worker count).  Far above
-  /// any NodeId the sim-time span family uses as pid.
+  /// First pid of the shard-lane Perfetto track family (lane N =
+  /// kPidBase + N, the coordinator's barrier track = kPidBase + lane
+  /// count).  Far above any NodeId the sim-time span family uses as pid.
   static constexpr std::uint32_t kPidBase = 1'000'000;
 
-  /// Arm with `workers` execution lanes.  Coordinator-only, before any
-  /// worker thread exists.  Creates the `shard/*` registry cells.
+  /// Arm with `workers` execution lanes.  Coordinator-only, before the
+  /// first epoch.  Creates the `shard/*` registry cells.
   void arm(MetricsRegistry& metrics, std::uint32_t workers);
   bool armed() const { return armed_; }
 
-  // ---- worker side (lane-owned, SPSC vs the coordinator) ----
+  // ---- lane side (the lane's own thread, SPSC vs the coordinator) ----
   void begin_exec(std::uint32_t lane);
   void end_exec(std::uint32_t lane);
 
@@ -98,13 +106,16 @@ class ShardProfiler {
   std::uint64_t last_cross_ = 0;
   EpochRec cur_{};
 
-  /// SHARD_LANED: lanes_[lane] is written only by that worker thread.
+  /// SHARD_LANED: lanes_[lane] is written only by the thread running
+  /// that lane.
   SHARD_LANED std::vector<LaneSeries> lanes_;
   std::vector<EpochRec> epochs_;  ///< bounded by kMaxChromeEpochs
   std::vector<HandoffRec> handoffs_;  ///< bounded by kMaxChromeEpochs * lanes
 
   Histogram* h_epoch_ = nullptr;
   Histogram* h_exec_ = nullptr;
+  Histogram* h_max_exec_ = nullptr;
+  Histogram* h_skew_ = nullptr;
   Histogram* h_wait_ = nullptr;
   Histogram* h_drain_ = nullptr;
   Histogram* h_util_ = nullptr;

@@ -1,5 +1,7 @@
 #include "sim/shard.hpp"
 
+#include <sys/resource.h>
+
 #include "common/exec_lane.hpp"
 #include "sim/network.hpp"
 
@@ -10,14 +12,82 @@ namespace {
 /// A multi-shard window runs on the workers only when the previous one
 /// executed at least this many events; smaller windows cost less run
 /// serially on the coordinator than one worker round.  Measured on a
-/// 4-vCPU VM (perfbench, objmix-4shard-armed with every multi-shard
-/// window on the workers): a round costs ~12 us of coordinator time
-/// (barrier wait p50 9.1 us, drain 3.2 us mean) for windows whose ~9
-/// events take a lane 1.1 us.  Host ops/s is flat from 16 to 256 on
-/// both objmix-4shard-armed and fabric-forward; at 8 and below the
-/// object workload loses 39-86 %, at 4096 and above fabric-forward
-/// loses 17-42 % (DESIGN.md §16).
+/// 4-vCPU VM (perfbench, objmix-4shard-armed traced, with every
+/// multi-shard window on the workers): a round costs ~6 us of
+/// coordinator time (barrier wait p50 2.5-3.1 us, drain 3.1-4.7 us
+/// mean) for windows whose few events take a lane 0.65-0.84 us (p50);
+/// the condvar-only barrier took ~12 us (wait 9.1 us).  Even so, every
+/// window on the workers runs objmix-4shard-armed at 38-74K host ops/s
+/// against 166-250K at 16 or 64, and fabric-forward is flat from 0 to
+/// 64; the earlier sweep found 16 to 256 flat on both and 4096 and
+/// above 17-42 % slower on fabric-forward (DESIGN.md §16).
 constexpr std::uint64_t kMinParallelEvents = 64;
+
+/// Pause instructions a barrier thread polls before it parks: ~0.45 ms
+/// at the ~22 ns a pause takes on a 4-vCPU Xeon VM.  That covers the
+/// gap between back-to-back fabric-forward epochs (the coordinator's
+/// barrier work, ~0.1 ms) and a lane's finish skew, so a steady run
+/// parks on ~2 % of its waits, while a worker left idle by a
+/// coordinator-only stretch parks within half a millisecond.
+constexpr std::uint32_t kSpinPauses = 20'000;
+
+inline void cpu_relax() {
+#if defined(__x86_64__) || defined(__i386__)
+  __builtin_ia32_pause();
+#elif defined(__aarch64__)
+  asm volatile("yield" ::: "memory");
+#endif
+}
+
+/// Barrier waits in a row a thread must go unpreempted before it spins
+/// again.
+constexpr std::uint32_t kCalmWaits = 32;
+
+/// Involuntary context switches of the calling thread so far (0 where
+/// the platform cannot tell).
+std::uint64_t preemptions() {
+#ifdef RUSAGE_THREAD
+  rusage ru{};
+  getrusage(RUSAGE_THREAD, &ru);
+  return static_cast<std::uint64_t>(ru.ru_nivcsw);
+#else
+  return 0;
+#endif
+}
+
+/// The calling thread's spin bound for its next barrier wait: `max`
+/// once it has gone kCalmWaits waits without being preempted, else 0.
+/// A preemption means some other thread wanted this CPU; spinning then
+/// takes the CPU from the very lane or barrier work being waited for.
+/// With two busy-loop threads beside a 4-shard run on 4 vCPUs, an
+/// ungated spin parked on ~70 % of waits anyway and halved
+/// fabric-forward's host ops/s against the condvar-only barrier.
+std::uint32_t spin_budget(std::uint32_t max) {
+  if (max == 0) return 0;
+  struct Gate {
+    std::uint64_t seen = preemptions();
+    std::uint32_t calm = kCalmWaits;
+  };
+  thread_local Gate gate;
+  const std::uint64_t now = preemptions();
+  if (now != gate.seen) {
+    gate.seen = now;
+    gate.calm = 0;
+  } else if (gate.calm < kCalmWaits) {
+    ++gate.calm;
+  }
+  return gate.calm >= kCalmWaits ? max : 0;
+}
+
+/// Poll `done` for at most `pauses` pause instructions; whether it held.
+template <typename Pred>
+bool spin_until(std::uint32_t pauses, Pred done) {
+  for (std::uint32_t i = 0; i < pauses; ++i) {
+    if (done()) return true;
+    cpu_relax();
+  }
+  return done();
+}
 
 }  // namespace
 
@@ -36,7 +106,9 @@ SimDuration ShardPlan::min_cross_latency(
       const NodeId peer = net.peer_of(id, p);
       if (peer == kInvalidNode) continue;
       if (shard_of[id] == shard_of[peer]) continue;
-      const SimDuration lat = net.link_params(id, p).latency;
+      // The delivery executes one receive residence after the arrival.
+      const SimDuration lat =
+          net.link_params(id, p).latency + net.node(peer).receive_residence();
       if (!any || lat < best) {
         best = lat;
         any = true;
@@ -135,9 +207,12 @@ ShardRunner::ShardRunner(Network& net, SimDuration lookahead,
     : net_(net),
       lookahead_(lookahead < 1 ? 1 : lookahead),
       shards_(shards),
+      spin_pauses_(shards <= std::thread::hardware_concurrency()
+                       ? kSpinPauses
+                       : 0),
       next_at_(shards, kNoEventTime) {
-  threads_.reserve(shards_);
-  for (std::uint32_t i = 0; i < shards_; ++i) {
+  threads_.reserve(shards_ - 1);
+  for (std::uint32_t i = 1; i < shards_; ++i) {
     threads_.emplace_back([this, i] { worker_main(i); });
   }
 }
@@ -164,8 +239,9 @@ bool ShardRunner::run_window(SimTime limit) {
   if (ms == kNoEventTime) return false;
   // Conservative horizon: every shard may run events in [M, M + L)
   // without receiving behind its clock — a cross-shard frame sent at
-  // t >= M arrives at t + serialization + L > M + L.  The override
-  // hook widens L past the proof for the violation-abort test.
+  // t >= M is delivered at t + serialization + latency + residence
+  // >= M + L.  The override hook widens L past the proof for the
+  // violation-abort test.
   const SimDuration la =
       horizon_override_ > 0 ? horizon_override_ : lookahead_;
   SimTime run_to = ms + la - 1;  // inclusive epoch limit
@@ -187,12 +263,13 @@ bool ShardRunner::run_window(SimTime limit) {
     // cross-shard frames insert straight into their destination wheels.
     loop.merge_run(run_to);
     ++coordinator_windows_;
+    back_to_back_ = false;
     if (active > 1) {
       last_window_events_ = loop.events_executed() - events_before;
     }
   } else {
     obs::ShardProfiler& prof = net_.shard_profiler_;
-    if (prof.armed()) prof.begin_epoch(epoch_seq_ + 1);
+    if (prof.armed()) prof.begin_epoch(epochs_ + 1);
     run_epoch(run_to);
     last_window_events_ = loop.events_executed() - events_before;
     // Barrier work, workers parked: land cross-shard deliveries (keys
@@ -213,52 +290,80 @@ bool ShardRunner::run_window(SimTime limit) {
 }
 
 void ShardRunner::run_epoch(SimTime limit) {
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    epoch_limit_ = limit;
-    // The one epoch flag: during the epoch digest folds, observer
-    // callbacks and cross-shard deliveries go to their lane logs;
-    // everywhere else (control events, serial segments) they run
-    // inline.
-    net_.journal_.set_deferring(true);
-    running_ = shards_;
-    ++epoch_seq_;
+  epoch_limit_ = limit;
+  // Spin at this epoch's barrier only when it follows the last epoch
+  // directly: a lone epoch (the first, or one after a coordinator
+  // window) gives no sign that the next comes soon.
+  spin_ = back_to_back_;
+  back_to_back_ = true;
+  // The one epoch flag: during the epoch digest folds, observer
+  // callbacks and cross-shard deliveries go to their lane logs;
+  // everywhere else (control events, serial segments) they run inline.
+  net_.journal_.set_deferring(true);
+  running_.store(shards_ - 1, std::memory_order_relaxed);
+  epoch_seq_.fetch_add(1);
+  if (sleepers_.load() != 0) {
+    // A worker checks epoch_seq_ under mu_ before it waits: taking mu_
+    // here orders this notify after that check.
+    { std::lock_guard<std::mutex> lk(mu_); }
+    cv_work_.notify_all();
   }
-  cv_work_.notify_all();
-  {
+  run_lane(0, limit);
+  if (!spin_until(spin_bound(spin_), [this] {
+        return running_.load(std::memory_order_acquire) == 0;
+      })) {
     std::unique_lock<std::mutex> lk(mu_);
-    cv_done_.wait(lk, [this] { return running_ == 0; });
-    net_.journal_.set_deferring(false);
+    coordinator_parked_ = true;
+    cv_done_.wait(lk, [this] { return running_.load() == 0; });
+    coordinator_parked_ = false;
   }
+  net_.journal_.set_deferring(false);
   ++epochs_;
 }
 
+std::uint32_t ShardRunner::spin_bound(bool back_to_back) const {
+  if (!back_to_back) return 0;
+  return spin_gated_ ? spin_budget(spin_pauses_) : spin_pauses_;
+}
+
+void ShardRunner::run_lane(std::uint32_t lane, SimTime limit) {
+  obs::ShardProfiler& prof = net_.shard_profiler_;
+  if (prof.armed()) prof.begin_exec(lane);
+  TimingWheel& w = net_.loop_.wheel(lane);
+  {
+    // run_until saves and restores the thread's scheduling context and
+    // lane, so the coordinator leaves lane 0 as the control lane.
+    ShardGuard guard(w.shard());
+    w.run_until(limit);
+  }
+  if (prof.armed()) prof.end_exec(lane);
+}
+
 void ShardRunner::worker_main(std::uint32_t lane) {
+  ExecLane::idx = lane;
   std::uint64_t seen = 0;
+  bool spin = false;  // never before the first epoch
+  const auto released = [&] {
+    return stop_.load(std::memory_order_acquire) ||
+           epoch_seq_.load(std::memory_order_acquire) != seen;
+  };
   for (;;) {
-    SimTime limit;
-    {
+    if (!spin_until(spin_bound(spin), released)) {
       std::unique_lock<std::mutex> lk(mu_);
-      cv_work_.wait(lk, [&] { return stop_ || epoch_seq_ != seen; });
-      if (stop_) return;
-      seen = epoch_seq_;
-      limit = epoch_limit_;
+      ++sleepers_;
+      cv_work_.wait(lk, [&] {
+        return stop_.load() || epoch_seq_.load() != seen;
+      });
+      --sleepers_;
     }
-    ExecLane::idx = lane;
-    obs::ShardProfiler& prof = net_.shard_profiler_;
-    if (prof.armed()) prof.begin_exec(lane);
-    TimingWheel& w = net_.loop_.wheel(lane);
-    {
-      ShardGuard guard(w.shard());
-      w.run_until(limit);
-    }
-    if (prof.armed()) prof.end_exec(lane);
-    bool last = false;
-    {
+    if (stop_.load(std::memory_order_acquire)) return;
+    seen = epoch_seq_.load(std::memory_order_acquire);
+    spin = spin_;  // read before the decrement lets the next epoch start
+    run_lane(lane, epoch_limit_);
+    if (running_.fetch_sub(1) == 1 && coordinator_parked_.load()) {
       std::lock_guard<std::mutex> lk(mu_);
-      last = --running_ == 0;
+      cv_done_.notify_one();
     }
-    if (last) cv_done_.notify_all();
   }
 }
 

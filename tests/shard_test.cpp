@@ -6,9 +6,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cstdlib>
+#include <fstream>
+#include <limits>
+#include <memory>
 #include <optional>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "sim/network.hpp"
@@ -387,6 +392,137 @@ TEST(ShardRunnerTest, WorkersWakeOnlyForWindowsWithEnoughWork) {
   EXPECT_EQ(wide.delivered, kPackets);
 }
 
+// --- the epoch barrier -----------------------------------------------------
+
+/// Poll until `n` workers are parked on the barrier's condvar (each
+/// parks once its spin runs out); false after 10 s.
+bool wait_until_parked(const ShardRunner& runner, std::uint32_t n) {
+  for (int i = 0; i < 100'000; ++i) {
+    if (runner.parked_workers() == n) return true;
+    std::this_thread::sleep_for(std::chrono::microseconds(100));
+  }
+  return false;
+}
+
+/// A `shards`-shard leaf-spine fabric with workers forced and `seed`'s
+/// packets scheduled, ready to run.
+std::unique_ptr<TestFabric> forced_fabric(std::uint64_t seed,
+                                          std::uint32_t shards) {
+  std::unique_ptr<TestFabric> f(new TestFabric{Network(seed), {}});
+  build_test_fabric(*f, FabricOpts{});
+  f->net.enable_sharding(ShardPlan::leaf_spine(f->net, f->topo, shards));
+  if (ShardRunner* runner = f->net.runner()) {
+    runner->force_worker_epochs_for_test();
+  }
+  f->net.arm_wire_digest();
+  inject_packets(*f, seed, /*one_leaf=*/false);
+  return f;
+}
+
+/// Threads of this process (Linux /proc; 0 where unavailable).
+int thread_count() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("Threads:", 0) == 0) return std::atoi(line.c_str() + 8);
+  }
+  return 0;
+}
+
+TEST(ShardBarrierTest, KShardsStartKMinusOneThreads) {
+  // The coordinator runs lane 0 itself.
+  const int before = thread_count();
+  if (before == 0) GTEST_SKIP() << "no /proc/self/status";
+  std::unique_ptr<TestFabric> f = forced_fabric(31, 4);
+  EXPECT_EQ(thread_count(), before + 3);
+  f.reset();
+  EXPECT_EQ(thread_count(), before);
+}
+
+TEST(ShardBarrierTest, WorkersParkAndWakeAcrossCoordinatorStretches) {
+  // Every third barrier the coordinator stalls until every worker has
+  // run out of spin and parked, so the next epoch must wake them through
+  // the condvar; the other barriers return at once, so those epochs come
+  // back to back and find the workers spinning.
+  const RunResult base = run_fabric(19, 1);
+  for (std::uint32_t shards : {2u, 4u, 8u}) {
+    std::unique_ptr<TestFabric> f = forced_fabric(19, shards);
+    ShardRunner* runner = f->net.runner();
+    ASSERT_NE(runner, nullptr);
+    std::uint32_t barriers = 0;
+    std::uint32_t stretches = 0;
+    f->net.set_barrier_hook([&] {
+      if (++barriers % 3 == 0 && wait_until_parked(*runner, shards - 1)) {
+        ++stretches;
+      }
+    });
+    f->net.loop().run();
+    EXPECT_GT(runner->epochs(), 10u) << shards << " shards";
+    EXPECT_EQ(stretches, barriers / 3) << shards << " shards";
+    EXPECT_EQ(f->net.wire_digest(), base.digest) << shards << " shards";
+    EXPECT_EQ(f->net.wire_digest_events(), base.digest_events);
+  }
+}
+
+/// Seconds `f`'s destruction (and its runner's joins) took.
+double seconds_to_destroy(std::unique_ptr<TestFabric>& f) {
+  const auto t0 = std::chrono::steady_clock::now();
+  f.reset();
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+      .count();
+}
+
+TEST(ShardBarrierTest, DestroyingTheRunnerJoinsSpinningWorkers) {
+  // A spin bound of ~2^32 pauses (well over a minute): only the stop
+  // flag can end the workers' wait for an epoch that never comes.
+  std::unique_ptr<TestFabric> f = forced_fabric(23, 4);
+  ShardRunner* runner = f->net.runner();
+  ASSERT_NE(runner, nullptr);
+  runner->set_spin_pauses_for_test(std::numeric_limits<std::uint32_t>::max());
+  f->net.loop().run();
+  ASSERT_GT(runner->epochs(), 0u);
+  EXPECT_EQ(runner->parked_workers(), 0u);
+  EXPECT_LT(seconds_to_destroy(f), 5.0);
+}
+
+TEST(ShardBarrierTest, DestroyingTheRunnerJoinsParkedWorkers) {
+  // Parked after their spin ran out...
+  std::unique_ptr<TestFabric> f = forced_fabric(23, 4);
+  ShardRunner* runner = f->net.runner();
+  ASSERT_NE(runner, nullptr);
+  f->net.loop().run();
+  ASSERT_GT(runner->epochs(), 0u);
+  ASSERT_TRUE(wait_until_parked(*runner, 3));
+  EXPECT_LT(seconds_to_destroy(f), 5.0);
+  // ...and parked since they started, never released.
+  f = forced_fabric(23, 4);
+  ASSERT_TRUE(wait_until_parked(*f->net.runner(), 3));
+  EXPECT_EQ(f->net.runner()->epochs(), 0u);
+  EXPECT_LT(seconds_to_destroy(f), 5.0);
+}
+
+TEST(ShardBarrierTest, MoreShardsThanHardwareThreadsNeverSpin) {
+  const unsigned hw = std::thread::hardware_concurrency();
+  if (hw == 0 || hw >= 8) {
+    GTEST_SKIP() << hw << " hardware threads; this test runs 2 to 8 shards";
+  }
+  const std::uint32_t shards = hw + 1;
+  const RunResult base = run_fabric(29, 1);
+  std::unique_ptr<TestFabric> f = forced_fabric(29, shards);
+  ShardRunner* runner = f->net.runner();
+  ASSERT_NE(runner, nullptr);
+  EXPECT_EQ(runner->spin_pauses(), 0u);
+  f->net.loop().run();
+  EXPECT_GT(runner->epochs(), 10u);
+  EXPECT_EQ(f->net.wire_digest(), base.digest);
+  // With no spin a worker parks as soon as its epoch is done.
+  EXPECT_TRUE(wait_until_parked(*runner, shards - 1));
+  if (hw >= 2) {
+    std::unique_ptr<TestFabric> fits = forced_fabric(29, 2);
+    EXPECT_GT(fits->net.runner()->spin_pauses(), 0u);
+  }
+}
+
 // --- armed observers stay concurrent (DESIGN.md §17) ------------------------
 
 /// Tracer + tap armed no longer force the serial driver: the per-shard
@@ -503,6 +639,37 @@ TEST(ShardMetrics, SnapshotAtEveryEpochBarrierIsCoherent) {
   EXPECT_EQ(p.delivered, base.delivered);
 }
 
+TEST(ShardMetrics, ProfilerSplitsEachEpochIntoMaxLaneExecAndWakeSkew) {
+  // Every epoch is its slowest lane's execution plus the wake-up and
+  // finish skew around it; lane 0, run by the coordinator, counts as a
+  // lane.
+  TestFabric f{Network(13), {}};
+  build_test_fabric(f, FabricOpts{});
+  f.net.arm_shard_profiler();
+  f.net.enable_sharding(ShardPlan::leaf_spine(f.net, f.topo, 4));
+  ShardRunner* runner = f.net.runner();
+  ASSERT_NE(runner, nullptr);
+  runner->force_worker_epochs_for_test();
+  inject_packets(f, 13, /*one_leaf=*/false);
+  f.net.loop().run();
+  const std::uint64_t epochs = runner->epochs();
+  ASSERT_GT(epochs, 10u);
+  obs::MetricsSnapshot::HistView epoch, max_exec, skew, exec;
+  for (const auto& [name, h] : f.net.metrics().snapshot().histograms) {
+    if (name == "shard/epoch_host_ns") epoch = h;
+    if (name == "shard/max_lane_exec_ns") max_exec = h;
+    if (name == "shard/wake_skew_ns") skew = h;
+    if (name == "shard/exec_host_ns") exec = h;
+  }
+  EXPECT_EQ(epoch.count, epochs);
+  EXPECT_EQ(max_exec.count, epochs);
+  EXPECT_EQ(skew.count, epochs);
+  EXPECT_EQ(exec.count, epochs * 4);
+  EXPECT_GT(exec.min, 0u) << "a lane recorded no run";
+  EXPECT_GT(max_exec.sum, 0u);
+  EXPECT_EQ(max_exec.sum + skew.sum, epoch.sum);
+}
+
 // --- cross-shard handoff ----------------------------------------------------
 
 TEST(ShardRunnerTest, DeepHandoffLanesWithoutDivergence) {
@@ -515,6 +682,42 @@ TEST(ShardRunnerTest, DeepHandoffLanesWithoutDivergence) {
 }
 
 // --- lookahead soundness ----------------------------------------------------
+
+TEST(ShardPlanTest, LookaheadCountsTheReceiversResidence) {
+  // A cross-shard delivery executes at arrival + the receiver's
+  // residence, so the lookahead is the least link latency + receiver
+  // residence over cross-shard links (DESIGN.md §16).
+  TestFabric ls{Network(1), {}};
+  build_test_fabric(ls, FabricOpts{});  // 5 us leaf<->spine, 1 us pipelines
+  for (std::uint32_t shards : {2u, 4u, 8u}) {
+    EXPECT_EQ(ShardPlan::leaf_spine(ls.net, ls.topo, shards).lookahead,
+              6 * kMicrosecond)
+        << shards << " shards";
+  }
+
+  Network ft(1);
+  FatTreeParams params;
+  params.fabric_link.latency = 3 * kMicrosecond;
+  SwitchConfig scfg;
+  scfg.pipeline_delay = 700;
+  const FatTreeTopology topo = build_fat_tree(
+      ft, params,
+      [&](const std::string& n) {
+        return ft.add_node<SwitchNode>(n, scfg).id();
+      },
+      [&](const std::string& n) { return ft.add_node<SinkHost>(n).id(); });
+  for (std::uint32_t shards : {2u, 4u}) {
+    EXPECT_EQ(ShardPlan::fat_tree(ft, topo, shards).lookahead,
+              3 * kMicrosecond + 700)
+        << shards << " shards";
+  }
+
+  // Across a host<->switch link the residence-free host end decides.
+  std::vector<std::uint32_t> split(ft.node_count(), 0);
+  split[topo.hosts[0]] = 1;
+  EXPECT_EQ(ShardPlan::min_cross_latency(ft, split),
+            params.host_link.latency);
+}
 
 /// A horizon far past the real lookahead is UNSOUND: shards run ahead
 /// of the frames other shards are about to hand them.  Strict mode must
