@@ -12,7 +12,7 @@ namespace objrpc::check {
 
 namespace {
 
-/// One wire-digest record per scheduler decision: a nondeterministic
+/// One wire-digest fact per scheduler decision: a nondeterministic
 /// rotation would reorder grants even if the final delivery order
 /// happened to coincide.
 std::uint64_t fq_fact(NodeId sw, const FqEvent& ev) {
@@ -86,9 +86,9 @@ void InvariantChecker::attach_fair_queue(SwitchNode& sw) {
   fq_switches_.push_back(&sw);
   const NodeId node = sw.id();
   fq->add_observer([this, node](const FqEvent& ev) {
-    // Fold here, on the executing worker, not in the journaled closure:
-    // replay runs after the barrier's digest merge, which would put the
-    // fact behind every delivery of the epoch.
+    // Fold here, inside the executing event, not in the journaled
+    // closure: a replayed closure runs outside any event, so it has no
+    // event key to place the fact by.
     net_.fold_digest(fq_fact(node, ev));
     net_.observer_journal().run_or_defer(
         [this, node, ev] { on_fq_event(node, ev); });

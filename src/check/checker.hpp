@@ -103,7 +103,7 @@ class InvariantChecker {
 
   /// Protocol frames seen by the tap.  The checker keeps no digest: it
   /// arms the network's wire digest and folds its scheduler and quiesce
-  /// facts into that one chain (Network::fold_digest).
+  /// facts into that one witness (Network::fold_digest).
   std::uint64_t events_observed() const { return events_; }
 
   /// Render every recorded violation (empty string when clean).

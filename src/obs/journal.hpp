@@ -4,28 +4,35 @@
 // which is exactly the regime observers must not perturb: a tracer
 // append, a checker tap, or a node-liveness callback that grabbed a
 // lock — or worse, forced the driver back to serial — would make the
-// fabric unobservable at the one speed that matters.  The journal
-// carries arbitrary observer callbacks through the same LanedLog as the
-// wire digest (common/laned_log.hpp): during an epoch each worker
-// appends closures to its OWN lane, every record stamped with the
+// fabric unobservable at the one speed that matters.  The journal is
+// the one merge-at-barrier log: during an epoch each worker appends
+// closures to its OWN lane (one PerLane vector per execution lane, so
+// the append is a plain push_back), every record stamped with the
 // executing event's canonical key (at, key_a, key_b).  At the BSP
-// barrier, with all workers parked, the coordinator merges the lanes in
-// canonical order and replays the closures — the exact order the serial
-// driver would have executed them in — so every observer sees the
-// identical fabric-global event sequence and armed parallel runs produce
-// byte-identical traces and digests.
+// barrier, with all workers parked, the coordinator gathers the lanes,
+// stable-sorts them by key and replays the closures.
 //
-// `deferring()` is the one "inside a concurrent epoch" flag: the wire
-// digest, the packet taps, the tracer and the network's cross-shard
-// handoff all read it.
+// Why that order is the serial one: the serial driver executes events
+// in ascending (at, key_a, key_b); executed events have unique keys;
+// and one event's records land contiguously, in program order, in the
+// one lane that executed it.  So sorting by key interleaves events
+// canonically and the stable sort keeps each event's own records in
+// program order — every observer sees the identical fabric-global event
+// sequence, and armed parallel runs produce byte-identical traces.
+//
+// `deferring()` is the one "inside a concurrent epoch" flag: the packet
+// taps, the tracer and the network's cross-shard handoff all read it.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <utility>
+#include <vector>
 
 #include "common/annotations.hpp"
-#include "common/laned_log.hpp"
+#include "common/canonical_key.hpp"
+#include "common/per_lane.hpp"
 #include "common/small_fn.hpp"
 #include "common/time.hpp"
 
@@ -43,7 +50,7 @@ class ShardJournal {
 
   /// One lane per execution lane (shards + control).  Called by
   /// Network::enable_sharding before any worker thread exists.
-  void configure_lanes(std::uint32_t n) { log_.configure_lanes(n); }
+  void configure_lanes(std::uint32_t n) { lanes_.configure(n); }
 
   /// True exactly while workers run a concurrent epoch.  Toggled by the
   /// parallel driver outside epochs, ordered against the workers by its
@@ -51,15 +58,12 @@ class ShardJournal {
   void set_deferring(bool on) { deferring_ = on; }
   bool deferring() const { return deferring_; }
 
-  /// Append `fn` to the current lane, stamped with the executing
+  /// Append `fn` to the executing lane, stamped with the executing
   /// event's canonical key.  MAY_ALLOC: lane vector growth — amortized,
   /// and only on armed runs.
   HOT_PATH MAY_ALLOC void defer(SmallFn fn) {
-    SimTime at = 0;
-    std::uint64_t ka = 0;
-    std::uint64_t kb = 0;
-    stamp_(at, ka, kb);
-    log_.append(at, ka, kb, std::move(fn));
+    Rec& r = lanes_.local().emplace_back(0, 0, 0, std::move(fn));
+    stamp_(r.at, r.key_a, r.key_b);
   }
 
   /// Run `f` now (serial driver, control context, or disarmed run) or
@@ -76,25 +80,49 @@ class ShardJournal {
   }
 
   /// Any records pending?  Coordinator-only, workers parked.
-  bool empty() const { return log_.empty(); }
+  bool empty() const {
+    for (const auto& recs : lanes_) {
+      if (!recs.empty()) return false;
+    }
+    return true;
+  }
 
   /// Records replayed over the journal's lifetime (profiler/tests).
   std::uint64_t replayed_total() const { return replayed_total_; }
 
-  /// Invoke every record in canonical key order.  `clock(at)` runs
-  /// before each record so observers that read the simulation clock see
-  /// the record's delivery time, exactly as they would have inline.
-  /// Coordinator-only, workers parked.
+  /// Invoke every record in canonical key order and clear the lanes.
+  /// `clock(at)` runs before each record so observers that read the
+  /// simulation clock see the record's delivery time, exactly as they
+  /// would have inline.  Coordinator-only, workers parked.
   template <typename Clock>
   void replay(Clock&& clock) {
-    replayed_total_ += log_.merge([&clock](SimTime at, SmallFn& fn) {
-      clock(at);
-      fn();
-    });
+    scratch_.clear();
+    for (auto& recs : lanes_) {
+      for (Rec& r : recs) scratch_.push_back(std::move(r));
+      recs.clear();
+    }
+    std::stable_sort(
+        scratch_.begin(), scratch_.end(),
+        [](const Rec& a, const Rec& b) { return key_less(a, b); });
+    for (Rec& r : scratch_) {
+      clock(r.at);
+      r.fn();
+    }
+    replayed_total_ += scratch_.size();
+    scratch_.clear();  // release what the closures own promptly
   }
 
  private:
-  LanedLog<SmallFn> log_;
+  struct Rec {
+    SimTime at;
+    std::uint64_t key_a;
+    std::uint64_t key_b;
+    SmallFn fn;
+  };
+  /// SHARD_LANED: a worker touches only its own lane; configure_lanes
+  /// sizes it before threads exist.
+  SHARD_LANED PerLane<std::vector<Rec>> lanes_;
+  std::vector<Rec> scratch_;
   bool deferring_ = false;
   StampFn stamp_;
   std::uint64_t replayed_total_ = 0;

@@ -26,6 +26,8 @@ void ShardProfiler::arm(MetricsRegistry& metrics, std::uint32_t workers) {
   h_skew_ = &metrics.histogram("shard/wake_skew_ns");
   h_wait_ = &metrics.histogram("shard/barrier_wait_ns");
   h_drain_ = &metrics.histogram("shard/drain_host_ns");
+  h_land_ = &metrics.histogram("shard/land_host_ns");
+  h_replay_ = &metrics.histogram("shard/replay_host_ns");
   h_util_ = &metrics.histogram("shard/lane_utilization_pct");
   h_handoff_ = &metrics.histogram("shard/ring_occupancy");
   c_epochs_ = &metrics.counter("shard/epochs");
@@ -78,12 +80,24 @@ void ShardProfiler::begin_drain() {
   cur_.t_drain0 = host_now_ns();
 }
 
+void ShardProfiler::end_land() {
+  if (!armed_) return;
+  cur_.t_landed = host_now_ns();
+}
+
+void ShardProfiler::end_replay() {
+  if (!armed_) return;
+  cur_.t_replayed = host_now_ns();
+}
+
 void ShardProfiler::end_drain(std::uint64_t cross_total) {
   if (!armed_) return;
   cur_.t_drain1 = host_now_ns();
   const std::uint64_t epoch_ns = cur_.t_parked - cur_.t_release;
   h_epoch_->add(epoch_ns);
   h_drain_->add(cur_.t_drain1 - cur_.t_drain0);
+  h_land_->add(cur_.t_landed - cur_.t_drain0);
+  h_replay_->add(cur_.t_replayed - cur_.t_landed);
   std::uint64_t max_exec_ns = 0;
   for (const LaneSeries& s : lanes_) {
     const std::uint64_t exec_ns =

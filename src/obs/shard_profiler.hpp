@@ -15,7 +15,9 @@
 // (`shard/max_lane_exec_ns`) and everything else the coordinator waited
 // for — release latency, wake-up and finish skew (`shard/wake_skew_ns`,
 // epoch minus max-lane exec) — with the barrier work after it in
-// `shard/drain_host_ns`.
+// `shard/drain_host_ns`, whose two parts are `shard/land_host_ns`
+// (landing the cross-shard handoffs) and `shard/replay_host_ns`
+// (replaying the observer journal).
 //
 // Threading: each lane's series is written only by the thread that
 // runs the lane (begin_exec/end_exec): a worker, or the coordinator for
@@ -62,6 +64,9 @@ class ShardProfiler {
   /// barrier lands them (`shard/ring_occupancy`).
   void sample_handoffs(std::uint32_t lane, std::size_t depth);
   void begin_drain();
+  /// The barrier has landed its handoffs / replayed its journal.
+  void end_land();
+  void end_replay();
   /// End of barrier work: folds the finished epoch into the registry.
   /// `cross_total` is the driver's cumulative cross-shard count.
   void end_drain(std::uint64_t cross_total);
@@ -91,7 +96,8 @@ class ShardProfiler {
   };
   struct EpochRec {
     std::uint64_t epoch;
-    std::uint64_t t_release, t_parked, t_drain0, t_drain1;
+    std::uint64_t t_release, t_parked, t_drain0, t_landed, t_replayed,
+        t_drain1;
   };
   struct HandoffRec {
     std::uint64_t epoch;
@@ -118,6 +124,8 @@ class ShardProfiler {
   Histogram* h_skew_ = nullptr;
   Histogram* h_wait_ = nullptr;
   Histogram* h_drain_ = nullptr;
+  Histogram* h_land_ = nullptr;
+  Histogram* h_replay_ = nullptr;
   Histogram* h_util_ = nullptr;
   Histogram* h_handoff_ = nullptr;
   Counter* c_epochs_ = nullptr;

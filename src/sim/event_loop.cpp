@@ -378,7 +378,7 @@ void TimingWheel::pop_run_raw() {
   // stamping), and the lane (for SHARD_LANED allocators).
   const Entry& e = entries_[idx];
   EventLoop::tls_ctx_ =
-      EventLoop::SchedCtx{owner_, this, e.exec_src, e.key_a, e.key_b};
+      EventLoop::SchedCtx{owner_, this, e.exec_src, 0, e.key_a, e.key_b};
   ExecLane::idx = lane_;
   // Invoke in place: the chunked storage never moves, the node is the
   // callback's sole owner, and the node is only recycled AFTER the call
@@ -649,7 +649,7 @@ bool EventLoop::merge_run(SimTime limit) {
 
 EventLoop::ObserverReplayScope::ObserverReplayScope(EventLoop& loop)
     : loop_(loop), saved_ctx_(tls_ctx_), saved_lane_(ExecLane::idx) {
-  tls_ctx_ = SchedCtx{&loop, &loop.control_, kExternalSource, 0, 0};
+  tls_ctx_ = SchedCtx{&loop, &loop.control_, kExternalSource, 0, 0, 0};
   ExecLane::idx = loop.control_.lane();
 }
 

@@ -278,6 +278,8 @@ class EventLoop {
     EventLoop* owner = nullptr;
     TimingWheel* wheel = nullptr;
     std::uint32_t src = kExternalSource;
+    /// Calls to next_in_event() so far in this context.
+    std::uint32_t calls = 0;
     std::uint64_t cur_key_a = 0;
     std::uint64_t cur_key_b = 0;
   };
@@ -393,7 +395,7 @@ class EventLoop {
     TimingWheel* w = wheel_of_source(src);
     w->set_now(now());
     const SchedCtx saved = tls_ctx_;
-    tls_ctx_ = SchedCtx{this, w, src, 0, 0};
+    tls_ctx_ = SchedCtx{this, w, src, 0, 0, 0};
     f();
     tls_ctx_ = saved;
   }
@@ -439,12 +441,17 @@ class EventLoop {
   void set_parallel_driver(ParallelDriver* d) { driver_ = d; }
 
   /// Canonical key of the event currently executing on this thread
-  /// (valid inside a callback; zeros outside).  The wire-digest
-  /// recorder uses it to merge per-shard delivery streams.
+  /// (valid inside a callback; zeros outside).  The observer journal
+  /// stamps its records with it and the wire digest keys its facts by
+  /// it.
   static void current_event_key(std::uint64_t& key_a, std::uint64_t& key_b) {
     key_a = tls_ctx_.cur_key_a;
     key_b = tls_ctx_.cur_key_b;
   }
+  /// 0 on the first call inside the executing event, 1 on the next, and
+  /// so on: program order within one event, which its key alone does
+  /// not encode.  Every event starts again at 0.
+  static std::uint32_t next_in_event() { return tls_ctx_.calls++; }
   /// True when the calling context is external or control-lane (not a
   /// node callback).  Control-plane mutations (crash/revive) assert
   /// this under strict mode.
@@ -519,7 +526,7 @@ class EventLoop {
   /// access, with no TLS wrapper call for a definition in another
   /// translation unit.
   static inline thread_local constinit SchedCtx tls_ctx_{
-      nullptr, nullptr, kExternalSource, 0, 0};
+      nullptr, nullptr, kExternalSource, 0, 0, 0};
 
   TimingWheel* wheel_of_source(std::uint32_t src) {
     return wheels_[shard_of_source(src)].get();

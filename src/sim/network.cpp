@@ -22,13 +22,24 @@ std::uint64_t pair_key(NodeId a, NodeId b) {
 
 constexpr std::uint64_t kWireDigestSeed = 0x9E3779B97F4A7C15ull;
 
+/// A wire-digest fact's place in the canonical order: the executing
+/// event's key (at, key_a, key_b) and the fact's position `idx` within
+/// that event.  Each part gets its own mix64 step, so no two parts can
+/// cancel each other out.
+std::uint64_t key_hash(SimTime at, std::uint64_t key_a, std::uint64_t key_b,
+                       std::uint64_t idx) {
+  std::uint64_t k = mix64(kWireDigestSeed ^ static_cast<std::uint64_t>(at));
+  k = mix64(k ^ key_a);
+  k = mix64(k ^ key_b);
+  return mix64(k ^ idx);
+}
+
 }  // namespace
 
-Network::Network(std::uint64_t seed)
-    : rng_(seed), wire_digest_chain_(kWireDigestSeed) {
+Network::Network(std::uint64_t seed) : rng_(seed) {
   // Observer plane (DESIGN.md §17): records journaled during a
   // concurrent epoch are stamped with the executing event's delivery
-  // time and canonical key — the same key the wire digest merges by.
+  // time and canonical key, and replayed in key order at the barrier.
   journal_.set_stamp(
       [this](SimTime& at, std::uint64_t& ka, std::uint64_t& kb) {
         at = loop_.now();
@@ -371,17 +382,19 @@ void Network::fold_wire_digest(NodeId from, NodeId dst, SimTime arrived,
 }
 
 void Network::fold_digest(std::uint64_t h) {
-  if (journal_.deferring()) {
-    // Concurrent epoch: log on the executing lane with the event's
-    // canonical key; the coordinator folds the log at the barrier.
-    std::uint64_t ka = 0;
-    std::uint64_t kb = 0;
-    EventLoop::current_event_key(ka, kb);
-    wire_digest_log_.append(loop_.now(), ka, kb, h);
-    return;
-  }
-  wire_digest_chain_ = mix64(wire_digest_chain_ ^ h);
-  ++wire_digest_count_;
+  // A multiset hash (DESIGN.md §11): the digest is the sum of one keyed
+  // hash per fact, so it is the same whichever lane folds a fact and in
+  // whatever order the lanes run.  Outside any event (key_b is 0 only
+  // there) the fact's position counts the coordinator's out-of-event
+  // folds instead.
+  std::uint64_t key_a = 0;
+  std::uint64_t key_b = 0;
+  EventLoop::current_event_key(key_a, key_b);
+  const std::uint64_t idx = key_b != 0 ? EventLoop::next_in_event()
+                                       : outside_event_folds_++;
+  DigestLane& lane = digest_lanes_.local();
+  lane.sum += mix64(h ^ key_hash(loop_.now(), key_a, key_b, idx));
+  ++lane.count;
 }
 
 std::uint64_t Network::merge_epoch_logs() {
@@ -400,17 +413,17 @@ std::uint64_t Network::merge_epoch_logs() {
     landed += parked.size();
     parked.clear();
   }
-  wire_digest_count_ += wire_digest_log_.merge(
-      [this](SimTime, std::uint64_t h) {
-        wire_digest_chain_ = mix64(wire_digest_chain_ ^ h);
-      });
-  if (journal_.empty()) return landed;
-  // Replay on the coordinator thread disguised as the control lane:
-  // observers read now() as each record's delivery time, and pooled
-  // payload copies released by tap records land on the control lane's
-  // free list (an explicit cross-shard return, see common/pool.hpp).
-  EventLoop::ObserverReplayScope scope(loop_);
-  journal_.replay([&scope](SimTime at) { scope.advance(at); });
+  shard_profiler_.end_land();
+  if (!journal_.empty()) {
+    // Replay on the coordinator thread disguised as the control lane:
+    // observers read now() as each record's delivery time, and pooled
+    // payload copies released by tap records land on the control
+    // lane's free list (an explicit cross-shard return, see
+    // common/pool.hpp).
+    EventLoop::ObserverReplayScope scope(loop_);
+    journal_.replay([&scope](SimTime at) { scope.advance(at); });
+  }
+  shard_profiler_.end_replay();
   return landed;
 }
 
@@ -454,7 +467,10 @@ std::uint32_t Network::enable_sharding(const ShardPlan& plan) {
   stats_lanes_.configure(lanes);
   reset_stats();
   stats_lanes_[0] = merged;
-  wire_digest_log_.configure_lanes(lanes);
+  const DigestLane digest = digest_total();
+  digest_lanes_.configure(lanes);
+  for (DigestLane& lane : digest_lanes_) lane = DigestLane{};
+  digest_lanes_[0] = digest;
   journal_.configure_lanes(lanes);
   handoff_.configure(shards);
   loop_.set_parallel_driver(nullptr);

@@ -21,7 +21,6 @@
 #include "common/annotations.hpp"
 #include "common/exec_lane.hpp"
 #include "common/flat_table.hpp"
-#include "common/laned_log.hpp"
 #include "common/per_lane.hpp"
 #include "common/pool.hpp"
 #include "common/result.hpp"
@@ -302,24 +301,26 @@ class Network {
     barrier_hook_ = std::move(hook);
   }
 
-  /// Arm the wire digest: a running hash over every delivery (time,
-  /// endpoints, size, full payload bytes) in canonical event order.
-  /// This is the simulator's one determinism witness: the shard tests,
-  /// the bench sweep and tools/determinism_audit compare it across runs
-  /// and shard counts.  The invariant checker arms it and folds its own
-  /// facts in through fold_digest().  In a concurrent epoch each record
-  /// goes to a LanedLog, merged by canonical key at the barrier.
+  /// Arm the wire digest: a hash over every delivery (time, endpoints,
+  /// size, full payload bytes), keyed by its place in the canonical
+  /// event order (DESIGN.md §11).  This is the simulator's one
+  /// determinism witness: the shard tests, the bench sweep and
+  /// tools/determinism_audit compare it across runs and shard counts.
+  /// The invariant checker arms it and folds its own facts in through
+  /// fold_digest().
   void arm_wire_digest() { wire_digest_armed_ = true; }
   bool wire_digest_armed() const { return wire_digest_armed_; }
-  /// Fold one observer fact (a scheduler decision, a quiesce count)
-  /// into the wire digest on the delivery hashes' path: inline, or in a
-  /// concurrent epoch logged under the executing event's canonical key,
-  /// so it lands where the serial run folds it.  Arm the digest first.
-  HOT_PATH void fold_digest(std::uint64_t h);
-  /// Digest and number of records folded (deliveries plus observer
-  /// facts) so far; read at quiesce.
-  std::uint64_t wire_digest() const { return wire_digest_chain_; }
-  std::uint64_t wire_digest_events() const { return wire_digest_count_; }
+  /// Fold one fact (a delivery hash, a scheduler decision, a quiesce
+  /// count) into the wire digest: add its hash, keyed by the executing
+  /// event's canonical key and the fact's position within that event,
+  /// into the executing lane's sum.  The sum does not depend on which
+  /// lane folds what, nor in which order.  Arm the digest first.
+  HOT_PATH CROSS_SHARD void fold_digest(std::uint64_t h);
+  /// Digest and number of facts folded (deliveries plus observer
+  /// facts) so far: the lanes' sums.  Read with the workers parked (at
+  /// quiesce or a barrier).
+  std::uint64_t wire_digest() const { return digest_total().sum; }
+  std::uint64_t wire_digest_events() const { return digest_total().count; }
 
  private:
   friend class ShardRunner;
@@ -407,9 +408,8 @@ class Network {
                                                SimTime arrive,
                                                EventLoop::Callback&& fn);
   /// Barrier work, runner-only (workers parked): land every lane's
-  /// handoffs with their stamped keys, fold the epoch's digest log,
-  /// then replay the observer journal, both in canonical key order.
-  /// Returns the number of handoffs landed.
+  /// handoffs with their stamped keys, then replay the observer journal
+  /// in canonical key order.  Returns the number of handoffs landed.
   std::uint64_t merge_epoch_logs();
   /// Fabric-unique frame id from the executing lane's strided allocator.
   HOT_PATH std::uint64_t mint_frame_id() {
@@ -478,13 +478,26 @@ class Network {
   std::uint64_t frame_id_stride_ = 1;
   std::uint64_t frame_id_base_ = 0;
 
-  // Wire digest state.  Outside concurrent epochs deliveries fold
-  // inline (chain/count); inside one their hashes go to the log and the
-  // coordinator folds them at the barrier.
+  // Wire digest state: each lane sums the keyed hashes of the facts it
+  // folds; the digest is the sum over lanes.
+  struct DigestLane {
+    std::uint64_t sum = 0;
+    std::uint64_t count = 0;
+  };
+  DigestLane digest_total() const {
+    DigestLane t;
+    for (const DigestLane& lane : digest_lanes_) {
+      t.sum += lane.sum;
+      t.count += lane.count;
+    }
+    return t;
+  }
   bool wire_digest_armed_ = false;
-  std::uint64_t wire_digest_chain_;
-  std::uint64_t wire_digest_count_ = 0;
-  LanedLog<std::uint64_t> wire_digest_log_;
+  SHARD_LANED PerLane<DigestLane> digest_lanes_;
+  /// Position of the next fact folded outside any event.  Only the
+  /// coordinator folds there (quiesce, control-lane code), workers
+  /// parked.
+  CROSS_SHARD std::uint64_t outside_event_folds_ = 0;
 
   std::unique_ptr<ShardRunner> runner_;
 };

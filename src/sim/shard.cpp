@@ -258,9 +258,9 @@ bool ShardRunner::run_window(SimTime limit) {
   if (!force_workers_ &&
       (active == 1 || last_window_events_ < kMinParallelEvents)) {
     // The loop's own key-merge, on this thread: with the journal not
-    // deferring nothing is logged — observers and the wire digest run
-    // inline (every earlier window was replayed at its barrier) and
-    // cross-shard frames insert straight into their destination wheels.
+    // deferring nothing is logged — observers run inline (every earlier
+    // window was replayed at its barrier) and cross-shard frames insert
+    // straight into their destination wheels.
     loop.merge_run(run_to);
     ++coordinator_windows_;
     back_to_back_ = false;
@@ -273,8 +273,8 @@ bool ShardRunner::run_window(SimTime limit) {
     run_epoch(run_to);
     last_window_events_ = loop.events_executed() - events_before;
     // Barrier work, workers parked: land cross-shard deliveries (keys
-    // intact), fold the digest log, and replay journaled observer
-    // records — both in canonical order.
+    // intact), then replay journaled observer records in canonical
+    // order.
     if (prof.armed()) {
       prof.end_epoch();
       prof.begin_drain();
@@ -296,9 +296,10 @@ void ShardRunner::run_epoch(SimTime limit) {
   // window) gives no sign that the next comes soon.
   spin_ = back_to_back_;
   back_to_back_ = true;
-  // The one epoch flag: during the epoch digest folds, observer
-  // callbacks and cross-shard deliveries go to their lane logs;
-  // everywhere else (control events, serial segments) they run inline.
+  // The one epoch flag: during the epoch observer callbacks and
+  // cross-shard deliveries go to their lanes' journal and handoff
+  // vectors; everywhere else (control events, serial segments) they run
+  // inline.
   net_.journal_.set_deferring(true);
   running_.store(shards_ - 1, std::memory_order_relaxed);
   epoch_seq_.fetch_add(1);

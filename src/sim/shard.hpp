@@ -17,7 +17,7 @@
 // wheel.  A window on the workers is a BSP round: release the workers
 // to H-1, run lane 0 on the coordinator, wait for the workers at the
 // barrier, then let the network land the epoch's cross-shard handoffs
-// and merge its digest and journal logs (Network::merge_epoch_logs).
+// and replay its observer journal (Network::merge_epoch_logs).
 //
 // The barrier spins, then parks.  The coordinator publishes the epoch
 // limit and the journal's deferring flag, then bumps the epoch_seq_

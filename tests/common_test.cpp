@@ -11,9 +11,7 @@
 #include <vector>
 
 #include "common/bytes.hpp"
-#include "common/exec_lane.hpp"
 #include "common/flat_table.hpp"
-#include "common/laned_log.hpp"
 #include "common/pool.hpp"
 #include "common/result.hpp"
 #include "common/small_fn.hpp"
@@ -625,47 +623,6 @@ TEST(BufferPool, RetentionCapDropsBurstBuffers) {
   EXPECT_EQ(pool.stats().dropped, 1u);
   pool.release(Bytes());  // capacity 0: nothing worth retaining
   EXPECT_EQ(pool.idle(), 2u);
-}
-
-// --- LanedLog ---------------------------------------------------------------
-
-TEST(LanedLog, MergeVisitsCanonicalKeyOrderAndKeepsProgramOrder) {
-  LanedLog<std::string> log;
-  log.configure_lanes(3);
-  auto append_on = [&log](std::uint32_t lane, SimTime at, std::uint64_t ka,
-                          std::uint64_t kb, std::string v) {
-    ExecLane::idx = lane;
-    log.append(at, ka, kb, std::move(v));
-    ExecLane::idx = 0;
-  };
-  // Keys interleave across lanes and tie at `at` and at key_a, so every
-  // level of the (at, key_a, key_b) comparison decides somewhere.
-  append_on(0, 10, 1, 5, "a");
-  append_on(1, 10, 1, 2, "b0");
-  append_on(2, 5, 9, 9, "z");
-  append_on(1, 10, 1, 2, "b1");  // same key as b0: one event, two records
-  append_on(2, 20, 1, 7, "c");
-  append_on(1, 20, 2, 0, "d");
-  append_on(0, 30, 0, 0, "f");
-  append_on(2, 30, 0, 1, "g");
-  EXPECT_FALSE(log.empty());
-
-  std::vector<std::pair<SimTime, std::string>> seen;
-  const std::size_t n = log.merge([&seen](SimTime at, std::string& v) {
-    seen.emplace_back(at, v);
-  });
-  const std::vector<std::pair<SimTime, std::string>> want = {
-      {5, "z"},  {10, "b0"}, {10, "b1"}, {10, "a"},
-      {20, "c"}, {20, "d"},  {30, "f"},  {30, "g"},
-  };
-  EXPECT_EQ(n, want.size());
-  EXPECT_EQ(seen, want);
-
-  // merge cleared every lane: a second merge visits nothing.
-  EXPECT_TRUE(log.empty());
-  int again = 0;
-  EXPECT_EQ(log.merge([&again](SimTime, std::string&) { ++again; }), 0u);
-  EXPECT_EQ(again, 0);
 }
 
 }  // namespace

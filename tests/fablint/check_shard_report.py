@@ -62,6 +62,7 @@ def main() -> int:
         ("laned_state", "frame_id_lanes_", "laned frame-id allocators"),
         ("laned_state", "lanes_", "laned pool free lists"),
         ("laned_state", "handoff_", "per-lane cross-shard handoffs"),
+        ("laned_state", "digest_lanes_", "per-lane wire digest sums"),
         ("shard_guarded_state", "buckets_", "TimingWheel buckets"),
     ]
     for key, name, what in expectations:

@@ -13,7 +13,9 @@
 #include <unordered_map>
 #include <vector>
 
+#include "common/exec_lane.hpp"
 #include "core/cluster.hpp"
+#include "obs/journal.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "sim/shard.hpp"
@@ -21,6 +23,58 @@
 using namespace objrpc;
 
 namespace {
+
+// --- observer journal --------------------------------------------------------
+
+TEST(ShardJournal, ReplayVisitsCanonicalKeyOrderAndKeepsProgramOrder) {
+  obs::ShardJournal journal;
+  journal.configure_lanes(3);
+  SimTime at = 0;
+  std::uint64_t ka = 0;
+  std::uint64_t kb = 0;
+  journal.set_stamp([&](SimTime& t, std::uint64_t& a, std::uint64_t& b) {
+    t = at;
+    a = ka;
+    b = kb;
+  });
+  std::vector<std::pair<SimTime, std::string>> seen;
+  SimTime clock = -1;
+  auto defer_on = [&](std::uint32_t lane, SimTime t, std::uint64_t a,
+                      std::uint64_t b, std::string v) {
+    at = t;
+    ka = a;
+    kb = b;
+    ExecLane::idx = lane;
+    journal.defer(SmallFn([&seen, &clock, v] { seen.emplace_back(clock, v); }));
+    ExecLane::idx = 0;
+  };
+  // Keys interleave across lanes and tie at `at` and at key_a, so every
+  // level of the (at, key_a, key_b) comparison decides somewhere.
+  defer_on(0, 10, 1, 5, "a");
+  defer_on(1, 10, 1, 2, "b0");
+  defer_on(2, 5, 9, 9, "z");
+  defer_on(1, 10, 1, 2, "b1");  // same key as b0: one event, two records
+  defer_on(2, 20, 1, 7, "c");
+  defer_on(1, 20, 2, 0, "d");
+  defer_on(0, 30, 0, 0, "f");
+  defer_on(2, 30, 0, 1, "g");
+  EXPECT_FALSE(journal.empty());
+
+  journal.replay([&clock](SimTime t) { clock = t; });
+  const std::vector<std::pair<SimTime, std::string>> want = {
+      {5, "z"},  {10, "b0"}, {10, "b1"}, {10, "a"},
+      {20, "c"}, {20, "d"},  {30, "f"},  {30, "g"},
+  };
+  EXPECT_EQ(seen, want);
+  EXPECT_EQ(journal.replayed_total(), want.size());
+
+  // replay cleared every lane: a second replay visits nothing.
+  EXPECT_TRUE(journal.empty());
+  seen.clear();
+  journal.replay([&clock](SimTime t) { clock = t; });
+  EXPECT_TRUE(seen.empty());
+  EXPECT_EQ(journal.replayed_total(), want.size());
+}
 
 // --- histogram -----------------------------------------------------------
 

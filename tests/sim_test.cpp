@@ -710,21 +710,65 @@ TEST(Network, TapSeesDeliveredFrames) {
   EXPECT_EQ(taps, 1);
 }
 
-/// Wire digest after one frame carrying `payload` crosses a fresh
-/// two-node link: equal-length payloads share time, endpoints and size,
-/// so only the payload fold can tell them apart.
-std::uint64_t one_delivery_digest(const Bytes& payload) {
+/// Wire digest after one frame carrying `payload`, sent at `send_at`,
+/// crosses a fresh two-node link: equal-length payloads sent at the same
+/// time share time, endpoints and size, so only the payload fold can
+/// tell them apart.
+std::uint64_t one_delivery_digest(const Bytes& payload, SimTime send_at = 0) {
   Network net(1);
   auto& a = net.add_node<SinkNode>("a");
   auto& b = net.add_node<SinkNode>("b");
   net.connect(a.id(), b.id());
   net.arm_wire_digest();
+  net.loop().run_until(send_at);
   Packet p;
   p.data = payload;
   a.transmit(0, std::move(p));
   net.loop().run();
   EXPECT_EQ(net.wire_digest_events(), 1u);
   return net.wire_digest();
+}
+
+TEST(Network, WireDigestSeesTheArrivalTime) {
+  const Bytes payload(16, 0xAB);
+  EXPECT_NE(one_delivery_digest(payload, 1), one_delivery_digest(payload));
+}
+
+/// Wire digest of the facts `schedule` folds from events it schedules.
+template <typename Schedule>
+std::uint64_t folded_digest(Schedule&& schedule) {
+  Network net(1);
+  net.arm_wire_digest();
+  schedule(net);
+  net.loop().run();
+  EXPECT_EQ(net.wire_digest_events(), 2u);
+  return net.wire_digest();
+}
+
+TEST(Network, WireDigestKeepsFoldOrderWithinAnEvent) {
+  // The digest is a sum, so it cannot see the order facts are added in;
+  // within one event each fact's position is part of its key, so
+  // swapping two facts there still changes it.
+  const auto in_one_event = [](std::uint64_t first, std::uint64_t second) {
+    return folded_digest([first, second](Network& net) {
+      net.loop().schedule_at(5, [&net, first, second] {
+        net.fold_digest(first);
+        net.fold_digest(second);
+      });
+    });
+  };
+  const std::uint64_t ab = in_one_event(1, 2);
+  const std::uint64_t ba = in_one_event(2, 1);
+  EXPECT_NE(ab, ba);
+  // The same facts in two events at different times.
+  const std::uint64_t apart = folded_digest([](Network& net) {
+    net.loop().schedule_at(5, [&net] { net.fold_digest(1); });
+    net.loop().schedule_at(6, [&net] { net.fold_digest(2); });
+  });
+  EXPECT_NE(apart, ab);
+  EXPECT_NE(apart, ba);
+  // Each digest is a pure function of its facts and their places.
+  EXPECT_EQ(in_one_event(1, 2), ab);
 }
 
 TEST(Network, WireDigestSeesEveryPayloadByte) {
