@@ -173,21 +173,7 @@ void ObjectFetcher::on_chunk_req(const Frame& f) {
                    f.length == 0 ? "serve_stat" : "serve_chunk",
                    service_.host().event_loop().now());
   }
-  resp.obj_version = (*obj)->version();
-  const Bytes& image = (*obj)->raw_bytes();
-  if (f.length == 0) {
-    // stat: report the byte-image size.
-    resp.offset = image.size();
-    resp.length = 0;
-  } else {
-    const std::uint64_t off = std::min<std::uint64_t>(f.offset, image.size());
-    const std::uint64_t len =
-        std::min<std::uint64_t>(f.length, image.size() - off);
-    resp.offset = off;
-    resp.length = static_cast<std::uint32_t>(len);
-    resp.payload.assign(image.begin() + static_cast<std::ptrdiff_t>(off),
-                        image.begin() + static_cast<std::ptrdiff_t>(off + len));
-  }
+  fill_chunk_reply(resp, f, (*obj)->raw_bytes(), (*obj)->version());
   // The requester now holds (part of) a replica: track for invalidation.
   copysets_[f.object].insert(f.src_host);
   service_.host().send_frame(std::move(resp));

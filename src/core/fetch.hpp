@@ -142,7 +142,6 @@ class ObjectFetcher {
     /// events parent under it, and replies echo it back — one fetch is
     /// one span tree (ids minted unconditionally; see obs/trace.hpp).
     obs::TraceContext trace;
-    bool prefetch = false;  // issued by policy, not demand
   };
 
   void start(ObjectId id);

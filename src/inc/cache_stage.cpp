@@ -156,26 +156,12 @@ void IncCacheStage::serve(const Frame& req, PortId in_port, Entry& entry) {
   resp.dst_host = req.src_host;
   resp.object = req.object;
   resp.seq = req.seq;
-  resp.obj_version = entry.version;
   resp.trace = req.trace;  // the reply stays in the requester's trace
   if (switch_.tracer().armed() && req.trace.valid()) {
     switch_.tracer().instant(req.trace.trace, req.trace.parent, switch_.id(),
                              "inc_hit", switch_.event_loop().now());
   }
-  if (req.length == 0) {
-    // stat: report the image size.
-    resp.offset = entry.image.size();
-  } else {
-    const std::uint64_t off =
-        std::min<std::uint64_t>(req.offset, entry.image.size());
-    const std::uint64_t len =
-        std::min<std::uint64_t>(req.length, entry.image.size() - off);
-    resp.offset = off;
-    resp.length = static_cast<std::uint32_t>(len);
-    resp.payload.assign(
-        entry.image.begin() + static_cast<std::ptrdiff_t>(off),
-        entry.image.begin() + static_cast<std::ptrdiff_t>(off + len));
-  }
+  fill_chunk_reply(resp, req, entry.image, entry.version);
   // The requester now holds (part of) a replica the home knows nothing
   // about; WE owe it the invalidate when the home invalidates us.
   readers_[req.object].insert(req.src_host);

@@ -80,7 +80,7 @@ void HostNode::receive(PortId /*in_port*/, Packet pkt, SimTime arrived) {
   }
   // Take the key slot a separate dispatch event would have taken, so
   // this host's later events keep their keys.
-  loop().reserve_key();
+  loop().reserve_key(loop().now());
   dispatch(std::move(*frame));
 }
 

@@ -45,23 +45,8 @@ bool SyncOffload::handle(SwitchNode& sw, PortId in_port, const Packet& pkt) {
   if (!req) return false;
 
   // Execute in the pipeline.
-  AtomicResponse resp;
-  resp.old_value = it->second;
-  switch (req->op) {
-    case AtomicOp::fetch_add:
-      it->second += req->operand;
-      resp.applied = true;
-      break;
-    case AtomicOp::compare_swap:
-      if (it->second == req->expected) {
-        it->second = req->operand;
-        resp.applied = true;
-      } else {
-        resp.applied = false;
-        ++counters_.cas_failures;
-      }
-      break;
-  }
+  const AtomicResponse resp = apply_atomic_op(it->second, *req);
+  if (!resp.applied) ++counters_.cas_failures;
   ++counters_.served;
 
   // Answer straight from the switch.

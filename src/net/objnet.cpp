@@ -1,5 +1,7 @@
 #include "net/objnet.hpp"
 
+#include <algorithm>
+
 #include "sim/switch_node.hpp"
 
 namespace objrpc {
@@ -215,10 +217,15 @@ Bytes encode_atomic_request(const AtomicRequest& req) {
 std::optional<AtomicRequest> decode_atomic_request(ByteSpan payload) {
   BufReader r(payload);
   AtomicRequest req;
-  req.op = static_cast<AtomicOp>(r.get_u8());
+  const std::uint8_t op = r.get_u8();
+  req.op = static_cast<AtomicOp>(op);
   req.operand = r.get_u64();
   req.expected = r.get_u64();
   if (!r.ok()) return std::nullopt;
+  if (op != static_cast<std::uint8_t>(AtomicOp::fetch_add) &&
+      op != static_cast<std::uint8_t>(AtomicOp::compare_swap)) {
+    return std::nullopt;  // unknown op: nothing may claim to apply it
+  }
   return req;
 }
 
@@ -236,6 +243,36 @@ std::optional<AtomicResponse> decode_atomic_response(ByteSpan payload) {
   resp.applied = r.get_u8() != 0;
   if (!r.ok()) return std::nullopt;
   return resp;
+}
+
+AtomicResponse apply_atomic_op(std::uint64_t& word, const AtomicRequest& req) {
+  AtomicResponse resp;
+  resp.old_value = word;
+  if (req.op == AtomicOp::fetch_add) {
+    word += req.operand;
+  } else if (word == req.expected) {
+    word = req.operand;
+  } else {
+    resp.applied = false;
+  }
+  return resp;
+}
+
+void fill_chunk_reply(Frame& resp, const Frame& req, const Bytes& image,
+                      std::uint64_t version) {
+  resp.obj_version = version;
+  if (req.length == 0) {
+    resp.offset = image.size();
+    resp.length = 0;
+    return;
+  }
+  const std::uint64_t off = std::min<std::uint64_t>(req.offset, image.size());
+  const std::uint64_t len =
+      std::min<std::uint64_t>(req.length, image.size() - off);
+  resp.offset = off;
+  resp.length = static_cast<std::uint32_t>(len);
+  resp.payload.assign(image.begin() + static_cast<std::ptrdiff_t>(off),
+                      image.begin() + static_cast<std::ptrdiff_t>(off + len));
 }
 
 Bytes encode_cache_grant(const CacheGrant& grant) {

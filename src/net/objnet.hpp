@@ -112,6 +112,12 @@ struct AtomicResponse {
 Bytes encode_atomic_response(const AtomicResponse& resp);
 std::optional<AtomicResponse> decode_atomic_response(ByteSpan payload);
 
+/// The one atomic step, for the home and the switch offload alike:
+/// apply `req` to `word` in place and report the previous value and
+/// whether it applied.  decode_atomic_request admits only the two ops
+/// handled here.
+AtomicResponse apply_atomic_op(std::uint64_t& word, const AtomicRequest& req);
+
 const char* msg_type_name(MsgType t);
 
 /// Header flags.
@@ -228,6 +234,13 @@ inline bool is_inc_cache_addr(HostAddr addr) {
 /// host whose store misses, or by a switch cache whose entry is gone by
 /// the time a locked-on requester asks for more chunks.
 constexpr std::uint64_t kChunkNotHere = ~0ULL;
+
+/// Answer chunk request `req` from `image` (at `version`) into `resp`,
+/// for every chunk server (home, replica, switch cache): a stat
+/// (length 0) reports the image size as the offset; a data request
+/// gets [offset, offset + length) clipped to the image.
+void fill_chunk_reply(Frame& resp, const Frame& req, const Bytes& image,
+                      std::uint64_t version);
 
 /// Payload helpers ------------------------------------------------------
 

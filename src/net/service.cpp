@@ -157,27 +157,10 @@ Result<AtomicResponse> ObjNetService::apply_atomic(ObjectId id,
   if (!obj) return Error{Errc::not_found, "object not resident"};
   auto old = (*obj)->read_u64(offset);
   if (!old) return old.error();
-  AtomicResponse resp;
-  resp.old_value = *old;
-  switch (req.op) {
-    case AtomicOp::fetch_add:
-      if (Status s = (*obj)->write_u64(offset, *old + req.operand); !s) {
-        return s.error();
-      }
-      resp.applied = true;
-      break;
-    case AtomicOp::compare_swap:
-      if (*old == req.expected) {
-        if (Status s = (*obj)->write_u64(offset, req.operand); !s) {
-          return s.error();
-        }
-        resp.applied = true;
-      } else {
-        resp.applied = false;
-      }
-      break;
-  }
+  std::uint64_t word = *old;
+  const AtomicResponse resp = apply_atomic_op(word, req);
   if (resp.applied) {
+    if (Status s = (*obj)->write_u64(offset, word); !s) return s.error();
     ++counters_.atomics_served;
     notify_write(id);
   }

@@ -8,12 +8,12 @@
 // the one merge-at-barrier log: during an epoch each worker appends
 // closures to its OWN lane (one PerLane vector per execution lane, so
 // the append is a plain push_back), every record stamped with the
-// executing event's canonical key (at, key_a, key_b).  At the BSP
-// barrier, with all workers parked, the coordinator gathers the lanes,
-// stable-sorts them by key and replays the closures.
+// executing event's canonical EventKey.  At the BSP barrier, with all
+// workers parked, the coordinator gathers the lanes, stable-sorts them
+// by key and replays the closures.
 //
 // Why that order is the serial one: the serial driver executes events
-// in ascending (at, key_a, key_b); executed events have unique keys;
+// in ascending key order; executed events have unique keys;
 // and one event's records land contiguously, in program order, in the
 // one lane that executed it.  So sorting by key interleaves events
 // canonically and the stable sort keeps each event's own records in
@@ -40,11 +40,11 @@ namespace objrpc::obs {
 
 class ShardJournal {
  public:
-  /// Fills in the executing event's delivery time and canonical key.
-  /// Installed by the Network (which can see the event loop); called on
-  /// worker threads, so it must read only thread-local/lane-local state.
-  using StampFn =
-      std::function<void(SimTime& at, std::uint64_t& ka, std::uint64_t& kb)>;
+  /// Returns the executing event's canonical key, `at` being its
+  /// delivery time.  Installed by the Network (which can see the event
+  /// loop); called on worker threads, so it must read only
+  /// thread-local/lane-local state.
+  using StampFn = std::function<EventKey()>;
 
   void set_stamp(StampFn fn) { stamp_ = std::move(fn); }
 
@@ -62,8 +62,7 @@ class ShardJournal {
   /// event's canonical key.  MAY_ALLOC: lane vector growth — amortized,
   /// and only on armed runs.
   HOT_PATH MAY_ALLOC void defer(SmallFn fn) {
-    Rec& r = lanes_.local().emplace_back(0, 0, 0, std::move(fn));
-    stamp_(r.at, r.key_a, r.key_b);
+    lanes_.local().emplace_back(stamp_(), std::move(fn));
   }
 
   /// Run `f` now (serial driver, control context, or disarmed run) or
@@ -103,9 +102,9 @@ class ShardJournal {
     }
     std::stable_sort(
         scratch_.begin(), scratch_.end(),
-        [](const Rec& a, const Rec& b) { return key_less(a, b); });
+        [](const Rec& a, const Rec& b) { return a.key < b.key; });
     for (Rec& r : scratch_) {
-      clock(r.at);
+      clock(r.key.at);
       r.fn();
     }
     replayed_total_ += scratch_.size();
@@ -114,9 +113,7 @@ class ShardJournal {
 
  private:
   struct Rec {
-    SimTime at;
-    std::uint64_t key_a;
-    std::uint64_t key_b;
+    EventKey key;
     SmallFn fn;
   };
   /// SHARD_LANED: a worker touches only its own lane; configure_lanes

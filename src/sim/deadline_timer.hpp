@@ -31,20 +31,19 @@ class DeadlineTimer {
   DeadlineTimer& operator=(const DeadlineTimer&) = delete;
 
   void arm(const Id& id, SimDuration after) {
-    const SimTime at = loop_.now() + after;
-    const EventLoop::Key key = loop_.reserve_key();
-    const Slot slot{at, key.a, key.b};
-    live_.insert_or_assign(id, slot);
+    const EventKey key = loop_.reserve_key(loop_.now() + after);
+    live_.insert_or_assign(id, key);
     if (loop_.current_source() != owner_) {
-      loop_.schedule_keyed(at, key,
-                           [this, id, slot] { expire_if_live(id, slot); });
+      loop_.schedule_keyed(key, [this, id, key] { expire_if_live(id, key); });
       return;
     }
     // A shorter timeout than an earlier arm's lands before the back.
-    const Deadline d{slot, id};
-    deadlines_.insert(std::upper_bound(deadlines_.begin(), deadlines_.end(),
-                                       d, key_less<Deadline, Deadline>),
-                      d);
+    deadlines_.insert(
+        std::upper_bound(deadlines_.begin(), deadlines_.end(), key,
+                         [](const EventKey& k, const Deadline& d) {
+                           return k < d.key;
+                         }),
+        Deadline{key, id});
     arm_event();
   }
 
@@ -54,25 +53,22 @@ class DeadlineTimer {
 
   /// Wheel events outstanding for the owner's own arms: one in steady
   /// state, however many deadlines are armed.
-  std::size_t events_pending() const { return timer_slots_.size(); }
+  std::size_t events_pending() const { return timer_keys_.size(); }
 
  private:
-  /// Where an event runs: its time and (reserved) key, as key_less reads.
-  struct Slot {
-    SimTime at;
-    std::uint64_t key_a;
-    std::uint64_t key_b;
-  };
-  struct Deadline : Slot {
+  /// An armed deadline: where its event runs (its reserved key), and
+  /// whose it is.
+  struct Deadline {
+    EventKey key;
     Id id;
   };
-  /// key_b (seq, source) names one reservation: a slot's identity.
-  bool live(const Id& id, const Slot& slot) const {
-    const Slot* s = live_.find(id);
-    return s != nullptr && s->key_b == slot.key_b;
+  /// A reserved key names one reservation: an arm's identity.
+  bool live(const Id& id, const EventKey& key) const {
+    const EventKey* k = live_.find(id);
+    return k != nullptr && *k == key;
   }
-  void expire_if_live(const Id& id, const Slot& slot) {
-    if (!live(id, slot)) return;
+  void expire_if_live(const Id& id, const EventKey& key) {
+    if (!live(id, key)) return;
     live_.erase(id);
     on_expire_(id);
   }
@@ -81,30 +77,28 @@ class DeadlineTimer {
   /// earliest live deadline, under that deadline's own key.
   void arm_event() {
     while (!deadlines_.empty() &&
-           !live(deadlines_.front().id, deadlines_.front())) {
+           !live(deadlines_.front().id, deadlines_.front().key)) {
       deadlines_.pop_front();
     }
     if (deadlines_.empty()) return;
-    const Slot head = deadlines_.front();
-    for (const Slot& s : timer_slots_) {
-      if (!key_less(head, s)) return;  // fires at the head's slot or before
+    const EventKey head = deadlines_.front().key;
+    for (const EventKey& k : timer_keys_) {
+      if (!(head < k)) return;  // fires at the head's key or before
     }
-    timer_slots_.push_back(head);
-    loop_.schedule_keyed(head.at, {head.key_a, head.key_b},
-                         [this, head] { on_event(head); });
+    timer_keys_.push_back(head);
+    loop_.schedule_keyed(head, [this, head] { on_event(head); });
   }
 
-  void on_event(const Slot& slot) {
-    timer_slots_.erase(
-        std::find_if(timer_slots_.begin(), timer_slots_.end(),
-                     [&](const Slot& s) { return s.key_b == slot.key_b; }));
-    // No live deadline precedes the slot and keys are unique, so the
-    // head is the slot's own deadline or a later one (the slot's died,
-    // or a shorter arm superseded this event).
-    if (!deadlines_.empty() && !key_less(slot, deadlines_.front())) {
+  void on_event(const EventKey& key) {
+    timer_keys_.erase(
+        std::find(timer_keys_.begin(), timer_keys_.end(), key));
+    // No live deadline precedes the key and keys are unique, so the
+    // head is the key's own deadline or a later one (the key's died, or
+    // a shorter arm superseded this event).
+    if (!deadlines_.empty() && !(key < deadlines_.front().key)) {
       const Deadline d = deadlines_.front();
       deadlines_.pop_front();
-      expire_if_live(d.id, d);
+      expire_if_live(d.id, d.key);
     }
     arm_event();
   }
@@ -112,13 +106,13 @@ class DeadlineTimer {
   EventLoop& loop_;
   std::uint32_t owner_;
   ExpireFn on_expire_;
-  FlatHashMap<Id, Slot> live_;  ///< each armed id's live deadline
-  /// The owner's own arms, live or dead, in (at, key) order.
+  FlatHashMap<Id, EventKey> live_;  ///< each armed id's live deadline
+  /// The owner's own arms, live or dead, in key order.
   std::deque<Deadline> deadlines_;
-  /// Slots of the outstanding timer events, usually one.  An arm ahead
+  /// Keys of the outstanding timer events, usually one.  An arm ahead
   /// of the earliest adds another; the later one fires as a no-op
-  /// unless its slot is the head's again.
-  std::vector<Slot> timer_slots_;
+  /// unless its key is the head's again.
+  std::vector<EventKey> timer_keys_;
 };
 
 }  // namespace objrpc

@@ -6,7 +6,6 @@
 #include <cstdlib>
 #include <utility>
 
-#include "common/canonical_key.hpp"
 #include "common/env.hpp"
 #include "common/exec_lane.hpp"
 
@@ -30,16 +29,13 @@ TimingWheel::TimingWheel(EventLoop* owner, std::uint32_t lane)
   entries_.reserve(kChunk);
 }
 
-std::uint32_t TimingWheel::alloc_node(SimTime at, std::uint64_t key_a,
-                                      std::uint64_t key_b,
+std::uint32_t TimingWheel::alloc_node(const EventKey& key,
                                       std::uint32_t exec_src, Callback&& fn) {
   if (free_head_ != kNoNode) {
     const std::uint32_t idx = free_head_;
     Entry& n = entries_[idx];
     free_head_ = n.next;
-    n.at = at;
-    n.key_a = key_a;
-    n.key_b = key_b;
+    n.key = key;
     n.exec_src = exec_src;
     fn_at(idx) = std::move(fn);
     return idx;
@@ -48,15 +44,15 @@ std::uint32_t TimingWheel::alloc_node(SimTime at, std::uint64_t key_a,
   if ((idx & (kChunk - 1)) == 0) {
     fn_chunks_.push_back(std::make_unique<Callback[]>(kChunk));
   }
-  entries_.push_back(Entry{at, key_a, key_b, kNoNode, exec_src});
+  entries_.push_back(Entry{key, kNoNode, exec_src});
   fn_at(idx) = std::move(fn);
   return idx;
 }
 
-void TimingWheel::schedule(SimTime at, std::uint64_t key_a,
-                           std::uint64_t key_b, std::uint32_t exec_src,
+void TimingWheel::schedule(EventKey key, std::uint32_t exec_src,
                            SimTime floor, Callback&& fn) {
   shard_.assert_held();
+  SimTime& at = key.at;
   if (at < floor) {
     ++clamped_past_schedules_;
     if (strict_past_schedules_) {
@@ -84,13 +80,12 @@ void TimingWheel::schedule(SimTime at, std::uint64_t key_a,
     at = now_;
   }
   if (at < min_bound_) min_bound_ = at;
-  place(alloc_node(at, key_a, key_b, exec_src, std::move(fn)),
-        /*cascading=*/false);
+  place(alloc_node(key, exec_src, std::move(fn)), /*cascading=*/false);
   ++size_;
 }
 
 void TimingWheel::place(std::uint32_t idx, bool cascading) {
-  const auto at = static_cast<std::uint64_t>(entries_[idx].at);
+  const auto at = static_cast<std::uint64_t>(entries_[idx].key.at);
   if (!cascading && at < tick_) {
     // Cursor rollback: the serial key-merge peeks every wheel's next
     // event, which can park an idle wheel's cursor well past the global
@@ -142,7 +137,7 @@ void TimingWheel::place(std::uint32_t idx, bool cascading) {
     std::uint32_t cur = b.head;
     while (cur != kNoNode) {
       const Entry& e = entries_[cur];
-      if (key_less(n, e)) break;
+      if (n.key < e.key) break;
       prev = cur;
       cur = e.next;
     }
@@ -205,10 +200,10 @@ void TimingWheel::sort_bucket(std::size_t slot) {
   sort_scratch_.clear();
   for (std::uint32_t i = b.head; i != kNoNode; i = entries_[i].next) {
     const Entry& e = entries_[i];
-    sort_scratch_.push_back(SortRec{e.at, e.key_a, e.key_b, i});
+    sort_scratch_.push_back(SortRec{e.key, i});
   }
   std::sort(sort_scratch_.begin(), sort_scratch_.end(),
-            key_less<SortRec, SortRec>);
+            [](const SortRec& x, const SortRec& y) { return x.key < y.key; });
   for (std::size_t i = 0; i + 1 < sort_scratch_.size(); ++i) {
     entries_[sort_scratch_[i].idx].next = sort_scratch_[i + 1].idx;
   }
@@ -275,7 +270,7 @@ SimTime TimingWheel::next_time(SimTime limit) {
         std::uint64_t mn;
         if (sorted_tick_ == at) {
           mn = static_cast<std::uint64_t>(
-              entries_[buckets_[0][slot].head].at);
+              entries_[buckets_[0][slot].head].key.at);
         } else {
           // One walk doubles as a sortedness probe: schedule order
           // usually IS key order (parents execute in key order and
@@ -289,8 +284,8 @@ SimTime TimingWheel::next_time(SimTime limit) {
           for (std::uint32_t i = buckets_[0][slot].head; i != kNoNode;
                i = entries_[i].next) {
             const Entry& e = entries_[i];
-            mn = std::min(mn, static_cast<std::uint64_t>(e.at));
-            if (prev != nullptr && key_less(e, *prev)) in_order = false;
+            mn = std::min(mn, static_cast<std::uint64_t>(e.key.at));
+            if (prev != nullptr && e.key < prev->key) in_order = false;
             prev = &e;
           }
           if (in_order && mn == at) sorted_tick_ = at;
@@ -349,11 +344,9 @@ SimTime TimingWheel::next_time(SimTime limit) {
   }
 }
 
-void TimingWheel::head_key(std::uint64_t& key_a, std::uint64_t& key_b) {
+const EventKey& TimingWheel::head_key() {
   shard_.assert_held();
-  const Entry& e = entries_[buckets_[0][tick_ & (kSlots - 1)].head];
-  key_a = e.key_a;
-  key_b = e.key_b;
+  return entries_[buckets_[0][tick_ & (kSlots - 1)].head].key;
 }
 
 void TimingWheel::pop_run_raw() {
@@ -377,8 +370,7 @@ void TimingWheel::pop_run_raw() {
   // the callback inherit the wheel, the source identity (for seq
   // stamping), and the lane (for SHARD_LANED allocators).
   const Entry& e = entries_[idx];
-  EventLoop::tls_ctx_ =
-      EventLoop::SchedCtx{owner_, this, e.exec_src, 0, e.key_a, e.key_b};
+  EventLoop::tls_ctx_ = EventLoop::SchedCtx{owner_, this, e.exec_src, 0, e.key};
   ExecLane::idx = lane_;
   // Invoke in place: the chunked storage never moves, the node is the
   // callback's sole owner, and the node is only recycled AFTER the call
@@ -404,7 +396,7 @@ void TimingWheel::drain_current_tick_raw() {
   while (sorted_tick_ == tick_) {
     const std::uint32_t h = buckets_[0][tick_ & (kSlots - 1)].head;
     if (h == kNoNode ||
-        static_cast<std::uint64_t>(entries_[h].at) != tick_) {
+        static_cast<std::uint64_t>(entries_[h].key.at) != tick_) {
       break;
     }
     pop_run_raw();
@@ -425,16 +417,14 @@ bool TimingWheel::run_until(SimTime limit) {
   return ran;
 }
 
-void TimingWheel::extract_all(std::vector<Extracted>& out) {
+void TimingWheel::extract_all(std::vector<KeyedEvent>& out) {
   shard_.assert_held();
   for (std::size_t lv = 0; lv < kLevels; ++lv) {
     for (std::size_t slot = 0; slot < kSlots; ++slot) {
       for (std::uint32_t i = buckets_[lv][slot].head; i != kNoNode;
            i = entries_[i].next) {
         const Entry& e = entries_[i];
-        out.push_back(
-            Extracted{e.at, e.key_a, e.key_b, e.exec_src,
-                      std::move(fn_at(i))});
+        out.push_back(KeyedEvent{e.key, e.exec_src, std::move(fn_at(i))});
       }
       buckets_[lv][slot] = Bucket{};
     }
@@ -472,90 +462,46 @@ void EventLoop::set_strict_past_schedules(bool strict) {
   for (auto& w : wheels_) w->set_strict_past_schedules(strict);
 }
 
-void EventLoop::schedule_at(SimTime at, Callback&& fn) {
+EventKey EventLoop::reserve_key(SimTime at) {
   SchedCtx& c = tls_ctx_;
   if (c.owner == this && c.wheel != &control_) {
-    // Node context: the event is this node's own timer — it stays on
-    // the node's wheel, stamped from the node's seq counter.
+    // Node context: the node's own timer, stamped from its seq counter.
+    return EventKey{at,
+                    kShardLaneBit | static_cast<std::uint64_t>(c.wheel->now()),
+                    stamp(c.src)};
+  }
+  // External or control-lane context: a lane-0 key (runs before any
+  // shard event at the same tick, in every mode).
+  control_.set_now(global_now_);
+  return EventKey{at, static_cast<std::uint64_t>(control_.now()),
+                  stamp(kExternalSource)};
+}
+
+void EventLoop::schedule_keyed(const EventKey& key, Callback&& fn) {
+  SchedCtx& c = tls_ctx_;
+  if (c.owner == this && c.wheel != &control_) {
+    // The event stays on the node's own wheel.
     TimingWheel* w = c.wheel;
-    const SimTime sched_now = w->now();
-    w->schedule(at,
-                kShardLaneBit | static_cast<std::uint64_t>(sched_now),
-                stamp(c.src), c.src, sched_now, std::move(fn));
+    w->schedule(key, c.src, w->now(), std::move(fn));
     return;
   }
-  // External or control-lane context: control wheel, lane-0 key (runs
-  // before any shard event at the same tick, in every mode).
   control_.set_now(global_now_);
-  const SimTime sched_now = control_.now();
-  control_.schedule(at, static_cast<std::uint64_t>(sched_now),
-                    stamp(kExternalSource), kExternalSource, sched_now,
-                    std::move(fn));
+  control_.schedule(key, kExternalSource, control_.now(), std::move(fn));
 }
 
-void EventLoop::schedule_routed(std::uint32_t dst, SimTime at,
-                                SimTime key_time, Callback&& fn) {
-  SchedCtx& c = tls_ctx_;
-  std::uint32_t stamp_src = kExternalSource;
-  SimTime sched_now = global_now_;
-  if (c.owner == this && c.wheel != nullptr) {
-    sched_now = c.wheel->now();
-    if (c.wheel != &control_) stamp_src = c.src;
-  }
-  wheel_of_source(dst)->schedule(
-      at, kShardLaneBit | static_cast<std::uint64_t>(key_time),
-      stamp(stamp_src), dst, sched_now, std::move(fn));
-}
-
-void EventLoop::stamp_routed(SimTime key_time, std::uint64_t& key_a,
-                             std::uint64_t& key_b) {
+EventKey EventLoop::routed_key(SimTime at, SimTime key_time) {
   SchedCtx& c = tls_ctx_;
   std::uint32_t stamp_src = kExternalSource;
   if (c.owner == this && c.wheel != nullptr && c.wheel != &control_) {
     stamp_src = c.src;
   }
-  key_a = kShardLaneBit | static_cast<std::uint64_t>(key_time);
-  key_b = stamp(stamp_src);
+  return EventKey{at, kShardLaneBit | static_cast<std::uint64_t>(key_time),
+                  stamp(stamp_src)};
 }
 
-EventLoop::Key EventLoop::reserve_key() {
-  SchedCtx& c = tls_ctx_;
-  if (c.owner == this && c.wheel != &control_) {
-    return Key{kShardLaneBit | static_cast<std::uint64_t>(c.wheel->now()),
-               stamp(c.src)};
-  }
-  control_.set_now(global_now_);
-  return Key{static_cast<std::uint64_t>(control_.now()),
-             stamp(kExternalSource)};
-}
-
-void EventLoop::schedule_keyed(SimTime at, Key key, Callback&& fn) {
-  SchedCtx& c = tls_ctx_;
-  if (c.owner == this && c.wheel != &control_) {
-    TimingWheel* w = c.wheel;
-    w->schedule(at, key.a, key.b, c.src, w->now(), std::move(fn));
-    return;
-  }
-  control_.set_now(global_now_);
-  control_.schedule(at, key.a, key.b, kExternalSource, control_.now(),
-                    std::move(fn));
-}
-
-void EventLoop::schedule_stamped(std::uint32_t dst, SimTime at,
-                                 std::uint64_t key_a, std::uint64_t key_b,
-                                 Callback&& fn) {
-  // floor == at: the "in the past" clamp can never fire here; an `at`
-  // behind dst's wheel clock falls through to the lookahead-violation
-  // check inside TimingWheel::schedule.
-  wheel_of_source(dst)->schedule(at, key_a, key_b, dst, at, std::move(fn));
-}
-
-void EventLoop::schedule_on_source(std::uint32_t src, SimTime at,
-                                   Callback&& fn) {
-  const SimTime sched_now = now();
-  wheel_of_source(src)->schedule(
-      at, kShardLaneBit | static_cast<std::uint64_t>(sched_now), stamp(src),
-      src, sched_now, std::move(fn));
+EventKey EventLoop::source_key(std::uint32_t src, SimTime at) {
+  return EventKey{at, kShardLaneBit | static_cast<std::uint64_t>(now()),
+                  stamp(src)};
 }
 
 void EventLoop::register_source(std::uint32_t src) {
@@ -570,7 +516,7 @@ void EventLoop::configure_shards(std::uint32_t shards,
   if (shards == 0) shards = 1;
   // Re-home pending shard events: keys travel with them, so a
   // partition change never reorders anything.
-  std::vector<TimingWheel::Extracted> moved;
+  std::vector<KeyedEvent> moved;
   for (auto& w : wheels_) w->extract_all(moved);
   wheels_.clear();
   for (std::uint32_t i = 0; i < shards; ++i) {
@@ -586,13 +532,7 @@ void EventLoop::configure_shards(std::uint32_t shards,
       wheel_of_[src] = shard_of[src];
     }
   }
-  for (auto& e : moved) {
-    TimingWheel* w = e.exec_src == kExternalSource
-                         ? wheels_[0].get()
-                         : wheel_of_source(e.exec_src);
-    w->schedule(e.at, e.key_a, e.key_b, e.exec_src, /*floor=*/e.at,
-                std::move(e.fn));
-  }
+  for (KeyedEvent& e : moved) land(e.key, e.exec_src, std::move(e.fn));
 }
 
 bool EventLoop::run_shards(SimTime limit) {
@@ -606,13 +546,13 @@ bool EventLoop::run_shards(SimTime limit) {
 
 void EventLoop::read_head(TimingWheel& w, SimTime limit, Head& h) {
   h.pending = w.pending();
-  h.at = w.next_time(limit);
-  if (h.at != kNoEventTime) w.head_key(h.key_a, h.key_b);
+  h.key.at = w.next_time(limit);
+  if (h.key.at != kNoEventTime) h.key = w.head_key();
 }
 
 bool EventLoop::merge_run(SimTime limit) {
   // Serialized-canonical execution across K wheels: repeatedly run the
-  // event with the globally smallest (at, key_a, key_b).  This is the
+  // event with the globally smallest key.  This is the
   // order the key design defines for EVERY mode, so observers (taps,
   // the invariant checker, the tracer) see exactly the 1-shard stream.
   // A head can only move on the wheel that just popped, or on one a
@@ -631,12 +571,13 @@ bool EventLoop::merge_run(SimTime limit) {
     for (std::size_t i = 0; i < k; ++i) {
       Head& h = heads_[i];
       if (h.pending != wheels_[i]->pending()) read_head(*wheels_[i], limit, h);
-      if (h.at != kNoEventTime && (best == k || key_less(h, heads_[best]))) {
+      if (h.key.at != kNoEventTime &&
+          (best == k || h.key < heads_[best].key)) {
         best = i;
       }
     }
     if (best == k) break;
-    const SimTime at = heads_[best].at;
+    const SimTime at = heads_[best].key.at;
     wheels_[best]->pop_run_raw();
     heads_[best].pending = kStale;
     if (at > global_now_) global_now_ = at;
@@ -649,7 +590,7 @@ bool EventLoop::merge_run(SimTime limit) {
 
 EventLoop::ObserverReplayScope::ObserverReplayScope(EventLoop& loop)
     : loop_(loop), saved_ctx_(tls_ctx_), saved_lane_(ExecLane::idx) {
-  tls_ctx_ = SchedCtx{&loop, &loop.control_, kExternalSource, 0, 0, 0};
+  tls_ctx_ = SchedCtx{&loop, &loop.control_, kExternalSource, 0, {}};
   ExecLane::idx = loop.control_.lane();
 }
 
@@ -696,7 +637,8 @@ bool EventLoop::step() {
   auto consider = [&](TimingWheel& w) {
     Head h;
     read_head(w, kLim, h);
-    if (h.at != kNoEventTime && (best == nullptr || key_less(h, best_head))) {
+    if (h.key.at != kNoEventTime &&
+        (best == nullptr || h.key < best_head.key)) {
       best = &w;
       best_head = h;
     }
@@ -705,7 +647,7 @@ bool EventLoop::step() {
   for (auto& w : wheels_) consider(*w);
   if (best == nullptr) return false;
   best->pop_run();
-  if (best_head.at > global_now_) global_now_ = best_head.at;
+  if (best_head.key.at > global_now_) global_now_ = best_head.key.at;
   return true;
 }
 

@@ -20,23 +20,29 @@
 // CONTROL wheel (external and coordinator-scheduled events: injection,
 // crash/revive, test drivers) plus K SHARD wheels, partitioned over
 // event sources (nodes) by sim/shard's topology planners.  Every event
-// carries a canonical key
+// carries one canonical EventKey (common/canonical_key.hpp)
 //
-//     (at, key_a, key_b)
-//     key_a = lane<<62 | sched_time      (lane 0 = control, 1 = shard;
-//                                         a frame delivery's sched_time
-//                                         is the frame's arrival)
-//     key_b = seq<<24  | source          (per-source monotone seq)
+//     (at, a, b)
+//     a = lane<<62 | sched_time      (lane 0 = control, 1 = shard;
+//                                     a frame delivery's sched_time is
+//                                     the frame's arrival)
+//     b = seq<<24  | source          (per-source monotone seq)
 //
-// assigned identically no matter how many shards exist, because each
-// source's seq counter advances in that source's own execution order —
-// which the conservative-lookahead runner preserves.  Execution order is
-// ALWAYS ascending (at, key_a, key_b): a level-0 bucket is sorted by key
-// once when the cursor first reaches its tick, and same-tick children
-// (schedule_at(now) from a running callback, including past-clamps) are
-// inserted into the draining bucket in key order.  Order is therefore a
-// pure function of the event-key set — the property that makes 1-, 2-,
-// 4- and 8-shard runs byte-identical.
+// minted only here, in one of three kinds: the CONTEXT key (what
+// schedule_at stamps from the running node or the control lane), the
+// ROUTED key (a delivery stamped by its sender, executing as its
+// receiver) and the SOURCE key (schedule_on_source, stamped by the
+// target source itself).  A key is assigned identically no matter how
+// many shards exist, because each source's seq counter advances in that
+// source's own execution order — which the conservative-lookahead
+// runner preserves.  Every scheduling call ends in the one keyed insert,
+// TimingWheel::schedule.  Execution order is ALWAYS ascending key: a
+// level-0 bucket is sorted by key once when the cursor first reaches
+// its tick, and same-tick children (schedule_at(now) from a running
+// callback, including past-clamps) are inserted into the draining
+// bucket in key order.  Order is therefore a pure function of the
+// event-key set — the property that makes 1-, 2-, 4- and 8-shard runs
+// byte-identical.
 //
 // One run loop (run_core) drives every mode: it runs one window of shard
 // events below the next control time tc, reads tc again after any window
@@ -51,6 +57,7 @@
 #include <vector>
 
 #include "common/annotations.hpp"
+#include "common/canonical_key.hpp"
 #include "common/small_fn.hpp"
 #include "common/time.hpp"
 
@@ -61,9 +68,19 @@ class EventLoop;
 /// "No event" sentinel for TimingWheel::next_time / EventLoop queries.
 constexpr SimTime kNoEventTime = -1;
 
-/// Event-source id used for key_b's low 24 bits when the scheduler is
+/// Event-source id used for the key's low 24 bits when the scheduler is
 /// not a registered node (test drivers, main(), the coordinator).
 constexpr std::uint32_t kExternalSource = 0x00FFFFFFu;
+
+/// An event with its key, outside any wheel: a cross-shard delivery
+/// parked until the barrier (Network's handoff_), or a pending event
+/// being re-homed by configure_shards.  `exec_src` is the source it
+/// executes as, which picks its wheel.
+struct KeyedEvent {
+  EventKey key;
+  std::uint32_t exec_src;
+  SmallFn fn;
+};
 
 /// One hierarchical timing wheel.  The single-threaded loop owns one
 /// control wheel plus K shard wheels and drives them by key-merge; the
@@ -86,16 +103,16 @@ class TimingWheel {
   void set_lane(std::uint32_t lane) { lane_ = lane; }
   std::uint32_t lane() const { return lane_; }
 
-  /// Insert an event with its full canonical key.  `floor` is the
-  /// scheduler's current time: `at < floor` is a causality bug (clamped
-  /// and counted, or aborted under strict mode); `at < now_` after that
-  /// is a lookahead violation by the parallel runner (same handling,
-  /// different message).  Public wheel operations assert the shard
-  /// capability internally: the serial driver's single thread holds
-  /// every wheel by definition, the parallel runner's workers hold
-  /// exactly the one they acquired.
-  HOT_PATH void schedule(SimTime at, std::uint64_t key_a, std::uint64_t key_b,
-                         std::uint32_t exec_src, SimTime floor, Callback&& fn);
+  /// The one keyed insert: file `fn` under `key`, to run as source
+  /// `exec_src`.  `floor` is the scheduler's current time: `key.at <
+  /// floor` is a causality bug (clamped and counted, or aborted under
+  /// strict mode); `key.at < now_` after that is a lookahead violation
+  /// by the parallel runner (same handling, different message).  Public
+  /// wheel operations assert the shard capability internally: the
+  /// serial driver's single thread holds every wheel by definition, the
+  /// parallel runner's workers hold exactly the one they acquired.
+  HOT_PATH void schedule(EventKey key, std::uint32_t exec_src, SimTime floor,
+                         Callback&& fn);
 
   /// Advance the cursor to the next pending event with time <= `limit`
   /// and return that time, or kNoEventTime (cursor parked at or before
@@ -104,7 +121,7 @@ class TimingWheel {
   HOT_PATH SimTime next_time(SimTime limit);
   /// Key of the event next_time stopped on (valid only immediately
   /// after a successful next_time, before any schedule into this tick).
-  void head_key(std::uint64_t& key_a, std::uint64_t& key_b);
+  const EventKey& head_key();
   /// Pop and execute the head of the level-0 bucket at the cursor,
   /// leaving the thread's scheduling context exactly as found.
   HOT_PATH void pop_run();
@@ -115,14 +132,7 @@ class TimingWheel {
   /// Remove every pending event (with its key and callback) so the
   /// facade can re-home them when the partition changes.  Setup-time
   /// only (no execution in progress).
-  struct Extracted {
-    SimTime at;
-    std::uint64_t key_a;
-    std::uint64_t key_b;
-    std::uint32_t exec_src;
-    Callback fn;
-  };
-  void extract_all(std::vector<Extracted>& out);
+  void extract_all(std::vector<KeyedEvent>& out);
 
   bool empty() const { return size_ == 0; }
   std::size_t pending() const { return size_; }
@@ -155,12 +165,11 @@ class TimingWheel {
   /// storage whose addresses never move, so pop can invoke the callback
   /// in place instead of relocating it out first.
   struct Entry {
-    SimTime at = 0;
-    std::uint64_t key_a = 0;
-    std::uint64_t key_b = 0;
+    EventKey key;
     std::uint32_t next = kNoNode;
     std::uint32_t exec_src = kExternalSource;
   };
+  static_assert(sizeof(Entry) == 32, "two entries per cache line");
   struct Bucket {
     std::uint32_t head = kNoNode;
     std::uint32_t tail = kNoNode;
@@ -172,8 +181,7 @@ class TimingWheel {
   }
   /// MAY_ALLOC: pool refill — grows the entry array / callback chunks
   /// when the free list is empty; steady state recycles via free_head_.
-  MAY_ALLOC std::uint32_t alloc_node(SimTime at, std::uint64_t key_a,
-                                     std::uint64_t key_b,
+  MAY_ALLOC std::uint32_t alloc_node(const EventKey& key,
                                      std::uint32_t exec_src, Callback&& fn)
       REQUIRES_SHARD(shard_);
   /// File `idx` into its wheel bucket.  Fresh schedules append,
@@ -205,7 +213,7 @@ class TimingWheel {
     word &= ~(std::uint64_t{1} << (slot & 63));
     if (word == 0) summary_[level] &= ~(std::uint32_t{1} << (slot >> 6));
   }
-  /// Sort a level-0 bucket by (at, key_a, key_b).  `at` participates
+  /// Sort a level-0 bucket by key.  `at` participates
   /// because a cursor rollback (see place) can leave one slot holding
   /// events of two different windows.
   /// MAY_ALLOC: uses a retained scratch vector (grows on first use).
@@ -256,9 +264,7 @@ class TimingWheel {
       SHARD_GUARDED_BY(shard_);
   std::uint32_t free_head_ SHARD_GUARDED_BY(shard_) = kNoNode;
   struct SortRec {
-    SimTime at;
-    std::uint64_t key_a;
-    std::uint64_t key_b;
+    EventKey key;
     std::uint32_t idx;
   };
   std::vector<SortRec> sort_scratch_ SHARD_GUARDED_BY(shard_);
@@ -280,8 +286,8 @@ class EventLoop {
     std::uint32_t src = kExternalSource;
     /// Calls to next_in_event() so far in this context.
     std::uint32_t calls = 0;
-    std::uint64_t cur_key_a = 0;
-    std::uint64_t cur_key_b = 0;
+    /// Key of the executing event (zero outside any event).
+    EventKey key;
   };
 
  public:
@@ -306,54 +312,48 @@ class EventLoop {
   /// (`clamped_past_schedules`), and under strict mode
   /// (CHECK_INVARIANTS=1) it aborts with the offending times so the
   /// caller gets fixed instead of silently reordered.
-  HOT_PATH void schedule_at(SimTime at, Callback&& fn);
+  HOT_PATH void schedule_at(SimTime at, Callback&& fn) {
+    schedule_keyed(reserve_key(at), std::move(fn));
+  }
   /// Schedule `fn` after `delay` from now.
   HOT_PATH void schedule_after(SimDuration delay, Callback&& fn) {
     schedule_at(now() + delay, std::move(fn));
   }
 
-  /// Schedule an event that EXECUTES as node `dst` (on dst's wheel, in
-  /// dst's lane) but is STAMPED by the calling context's seq counter, so
-  /// two shards delivering to the same node never race a counter.  The
-  /// key is (at, lane | key_time, sender stamp): a fused frame delivery
-  /// keys under the frame's arrival time, which is the sched_time the
-  /// receive residence's own event used to carry (DESIGN.md §7).  This
-  /// is the frame-delivery primitive.
-  HOT_PATH void schedule_routed(std::uint32_t dst, SimTime at,
-                                SimTime key_time, Callback&& fn);
-
-  /// Stamp a routed event's canonical key from the calling context
-  /// WITHOUT inserting it.  Cross-shard handoff path: the sender stamps
-  /// (its own seq counter — no other thread touches it), the event
-  /// waits in its lane's handoff vector (Network::hand_off), and the
-  /// coordinator inserts it at the barrier with schedule_stamped.  The key is byte-identical to
-  /// what schedule_routed(dst, at, key_time, fn) would have assigned.
-  HOT_PATH void stamp_routed(SimTime key_time, std::uint64_t& key_a,
-                             std::uint64_t& key_b);
-
-  /// Insert a pre-stamped event into dst's wheel.  Coordinator-only
-  /// (barriers, workers parked).  An `at` behind dst's wheel clock is a
-  /// lookahead violation (aborts under strict mode).
-  void schedule_stamped(std::uint32_t dst, SimTime at, std::uint64_t key_a,
-                        std::uint64_t key_b, Callback&& fn);
-
-  /// A canonical key taken ahead of the event that will carry it.
-  struct Key {
-    std::uint64_t a = 0;
-    std::uint64_t b = 0;
-  };
-  /// The key schedule_at would stamp right now from the calling
-  /// context, reserved: the seq counter advances exactly as if an event
-  /// had been scheduled, but nothing is inserted.  Deadline timers
-  /// reserve each deadline's key when it is armed and insert only the
-  /// earliest live one (schedule_keyed); a fused delivery reserves the
-  /// slot its receive residence's event used to take, so the node's
-  /// later keys do not shift.
-  HOT_PATH Key reserve_key();
-  /// Insert `fn` at `at` under a key reserved earlier by reserve_key in
-  /// the SAME context (same node, or control lane).  Lands where
+  /// The CONTEXT key schedule_at(at) would stamp right now, reserved:
+  /// the seq counter advances exactly as if an event had been
+  /// scheduled, but nothing is inserted.  Deadline timers reserve each
+  /// deadline's key when it is armed and insert only the earliest live
+  /// one (schedule_keyed); a fused delivery reserves the slot its
+  /// receive residence's event used to take, so the node's later keys
+  /// do not shift.
+  HOT_PATH EventKey reserve_key(SimTime at);
+  /// Insert `fn` under a key reserved earlier by reserve_key in the
+  /// SAME context (same node, or control lane).  Lands where
   /// schedule_at from that context would have put it.
-  HOT_PATH void schedule_keyed(SimTime at, Key key, Callback&& fn);
+  HOT_PATH void schedule_keyed(const EventKey& key, Callback&& fn);
+
+  /// The ROUTED key of an event at `at` that will EXECUTE as another
+  /// node but is STAMPED by the calling context's seq counter, so two
+  /// shards delivering to the same node never race a counter: (at, lane
+  /// | key_time, sender stamp).  A fused frame delivery keys under the
+  /// frame's arrival time, which is the sched_time the receive
+  /// residence's own event used to carry (DESIGN.md §7).  The sender
+  /// mints it once, then lands the delivery directly or parks it for
+  /// the barrier (Network::transmit).
+  HOT_PATH EventKey routed_key(SimTime at, SimTime key_time);
+
+  /// Insert a keyed event into `exec_src`'s wheel (kExternalSource:
+  /// wheel 0), to run as `exec_src`.  The one landing call: direct
+  /// frame deliveries, barrier handoffs (Network::merge_epoch_logs) and
+  /// configure_shards' re-homing.  The floor is the key's own time, so
+  /// an event behind the wheel's clock is a lookahead violation
+  /// (aborts under strict mode).
+  HOT_PATH void land(const EventKey& key, std::uint32_t exec_src,
+                     Callback&& fn) {
+    wheel_of_source(exec_src)->schedule(key, exec_src, key.at, std::move(fn));
+  }
+
   /// The source the calling context executes as: a node id inside a
   /// node callback (or with_source), kExternalSource elsewhere.
   std::uint32_t current_source() const {
@@ -380,12 +380,16 @@ class EventLoop {
     clock = saved;
   }
 
-  /// Schedule an event that executes as node `src` and is stamped from
-  /// src's OWN seq counter.  Callable from setup or control-lane code
-  /// only (a node-context caller would race the target's counter); used
-  /// for deterministic open-loop injection that bypasses the control
-  /// wheel entirely (no barrier per injection in parallel runs).
-  void schedule_on_source(std::uint32_t src, SimTime at, Callback&& fn);
+  /// Schedule an event that executes as node `src` under its SOURCE
+  /// key, stamped from src's OWN seq counter.  Callable from setup or
+  /// control-lane code only (a node-context caller would race the
+  /// target's counter); used for deterministic open-loop injection that
+  /// bypasses the control wheel entirely (no barrier per injection in
+  /// parallel runs).  `at < now` clamps like schedule_at.
+  void schedule_on_source(std::uint32_t src, SimTime at, Callback&& fn) {
+    wheel_of_source(src)->schedule(source_key(src, at), src, now(),
+                                   std::move(fn));
+  }
 
   /// Run callbacks as node `src` (floor src's wheel clock to global
   /// now, point the scheduling context at src).  Used by control-lane
@@ -395,7 +399,7 @@ class EventLoop {
     TimingWheel* w = wheel_of_source(src);
     w->set_now(now());
     const SchedCtx saved = tls_ctx_;
-    tls_ctx_ = SchedCtx{this, w, src, 0, 0, 0};
+    tls_ctx_ = SchedCtx{this, w, src, 0, {}};
     f();
     tls_ctx_ = saved;
   }
@@ -440,13 +444,15 @@ class EventLoop {
   };
   void set_parallel_driver(ParallelDriver* d) { driver_ = d; }
 
-  /// Canonical key of the event currently executing on this thread
-  /// (valid inside a callback; zeros outside).  The observer journal
-  /// stamps its records with it and the wire digest keys its facts by
-  /// it.
-  static void current_event_key(std::uint64_t& key_a, std::uint64_t& key_b) {
-    key_a = tls_ctx_.cur_key_a;
-    key_b = tls_ctx_.cur_key_b;
+  /// Canonical key of the event executing on this thread, with `at`
+  /// read as now(): the event's own time inside a callback, a tap's
+  /// arrival time under at_time, the global clock outside any event
+  /// (where a and b are 0).  The observer journal stamps its records
+  /// with it and the wire digest keys its facts by it.
+  EventKey event_key() const {
+    EventKey key = tls_ctx_.key;
+    key.at = now();
+    return key;
   }
   /// 0 on the first call inside the executing event, 1 on the next, and
   /// so on: program order within one event, which its key alone does
@@ -526,7 +532,7 @@ class EventLoop {
   /// access, with no TLS wrapper call for a definition in another
   /// translation unit.
   static inline thread_local constinit SchedCtx tls_ctx_{
-      nullptr, nullptr, kExternalSource, 0, 0, 0};
+      nullptr, nullptr, kExternalSource, 0, {}};
 
   TimingWheel* wheel_of_source(std::uint32_t src) {
     return wheels_[shard_of_source(src)].get();
@@ -535,10 +541,12 @@ class EventLoop {
     if (src == kExternalSource) return ++external_seq_;
     return ++source_seq_[src];
   }
-  /// Build key_b for an event stamped by `src` (seq<<24 | src).
+  /// Build key b for an event stamped by `src` (seq<<24 | src).
   std::uint64_t stamp(std::uint32_t src) {
     return (next_seq(src) << 24) | (src & 0x00FFFFFFu);
   }
+  /// The SOURCE key schedule_on_source stamps.
+  EventKey source_key(std::uint32_t src, SimTime at);
 
   /// Run one window of shard events with time <= limit: the driver's
   /// window, else key-merge when K > 1, the tight loop when K == 1.
@@ -548,9 +556,7 @@ class EventLoop {
   /// with the wheel's pending() at that read: a count that has since
   /// moved means a schedule landed there and the head must be re-read.
   struct Head {
-    SimTime at = kNoEventTime;  ///< kNoEventTime: nothing <= the limit
-    std::uint64_t key_a = 0;
-    std::uint64_t key_b = 0;
+    EventKey key{kNoEventTime};  ///< at kNoEventTime: nothing <= the limit
     std::size_t pending = 0;
   };
   static void read_head(TimingWheel& w, SimTime limit, Head& h);
@@ -566,7 +572,7 @@ class EventLoop {
   TimingWheel control_;
   std::vector<std::unique_ptr<TimingWheel>> wheels_;
   std::vector<std::uint32_t> wheel_of_;  ///< source -> wheel index
-  /// Per-source monotone seq counters (key_b high bits).  Partition-
+  /// Per-source monotone seq counters (the high bits of key b).  Partition-
   /// independent: each advances in its source's own execution order.
   std::vector<std::uint64_t> source_seq_;
   std::uint64_t external_seq_ = 0;

@@ -23,14 +23,14 @@ std::uint64_t pair_key(NodeId a, NodeId b) {
 constexpr std::uint64_t kWireDigestSeed = 0x9E3779B97F4A7C15ull;
 
 /// A wire-digest fact's place in the canonical order: the executing
-/// event's key (at, key_a, key_b) and the fact's position `idx` within
-/// that event.  Each part gets its own mix64 step, so no two parts can
-/// cancel each other out.
-std::uint64_t key_hash(SimTime at, std::uint64_t key_a, std::uint64_t key_b,
-                       std::uint64_t idx) {
-  std::uint64_t k = mix64(kWireDigestSeed ^ static_cast<std::uint64_t>(at));
-  k = mix64(k ^ key_a);
-  k = mix64(k ^ key_b);
+/// event's key and the fact's position `idx` within that event.  Each
+/// part gets its own mix64 step, so no two parts can cancel each other
+/// out.
+std::uint64_t key_hash(const EventKey& key, std::uint64_t idx) {
+  std::uint64_t k =
+      mix64(kWireDigestSeed ^ static_cast<std::uint64_t>(key.at));
+  k = mix64(k ^ key.a);
+  k = mix64(k ^ key.b);
   return mix64(k ^ idx);
 }
 
@@ -40,11 +40,7 @@ Network::Network(std::uint64_t seed) : rng_(seed) {
   // Observer plane (DESIGN.md §17): records journaled during a
   // concurrent epoch are stamped with the executing event's delivery
   // time and canonical key, and replayed in key order at the barrier.
-  journal_.set_stamp(
-      [this](SimTime& at, std::uint64_t& ka, std::uint64_t& kb) {
-        at = loop_.now();
-        EventLoop::current_event_key(ka, kb);
-      });
+  journal_.set_stamp([this] { return loop_.event_key(); });
   tracer_.bind_journal(&journal_);
   metrics_.add_source("net/frames_sent",
                       [this] { return stats().frames_sent; });
@@ -301,21 +297,21 @@ void Network::transmit(NodeId from, PortId port, Packet pkt) {
                   pkt = std::move(pkt)]() mutable {
     deliver_now(from, dst, dst_port, arrive, std::move(pkt));
   };
+  // Stamped by the sender, keyed under the arrival, executed as dst.
+  const EventKey key = loop_.routed_key(at, arrive);
   if (journal_.deferring() && loop_.shard_of_source(dst) != ExecLane::idx) {
     // Concurrent epoch and the destination lives on another shard: park
     // the delivery until the barrier (the lookahead bound guarantees
     // that is early enough).
-    hand_off(dst, at, arrive, std::move(deliver));
+    hand_off(key, dst, std::move(deliver));
     return;
   }
-  loop_.schedule_routed(dst, at, arrive, std::move(deliver));
+  loop_.land(key, dst, std::move(deliver));
 }
 
-[[gnu::noinline]] void Network::hand_off(NodeId dst, SimTime at,
-                                         SimTime arrive,
+[[gnu::noinline]] void Network::hand_off(const EventKey& key, NodeId dst,
                                          EventLoop::Callback&& fn) {
-  Handoff& h = handoff_.local().emplace_back(dst, at, 0, 0, std::move(fn));
-  loop_.stamp_routed(arrive, h.key_a, h.key_b);
+  handoff_.local().emplace_back(key, dst, std::move(fn));
 }
 
 void Network::deliver_now(NodeId from, NodeId dst, PortId dst_port,
@@ -384,31 +380,29 @@ void Network::fold_wire_digest(NodeId from, NodeId dst, SimTime arrived,
 void Network::fold_digest(std::uint64_t h) {
   // A multiset hash (DESIGN.md §11): the digest is the sum of one keyed
   // hash per fact, so it is the same whichever lane folds a fact and in
-  // whatever order the lanes run.  Outside any event (key_b is 0 only
+  // whatever order the lanes run.  Outside any event (key b is 0 only
   // there) the fact's position counts the coordinator's out-of-event
   // folds instead.
-  std::uint64_t key_a = 0;
-  std::uint64_t key_b = 0;
-  EventLoop::current_event_key(key_a, key_b);
-  const std::uint64_t idx = key_b != 0 ? EventLoop::next_in_event()
+  const EventKey key = loop_.event_key();
+  const std::uint64_t idx = key.b != 0 ? EventLoop::next_in_event()
                                        : outside_event_folds_++;
   DigestLane& lane = digest_lanes_.local();
-  lane.sum += mix64(h ^ key_hash(loop_.now(), key_a, key_b, idx));
+  lane.sum += mix64(h ^ key_hash(key, idx));
   ++lane.count;
 }
 
 std::uint64_t Network::merge_epoch_logs() {
   // Land the epoch's cross-shard deliveries first.  Landing order across
-  // lanes is irrelevant: the stamped key decides execution order.  An
-  // `at` behind dst's wheel clock can only mean the horizon exceeded
+  // lanes is irrelevant: the stamped key decides execution order.  A
+  // key behind dst's wheel clock can only mean the horizon exceeded
   // the lookahead proof; the wheel aborts on it under strict mode
   // ("lookahead violation").
   std::uint64_t landed = 0;
   for (std::uint32_t lane = 0; lane < handoff_.size(); ++lane) {
-    std::vector<Handoff>& parked = handoff_[lane];
+    std::vector<KeyedEvent>& parked = handoff_[lane];
     shard_profiler_.sample_handoffs(lane, parked.size());
-    for (Handoff& h : parked) {
-      loop_.schedule_stamped(h.dst, h.at, h.key_a, h.key_b, std::move(h.fn));
+    for (KeyedEvent& h : parked) {
+      loop_.land(h.key, h.exec_src, std::move(h.fn));
     }
     landed += parked.size();
     parked.clear();

@@ -399,13 +399,11 @@ class Network {
   /// fold_digest.
   HOT_PATH void fold_wire_digest(NodeId from, NodeId dst, SimTime arrived,
                                  const Packet& pkt);
-  /// Park a cross-shard delivery sent inside a concurrent epoch: stamp
-  /// the key schedule_routed(dst, at, arrive, fn) would have assigned,
-  /// from the sender's own seq counter, and append the event to the
-  /// executing lane's handoff vector.  Out of line so transmit's
-  /// direct-insert path stays tight.
-  HOT_PATH CROSS_SHARD MAY_ALLOC void hand_off(NodeId dst, SimTime at,
-                                               SimTime arrive,
+  /// Park a cross-shard delivery sent inside a concurrent epoch, under
+  /// the routed key its sender stamped, in the executing lane's handoff
+  /// vector.  Out of line so transmit's direct-insert path stays tight.
+  HOT_PATH CROSS_SHARD MAY_ALLOC void hand_off(const EventKey& key,
+                                               NodeId dst,
                                                EventLoop::Callback&& fn);
   /// Barrier work, runner-only (workers parked): land every lane's
   /// handoffs with their stamped keys, then replay the observer journal
@@ -456,19 +454,11 @@ class Network {
   CROSS_SHARD SimTime last_flip_at_ = -1;
   /// Per-lane traffic counters; stats() merges them.
   SHARD_LANED PerLane<TrafficStats> stats_lanes_;
-  /// One cross-shard delivery parked until the barrier: its event with
-  /// the canonical key its sender stamped.
-  struct Handoff {
-    NodeId dst;
-    SimTime at;
-    std::uint64_t key_a;
-    std::uint64_t key_b;
-    EventLoop::Callback fn;
-  };
-  /// Per-shard-lane handoffs of the current epoch.  Unordered and
-  /// growable: the stamped key, not the append order, decides execution
-  /// order, so a lane's vector needs no bound.
-  SHARD_LANED PerLane<std::vector<Handoff>> handoff_;
+  /// Per-shard-lane cross-shard deliveries of the current epoch, each
+  /// with the routed key its sender stamped and its receiver as
+  /// exec_src.  Unordered and growable: the key, not the append order,
+  /// decides execution order, so a lane's vector needs no bound.
+  SHARD_LANED PerLane<std::vector<KeyedEvent>> handoff_;
   std::vector<PacketTap> taps_;
   NodeObserver node_observer_;
   /// Frame ids: strided per-lane counters (id = base + c*stride +

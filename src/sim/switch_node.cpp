@@ -72,7 +72,7 @@ void SwitchNode::receive(PortId in_port, Packet pkt, SimTime arrived) {
   // The pipeline's cfg_.pipeline_delay has elapsed: this event runs at
   // its end.  Take the key slot a separate pipeline event would have
   // taken, so this switch's later events keep their keys.
-  loop().reserve_key();
+  loop().reserve_key(loop().now());
   run_pipeline(in_port, std::move(pkt));
 }
 

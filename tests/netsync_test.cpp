@@ -32,7 +32,42 @@ struct AtomicWorld {
     EXPECT_TRUE(obj);
     return *(*obj)->read_u64(word.offset);
   }
+
+  /// Send an atomic_req carrying op byte `op` from host 0 to the word's
+  /// home, settle, and return the replies host 0 received for it.
+  /// Call at most once per world.
+  std::vector<Frame> send_raw_atomic(std::uint8_t op) {
+    constexpr std::uint64_t kSeq = 4242;
+    const NodeId client = cluster->host(0).id();
+    cluster->fabric().network().add_tap(
+        [this, client](NodeId, NodeId to, const Packet& pkt) {
+          if (to != client) return;
+          auto f = Frame::decode(pkt.data);
+          if (f && f->seq == kSeq) raw_replies.push_back(*f);
+        });
+    Frame req;
+    req.type = MsgType::atomic_req;
+    req.dst_host = cluster->addr_of(1);
+    req.object = word.object;
+    req.seq = kSeq;
+    req.offset = word.offset;
+    req.payload =
+        encode_atomic_request({static_cast<AtomicOp>(op), 5, 0});
+    cluster->host(0).send_frame(std::move(req));
+    cluster->settle();
+    return raw_replies;
+  }
+  std::vector<Frame> raw_replies;
 };
+
+/// The reply is a nack carrying Errc::malformed.
+void expect_malformed_nack(const std::vector<Frame>& replies) {
+  ASSERT_EQ(replies.size(), 1u);
+  EXPECT_EQ(replies[0].type, MsgType::nack);
+  auto info = decode_nack_payload(replies[0].payload);
+  ASSERT_TRUE(info.has_value());
+  EXPECT_EQ(info->code, Errc::malformed);
+}
 
 TEST(Atomics, FetchAddReturnsOldAndApplies) {
   AtomicWorld w;
@@ -123,6 +158,18 @@ TEST(Atomics, InvalidatesCachedCopies) {
       w.word, 1, [](Result<AtomicResponse>, const AccessStats&) {});
   w.cluster->settle();
   EXPECT_FALSE(w.cluster->host(0).store().contains(w.word.object));
+}
+
+TEST(Atomics, UnknownOpIsNackedAndNotApplied) {
+  // An op outside {fetch_add, compare_swap} must not be answered
+  // "applied", counted, or invalidate the copyset.
+  AtomicWorld w;
+  expect_malformed_nack(w.send_raw_atomic(2));
+  EXPECT_EQ(w.cluster->service(1).counters().atomics_served, 0u);
+  EXPECT_EQ(w.current(), 100u);
+  EXPECT_FALSE(decode_atomic_request(encode_atomic_request(
+                   {static_cast<AtomicOp>(2), 0, 0}))
+                   .has_value());
 }
 
 TEST(Atomics, AtomicPayloadCodecsRoundTrip) {
@@ -264,6 +311,15 @@ TEST(SyncOffload, UnclaimedWordsPassThrough) {
   EXPECT_EQ(r->old_value, 7u);
   EXPECT_EQ(w.cluster->service(1).counters().atomics_served, 1u);
   EXPECT_EQ(w.offload->counters().served, 0u);
+}
+
+TEST(SyncOffload, UnknownOpTakesTheNormalPath) {
+  // A claimed register leaves an unknown op to the home, which nacks it.
+  OffloadWorld w;
+  expect_malformed_nack(w.send_raw_atomic(2));
+  EXPECT_EQ(w.offload->counters().served, 0u);
+  EXPECT_EQ(*w.offload->peek(w.word.object, w.word.offset), 0u);
+  EXPECT_EQ(w.cluster->service(1).counters().atomics_served, 0u);
 }
 
 TEST(SyncOffload, CasInTheSwitch) {

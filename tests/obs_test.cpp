@@ -32,11 +32,7 @@ TEST(ShardJournal, ReplayVisitsCanonicalKeyOrderAndKeepsProgramOrder) {
   SimTime at = 0;
   std::uint64_t ka = 0;
   std::uint64_t kb = 0;
-  journal.set_stamp([&](SimTime& t, std::uint64_t& a, std::uint64_t& b) {
-    t = at;
-    a = ka;
-    b = kb;
-  });
+  journal.set_stamp([&] { return EventKey{at, ka, kb}; });
   std::vector<std::pair<SimTime, std::string>> seen;
   SimTime clock = -1;
   auto defer_on = [&](std::uint32_t lane, SimTime t, std::uint64_t a,
@@ -48,8 +44,8 @@ TEST(ShardJournal, ReplayVisitsCanonicalKeyOrderAndKeepsProgramOrder) {
     journal.defer(SmallFn([&seen, &clock, v] { seen.emplace_back(clock, v); }));
     ExecLane::idx = 0;
   };
-  // Keys interleave across lanes and tie at `at` and at key_a, so every
-  // level of the (at, key_a, key_b) comparison decides somewhere.
+  // Keys interleave across lanes and tie at `at` and at `a`, so every
+  // level of the (at, a, b) comparison decides somewhere.
   defer_on(0, 10, 1, 5, "a");
   defer_on(1, 10, 1, 2, "b0");
   defer_on(2, 5, 9, 9, "z");

@@ -80,6 +80,31 @@ TEST(EventLoop, PastSchedulingAbortsWhenStrict) {
   EXPECT_DEATH(loop.run(), "in the past");
 }
 
+TEST(EventLoop, PastScheduleOnSourceClamps) {
+  // schedule_on_source (Network::schedule_on) stamps the target's own
+  // key but judges `at` against the caller's clock, as schedule_at does.
+  EventLoop loop;
+  loop.set_strict_past_schedules(false);
+  loop.register_source(0);
+  SimTime fired_at = -1;
+  loop.schedule_at(100, [&] {
+    loop.schedule_on_source(0, 10, [&] { fired_at = loop.now(); });
+  });
+  loop.run();
+  EXPECT_EQ(fired_at, 100);
+  EXPECT_EQ(loop.clamped_past_schedules(), 1u);
+}
+
+TEST(EventLoop, PastScheduleOnSourceAbortsWhenStrict) {
+  EventLoop loop;
+  loop.set_strict_past_schedules(true);
+  loop.register_source(0);
+  loop.schedule_at(100, [&] {
+    loop.schedule_on_source(0, 10, [] {});  // causality violation
+  });
+  EXPECT_DEATH(loop.run(), "in the past");
+}
+
 TEST(EventLoop, MoveOnlyCallbacksRunOnceInOrder) {
   // The old std::function queue required copyable callbacks and moved
   // them out of priority_queue::top() via const_cast; the intrusive heap
@@ -158,7 +183,7 @@ TEST(EventLoop, CursorRollbackRefilesFarEntries) {
   }
   loop.schedule_on_source(0, 10, [&] {
     note(0);
-    loop.schedule_routed(1, 20, loop.now(), [&] { note(1); });
+    loop.land(loop.routed_key(20, loop.now()), 1, [&] { note(1); });
   });
   loop.run();
   const std::vector<std::pair<int, SimTime>> want = {
@@ -178,16 +203,14 @@ std::uint64_t wheel_seed() {
 
 /// The event script the wheel and the reference model both follow.  An
 /// event's children are a pure function of the seed and the event's
-/// key_b; key_b's are handed out in execution order, so the two models
+/// key b; key b's are handed out in execution order, so the two models
 /// agree on every key exactly as long as they agree on the order.
 class WheelScript {
  public:
   static constexpr std::uint32_t kSources = 8;
   struct Spawn {
     std::uint32_t dst;
-    SimTime at;
-    std::uint64_t key_a;
-    std::uint64_t key_b;
+    EventKey key;
   };
 
   explicit WheelScript(std::uint64_t seed) : seed_(seed) {}
@@ -254,10 +277,11 @@ class WheelScript {
         at = now + static_cast<SimTime>(r % (std::uint64_t{1} << 30));
         break;
     }
-    // Small key_a values collide often, so key_b decides many ties, and
+    // Small key a values collide often, so key b decides many ties, and
     // a same-tick child can sort ahead of its parent's later siblings.
-    return Spawn{static_cast<std::uint32_t>((h >> 40) % kSources), at,
-                 (std::uint64_t{1} << 62) | ((h >> 48) % 4), ++issued_};
+    return Spawn{static_cast<std::uint32_t>((h >> 40) % kSources),
+                 EventKey{at, (std::uint64_t{1} << 62) | ((h >> 48) % 4),
+                          ++issued_}};
   }
 
   std::uint64_t seed_;
@@ -268,7 +292,9 @@ class WheelScript {
 class ReferenceLoop {
  public:
   explicit ReferenceLoop(std::uint64_t seed) : script_(seed) {}
-  void add(const WheelScript::Spawn& s) { q_.emplace(s.at, s.key_a, s.key_b); }
+  void add(const WheelScript::Spawn& s) {
+    q_.emplace(s.key.at, s.key.a, s.key.b);
+  }
   WheelScript& script() { return script_; }
   void run_until(SimTime limit) {
     while (!q_.empty() && std::get<0>(*q_.begin()) <= limit) {
@@ -300,15 +326,12 @@ class WheelUnderTest {
     }
   }
   void add(const WheelScript::Spawn& s) {
-    loop_.schedule_stamped(s.dst, s.at, s.key_a, s.key_b,
-                           [this, at = s.at, key_b = s.key_b] {
-                             EXPECT_EQ(loop_.now(), at);
-                             order.push_back(key_b);
-                             script_.spawn(at, key_b,
-                                           [this](const WheelScript::Spawn& c) {
-                                             add(c);
-                                           });
-                           });
+    loop_.land(s.key, s.dst, [this, at = s.key.at, key_b = s.key.b] {
+      EXPECT_EQ(loop_.now(), at);
+      order.push_back(key_b);
+      script_.spawn(at, key_b,
+                    [this](const WheelScript::Spawn& c) { add(c); });
+    });
   }
   WheelScript& script() { return script_; }
   EventLoop& loop() { return loop_; }
@@ -369,18 +392,13 @@ TEST(EventLoop, MergeRunSeesCrossWheelScheduleBelowCachedHead) {
     loop.register_source(1);
     loop.configure_shards(2, {0, 1});
     std::vector<std::string> ran;
-    loop.schedule_stamped(1, 100, kLane | 5, 50,
-                          [&] { ran.push_back("B@100/5/50"); });
-    loop.schedule_stamped(0, 100, kLane | 5, 30,
-                          [&] { ran.push_back("A@100/5/30"); });
-    loop.schedule_stamped(0, 50, kLane | 0, 1, [&] {
+    loop.land({100, kLane | 5, 50}, 1, [&] { ran.push_back("B@100/5/50"); });
+    loop.land({100, kLane | 5, 30}, 0, [&] { ran.push_back("A@100/5/30"); });
+    loop.land({50, kLane | 0, 1}, 0, [&] {
       ran.push_back("A@50");
-      loop.schedule_stamped(1, 100, kLane | 5, 10,
-                            [&] { ran.push_back("B@100/5/10"); });
-      loop.schedule_stamped(1, 100, kLane | 3, 99,
-                            [&] { ran.push_back("B@100/3/99"); });
-      loop.schedule_stamped(1, 80, kLane | 9, 9,
-                            [&] { ran.push_back("B@80"); });
+      loop.land({100, kLane | 5, 10}, 1, [&] { ran.push_back("B@100/5/10"); });
+      loop.land({100, kLane | 3, 99}, 1, [&] { ran.push_back("B@100/3/99"); });
+      loop.land({80, kLane | 9, 9}, 1, [&] { ran.push_back("B@80"); });
     });
     if (stepping) {
       while (loop.step()) {
