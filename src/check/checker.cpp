@@ -183,7 +183,7 @@ void InvariantChecker::on_tap(NodeId from, NodeId to, const Packet& pkt) {
 
   ++events_;
   trace_.push_back(ev);
-  if (trace_.size() > cfg_.trace_depth) trace_.pop_front();
+  if (trace_.size() > kTraceDepth) trace_.pop_front();
 
   if (ev.emission) check_emission(ev);
   if (ev.final_delivery) check_delivery(ev);

@@ -68,8 +68,6 @@ struct CheckerConfig {
   /// Abort the process with a structured report on the first violation.
   /// Tests disable this and inspect violations() instead.
   bool abort_on_violation = true;
-  /// Wire events retained for violation reports.
-  std::size_t trace_depth = 48;
 };
 
 class InvariantChecker {
@@ -179,6 +177,8 @@ class InvariantChecker {
   /// Full lifecycle trail per lineage (for reports).
   std::map<ObjectId, std::vector<EpochEvent>> lineage_;
 
+  /// Wire events retained for violation reports.
+  static constexpr std::size_t kTraceDepth = 48;
   std::deque<WireEvent> trace_;
   std::uint64_t events_ = 0;
   std::vector<Violation> violations_;

@@ -1,10 +1,12 @@
 // Execution-lane identity for SHARD_LANED state (DESIGN.md §16).
 //
-// The sharded event loop (sim/shard) replicates per-frame allocators —
-// frame ids, trace/span ids, traffic counters, payload free lists —
-// into one lane per shard plus a control lane, so the hot path never
-// synchronizes on them.  Everything below src/sim (the pool, the
-// tracer) must know which lane is executing without depending on the
+// The sharded event loop (sim/shard) replicates per-frame state —
+// traffic counters, digest sums, cross-shard handoffs, payload free
+// lists, observer journal lanes — into one lane per shard plus a
+// control lane, so the hot path never synchronizes on it.  (Ids are
+// not laned: frame, trace and span ids are minted per source node, see
+// obs/trace.hpp.)  Everything below src/sim (the pool, the journal)
+// must know which lane is executing without depending on the
 // simulator; this thread-local index is that channel.  The event loop
 // sets it around every callback (shard wheels use their shard index,
 // the control/coordinator lane uses the highest index); single-threaded
@@ -20,12 +22,5 @@ struct ExecLane {
   /// by the event-loop dispatch (sim/event_loop.cpp, sim/shard.cpp).
   static inline thread_local std::uint32_t idx = 0;
 };
-
-/// Current lane clamped to a component's configured lane count (lets a
-/// component with fewer lanes than the fabric still index safely).
-inline std::uint32_t exec_lane_below(std::uint32_t lanes) {
-  const std::uint32_t i = ExecLane::idx;
-  return i < lanes ? i : lanes - 1;
-}
 
 }  // namespace objrpc

@@ -1,12 +1,14 @@
 // PerLane<T>: one cache-line-padded T per execution lane (DESIGN.md §16).
 //
-// SHARD_LANED state — traffic counters, frame-id allocators, payload
-// free lists, log lanes — is replicated once per execution lane (shards
-// plus the control lane) so the hot path never synchronizes: local() is
-// the executing lane's slot, and during a concurrent epoch only the
-// thread running that lane touches it.  Each slot is alignas(64), so two
-// lanes' state never shares a cache line.  Indexing and iteration read
-// across lanes: coordinator-only, at barriers or quiesce, workers parked.
+// SHARD_LANED state — the Network's lane block (traffic counters,
+// digest sums, cross-shard handoffs), payload free lists, observer
+// journal lanes — is replicated once per execution lane (shards plus
+// the control lane; Network::size_lanes sets the count) so the hot path
+// never synchronizes: local() is the executing lane's slot, and during
+// a concurrent epoch only the thread running that lane touches it.
+// Each slot is alignas(64), so two lanes' state never shares a cache
+// line.  Indexing and iteration read across lanes: coordinator-only, at
+// barriers or quiesce, workers parked.
 #pragma once
 
 #include <cstdint>
@@ -39,16 +41,14 @@ class PerLane {
   };
 
  public:
-  /// Resize to `n` lanes (at least one).  Existing lanes keep their
-  /// contents; new ones start value-initialized.  Setup-time only,
-  /// before any worker thread exists.
-  void configure(std::uint32_t n) { slots_.resize(n == 0 ? 1 : n); }
-  std::uint32_t size() const {
-    return static_cast<std::uint32_t>(slots_.size());
-  }
+  /// Resize to `n` lanes.  Existing lanes keep their contents; new
+  /// ones start value-initialized.  Setup-time only, before any worker
+  /// thread exists.
+  void configure(std::uint32_t n) { slots_.resize(n); }
 
-  /// The executing lane's slot (clamped, see exec_lane_below).
-  T& local() { return slots_[exec_lane_below(size())].value; }
+  /// The executing lane's slot.  A lane past the configured count is a
+  /// bug (a bounds-checked build aborts on it).
+  T& local() { return slots_[ExecLane::idx].value; }
 
   T& operator[](std::uint32_t i) { return slots_[i].value; }
   const T& operator[](std::uint32_t i) const { return slots_[i].value; }

@@ -45,11 +45,10 @@ class BufferPool {
       : max_retained_(max_retained) {}
 
   /// Replicate the free list across `n` execution lanes (one per shard
-  /// plus the control lane).  Called once by Network::enable_sharding
-  /// before any worker thread exists; buffers already retained stay on
-  /// lane 0.
+  /// plus the control lane).  Set by Network::size_lanes before any
+  /// worker thread exists; buffers already retained keep their lanes.
+  /// A standalone pool has one lane.
   void configure_lanes(std::uint32_t n) { lanes_.configure(n); }
-  std::uint32_t lane_count() const { return lanes_.size(); }
 
   /// A buffer of exactly `size` bytes (contents unspecified).
   /// MAY_ALLOC: pool refill — allocates fresh only when the lane's free

@@ -102,9 +102,6 @@ class ReplicaManager {
 
   /// In-flight / at-rest introspection (invariant checker / tests).
   std::size_t probing_count() const { return probe_timer_.armed_count(); }
-  std::size_t recovering_count() const {
-    return recovery_timer_.armed_count();
-  }
   /// Home-liveness probe deadlines, keyed by object.
   const DeadlineTimer<ObjectId>& probe_timer() const { return probe_timer_; }
   /// Objects homed here, sorted (deterministic reporting).

@@ -6,9 +6,8 @@
 
 namespace objrpc {
 
-IncCacheStage::IncCacheStage(SwitchNode& sw, IncCacheConfig cfg)
-    : switch_(sw), next_hook_(sw.pre_match_hook()), cfg_(cfg),
-      hotkeys_(cfg.hotkey) {
+IncCacheStage::IncCacheStage(SwitchNode& sw)
+    : switch_(sw), next_hook_(sw.pre_match_hook()) {
   // The base hook (learning, dedup, controller programming) runs FIRST,
   // so the switch keeps learning requester ports before we intercept.
   switch_.set_pre_match_hook(

@@ -49,18 +49,11 @@
 
 namespace objrpc {
 
-struct IncCacheConfig {
-  HotKeyConfig hotkey{};
-  /// SRAM charged per entry beyond the image itself (key, version,
-  /// valid bit, bookkeeping) — models the match + register stage cost.
-  std::uint32_t entry_overhead_bytes = 64;
-};
-
 class IncCacheStage {
  public:
   /// Attach to `sw`; composes with the switch's existing pre-match hook
   /// (the base program runs first, then the cache).
-  explicit IncCacheStage(SwitchNode& sw, IncCacheConfig cfg = {});
+  explicit IncCacheStage(SwitchNode& sw);
 
   /// Protocol address of this switch's cache agent.
   HostAddr addr() const { return inc_cache_addr(switch_.id()); }
@@ -78,7 +71,6 @@ class IncCacheStage {
   std::optional<std::uint64_t> entry_version(ObjectId id) const;
   std::size_t entry_count() const { return entries_.size(); }
   std::uint64_t bytes_cached() const { return bytes_cached_; }
-  const HotKeyTracker& hotkeys() const { return hotkeys_; }
 
   struct Counters {
     std::uint64_t admissions = 0;
@@ -111,16 +103,6 @@ class IncCacheStage {
     return ids;
   }
 
-  /// (object, version) of every SRAM entry, sorted by object so reports
-  /// are independent of the map's hash layout.
-  std::vector<std::pair<ObjectId, std::uint64_t>> entries_snapshot() const {
-    std::vector<std::pair<ObjectId, std::uint64_t>> out;
-    out.reserve(entries_.size());
-    for (const auto& [id, e] : entries_) out.emplace_back(id, e.version);
-    std::sort(out.begin(), out.end());
-    return out;
-  }
-
  private:
   struct Entry {
     Bytes image;
@@ -146,8 +128,11 @@ class IncCacheStage {
   void drop_entry(ObjectId id);
   void abort_fill(ObjectId id);
 
-  std::uint64_t entry_cost(std::uint64_t image_bytes) const {
-    return image_bytes + cfg_.entry_overhead_bytes;
+  /// SRAM charged per entry beyond the image itself (key, version,
+  /// valid bit, bookkeeping) — models the match + register stage cost.
+  static constexpr std::uint64_t kEntryOverheadBytes = 64;
+  static std::uint64_t entry_cost(std::uint64_t image_bytes) {
+    return image_bytes + kEntryOverheadBytes;
   }
   std::uint64_t floor_of(ObjectId id) const {
     auto it = floors_.find(id);
@@ -157,7 +142,6 @@ class IncCacheStage {
 
   SwitchNode& switch_;
   SwitchNode::PreMatchHook next_hook_;
-  IncCacheConfig cfg_;
   std::optional<CacheGrant> grant_;
   HotKeyTracker hotkeys_;
   std::unordered_map<ObjectId, Entry> entries_;

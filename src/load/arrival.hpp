@@ -59,8 +59,6 @@ class ArrivalProcess {
 
   /// Instantaneous rate at absolute simulated time `t` (events/sec).
   double rate_at(SimTime t) const;
-  /// The envelope rate used for thinning (max over all t).
-  double peak_rate() const { return peak_; }
 
   /// First arrival strictly after `t`.
   SimTime next_after(SimTime t);
@@ -68,6 +66,7 @@ class ArrivalProcess {
  private:
   ArrivalConfig cfg_;
   Rng rng_;
+  /// The envelope rate used for thinning (max over all t).
   double peak_ = 0.0;
 };
 

@@ -159,7 +159,6 @@ class ControllerDiscovery final : public DiscoveryStrategy {
 
   void on_replica_pushed(ObjectId object, HostAddr replica,
                          bool designated) override {
-    ++advertisements_;
     Frame f;
     f.type = MsgType::advertise_replica;
     f.dst_host = controller_;
@@ -168,11 +167,8 @@ class ControllerDiscovery final : public DiscoveryStrategy {
     host_.send_frame(std::move(f));
   }
 
-  std::uint64_t advertisements_sent() const { return advertisements_; }
-
  private:
   void notify(MsgType type, ObjectId object) {
-    ++advertisements_;
     Frame f;
     f.type = type;
     f.dst_host = controller_;
@@ -182,7 +178,6 @@ class ControllerDiscovery final : public DiscoveryStrategy {
 
   HostNode& host_;
   HostAddr controller_;
-  std::uint64_t advertisements_ = 0;
 };
 
 }  // namespace objrpc

@@ -25,7 +25,7 @@ void E2EDiscovery::resolve(ObjectId object, ResolveCallback cb) {
   pit->second.waiters.push_back(std::move(cb));
   if (!fresh) return;  // a discovery is already in flight; coalesce
   broadcast_discover(object);
-  timer_.arm(object, cfg_.discovery_timeout);
+  timer_.arm(object, kDiscoveryTimeout);
 }
 
 void E2EDiscovery::broadcast_discover(ObjectId object) {
@@ -40,7 +40,7 @@ void E2EDiscovery::broadcast_discover(ObjectId object) {
 void E2EDiscovery::on_deadline(ObjectId object) {
   // on_discover_reply disarms, so a live deadline's discovery is pending.
   auto it = pending_.find(object);
-  if (++it->second.attempts > cfg_.max_discovery_attempts) {
+  if (++it->second.attempts > kMaxDiscoveryAttempts) {
     ++counters_.discovery_failures;
     auto waiters = std::move(it->second.waiters);
     pending_.erase(it);
@@ -50,7 +50,7 @@ void E2EDiscovery::on_deadline(ObjectId object) {
     return;
   }
   broadcast_discover(object);
-  timer_.arm(object, cfg_.discovery_timeout);
+  timer_.arm(object, kDiscoveryTimeout);
 }
 
 void E2EDiscovery::on_discover_reply(const Frame& f) {

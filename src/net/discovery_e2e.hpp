@@ -19,9 +19,6 @@
 namespace objrpc {
 
 struct E2EConfig {
-  /// How long to wait for a discover_reply before rebroadcasting.
-  SimDuration discovery_timeout = 5 * kMillisecond;
-  int max_discovery_attempts = 3;
   /// Bound on cached locations (0 = unbounded); evicts FIFO.
   std::size_t cache_capacity = 0;
 };
@@ -62,6 +59,11 @@ class E2EDiscovery final : public DiscoveryStrategy {
   const DeadlineTimer<ObjectId>& deadline_timer() const { return timer_; }
 
  private:
+  /// How long to wait for a discover_reply before rebroadcasting.
+  static constexpr SimDuration kDiscoveryTimeout = 5 * kMillisecond;
+  /// Broadcasts per discovery before its waiters fail.
+  static constexpr int kMaxDiscoveryAttempts = 3;
+
   struct PendingDiscovery {
     std::vector<ResolveCallback> waiters;
     int attempts = 1;

@@ -13,7 +13,6 @@ ReachabilityGraph ReachabilityGraph::build(const ObjectStore& store,
   for (const auto& r : roots) {
     if (g.depth_.count(r)) continue;
     g.depth_[r] = 0;
-    g.order_.push_back(r);
     frontier.push_back(r);
   }
   while (!frontier.empty()) {
@@ -30,7 +29,6 @@ ReachabilityGraph ReachabilityGraph::build(const ObjectStore& store,
       g.succ_[cur].push_back(entry->target);
       if (!g.depth_.count(entry->target)) {
         g.depth_[entry->target] = d + 1;
-        g.order_.push_back(entry->target);
         frontier.push_back(entry->target);
       }
     }

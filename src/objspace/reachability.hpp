@@ -35,8 +35,6 @@ class ReachabilityGraph {
                                  const std::vector<ObjectId>& roots,
                                  std::uint32_t max_depth = 0);
 
-  /// All nodes in BFS discovery order (roots first).
-  const std::vector<ObjectId>& bfs_order() const { return order_; }
   const std::vector<ReachEdge>& edges() const { return edges_; }
 
   bool reachable(ObjectId id) const { return depth_.count(id) != 0; }
@@ -47,10 +45,9 @@ class ReachabilityGraph {
   /// Direct successors of `id` in discovery order.
   std::vector<ObjectId> successors(ObjectId id) const;
 
-  std::size_t node_count() const { return order_.size(); }
+  std::size_t node_count() const { return depth_.size(); }
 
  private:
-  std::vector<ObjectId> order_;
   std::vector<ReachEdge> edges_;
   std::unordered_map<ObjectId, std::uint32_t> depth_;
   std::unordered_map<ObjectId, std::vector<ObjectId>> succ_;

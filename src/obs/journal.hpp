@@ -48,8 +48,8 @@ class ShardJournal {
 
   void set_stamp(StampFn fn) { stamp_ = std::move(fn); }
 
-  /// One lane per execution lane (shards + control).  Called by
-  /// Network::enable_sharding before any worker thread exists.
+  /// One lane per execution lane (shards + control).  Set by
+  /// Network::size_lanes before any worker thread exists.
   void configure_lanes(std::uint32_t n) { lanes_.configure(n); }
 
   /// True exactly while workers run a concurrent epoch.  Toggled by the

@@ -101,15 +101,10 @@ double Histogram::quantile(double q) const {
 
 MetricsSnapshot MetricsRegistry::snapshot() const {
   MetricsSnapshot snap;
-  snap.counters.reserve(counters_.size() + sources_.size());
-  for (const auto& [name, c] : counters_) {
-    snap.counters.emplace_back(name, c.value());
-  }
+  snap.counters.reserve(sources_.size());
   for (const auto& [name, fn] : sources_) {
     snap.counters.emplace_back(name, fn ? fn() : 0);
   }
-  // Owned counters and sources interleave into one sorted series.
-  std::sort(snap.counters.begin(), snap.counters.end());
   for (const auto& [name, g] : gauges_) {
     snap.gauges.emplace_back(name, g.value());
   }

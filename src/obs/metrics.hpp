@@ -6,17 +6,13 @@
 // deterministic snapshot order (sorted by name), and one JSON export the
 // benches and CI can diff.
 //
-// Two registration styles coexist:
-//
-//   owned metrics — `registry.counter("x").inc()`: the registry owns the
-//     cell; use for new instrumentation.
-//
-//   sources — `group.add("frags_sent", [this]{ return
-//     counters_.fragments_sent; })`: a read-through view over an
-//     existing struct member, evaluated at snapshot time.  This is how
-//     the legacy per-module Counters structs (ReliableChannel,
-//     ObjectFetcher, ControllerNode, ...) join the registry WITHOUT
-//     changing their struct accessors or any increment site.
+// A counter is a source — `group.add("frags_sent", [this]{ return
+// counters_.fragments_sent; })`: a read-through view over a member of
+// the component that counts, evaluated at snapshot time.  The
+// per-module Counters structs (ReliableChannel, ObjectFetcher,
+// ControllerNode, ...) join the registry this way, without changing
+// their accessors or any increment site.  Gauges and histograms are
+// owned by the registry.
 //
 // Determinism contract: a snapshot is a pure read — it never reorders,
 // allocates ids, or draws randomness — and iterates std::map (sorted by
@@ -32,16 +28,6 @@
 #include "common/annotations.hpp"
 
 namespace objrpc::obs {
-
-/// A monotone event count.
-class Counter {
- public:
-  void inc(std::uint64_t n = 1) { value_ += n; }
-  std::uint64_t value() const { return value_; }
-
- private:
-  std::uint64_t value_ = 0;
-};
 
 /// A point-in-time level (queue depth, bytes cached, ...).
 class Gauge {
@@ -117,7 +103,7 @@ struct MetricsSnapshot {
     double p99 = 0.0;
     double p999 = 0.0;
   };
-  /// Sorted by name; owned counters and sources fold into one series.
+  /// Counter sources, sorted by name.
   std::vector<std::pair<std::string, std::uint64_t>> counters;
   std::vector<std::pair<std::string, double>> gauges;
   std::vector<std::pair<std::string, HistView>> histograms;
@@ -134,9 +120,6 @@ class MetricsRegistry {
 
   // CROSS_SHARD: one registry serves the whole fabric; components on
   // any future shard register and bump through these accessors.
-  CROSS_SHARD Counter& counter(const std::string& name) {
-    return counters_[name];
-  }
   CROSS_SHARD Gauge& gauge(const std::string& name) { return gauges_[name]; }
   CROSS_SHARD Histogram& histogram(const std::string& name) {
     return histograms_[name];
@@ -160,13 +143,11 @@ class MetricsRegistry {
   std::string to_json() const { return snapshot().to_json(); }
 
   std::size_t size() const {
-    return counters_.size() + gauges_.size() + histograms_.size() +
-           sources_.size();
+    return gauges_.size() + histograms_.size() + sources_.size();
   }
 
  private:
   // std::map: snapshot order is name order, never hash layout.
-  std::map<std::string, Counter> counters_;
   std::map<std::string, Gauge> gauges_;
   std::map<std::string, Histogram> histograms_;
   std::map<std::string, Source> sources_;

@@ -30,8 +30,6 @@ void ShardProfiler::arm(MetricsRegistry& metrics, std::uint32_t workers) {
   h_replay_ = &metrics.histogram("shard/replay_host_ns");
   h_util_ = &metrics.histogram("shard/lane_utilization_pct");
   h_handoff_ = &metrics.histogram("shard/ring_occupancy");
-  c_epochs_ = &metrics.counter("shard/epochs");
-  c_cross_ = &metrics.counter("shard/cross_frames");
   metrics.gauge("shard/lanes").set(static_cast<double>(workers));
 }
 
@@ -90,7 +88,7 @@ void ShardProfiler::end_replay() {
   cur_.t_replayed = host_now_ns();
 }
 
-void ShardProfiler::end_drain(std::uint64_t cross_total) {
+void ShardProfiler::end_drain() {
   if (!armed_) return;
   cur_.t_drain1 = host_now_ns();
   const std::uint64_t epoch_ns = cur_.t_parked - cur_.t_release;
@@ -109,9 +107,6 @@ void ShardProfiler::end_drain(std::uint64_t cross_total) {
   }
   h_max_exec_->add(max_exec_ns);
   h_skew_->add(epoch_ns > max_exec_ns ? epoch_ns - max_exec_ns : 0);
-  c_epochs_->inc();
-  c_cross_->inc(cross_total - last_cross_);
-  last_cross_ = cross_total;
   if (epochs_.size() < kMaxChromeEpochs) epochs_.push_back(cur_);
 }
 

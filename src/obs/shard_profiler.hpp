@@ -68,8 +68,7 @@ class ShardProfiler {
   void end_land();
   void end_replay();
   /// End of barrier work: folds the finished epoch into the registry.
-  /// `cross_total` is the driver's cumulative cross-shard count.
-  void end_drain(std::uint64_t cross_total);
+  void end_drain();
 
   /// Chrome trace_event JSON objects for the shard-lane track family
   /// (consumed by Tracer::chrome_trace_json as an aux event source).
@@ -109,7 +108,6 @@ class ShardProfiler {
   std::uint32_t workers_ = 0;
   std::uint64_t cur_epoch_ = 0;
   std::uint64_t base_ns_ = 0;  ///< first epoch release (trace time 0)
-  std::uint64_t last_cross_ = 0;
   EpochRec cur_{};
 
   /// SHARD_LANED: lanes_[lane] is written only by the thread running
@@ -128,8 +126,6 @@ class ShardProfiler {
   Histogram* h_replay_ = nullptr;
   Histogram* h_util_ = nullptr;
   Histogram* h_handoff_ = nullptr;
-  Counter* c_epochs_ = nullptr;
-  Counter* c_cross_ = nullptr;
 };
 
 }  // namespace objrpc::obs

@@ -104,6 +104,8 @@ class Tracer {
   //     only on that node's (deterministic) execution order; an
   //     exec-lane-strided allocator would bake the shard count into the
   //     wire bytes and break the sequential-vs-sharded digest identity.
+  //     Frame ids never reach the wire bytes, but taps see them, so
+  //     they follow the same rule.
   // (node+1) keeps ids nonzero ({0,0} = untraced) and below the leaf
   // range at bit 63 for any node id < 2^23.
   HOT_PATH std::uint64_t new_trace_id(std::uint32_t node) {
@@ -113,6 +115,11 @@ class Tracer {
   HOT_PATH std::uint64_t new_span_id(std::uint32_t node) {
     return (static_cast<std::uint64_t>(node + 1) << kNodeIdShift) |
            ++node_ids_[node].span;
+  }
+  /// Packet::frame_id of a fresh emission by `node` (Network::transmit).
+  HOT_PATH std::uint64_t new_frame_id(std::uint32_t node) {
+    return (static_cast<std::uint64_t>(node + 1) << kNodeIdShift) |
+           ++node_ids_[node].frame;
   }
 
   // --- arming --------------------------------------------------------
@@ -160,9 +167,6 @@ class Tracer {
   // --- introspection (tests) -----------------------------------------
   const std::vector<SpanRecord>& spans() const { return spans_; }
   const std::vector<InstantRecord>& instants() const { return instants_; }
-  const std::vector<CounterSample>& counter_samples() const {
-    return counters_;
-  }
   /// Spans belonging to `trace`, in recording order.
   std::vector<SpanRecord> spans_of(std::uint64_t trace) const;
 
@@ -184,6 +188,7 @@ class Tracer {
   struct alignas(64) IdNode {
     std::uint64_t trace = 0;
     std::uint64_t span = 0;
+    std::uint64_t frame = 0;
   };
   std::vector<IdNode> node_ids_;
   /// Leaf spans get ids from a disjoint (high-bit) range so they can

@@ -103,9 +103,6 @@ class RpcServer {
   explicit RpcServer(HostNode& host, RpcCostModel cost = {});
 
   void register_method(const std::string& name, MethodHandler handler);
-  bool has_method(const std::string& name) const {
-    return methods_.count(name) != 0;
-  }
 
   // fablint:allow(raw-counter) rpc baseline is frozen for the paper comparison
   struct Counters {

@@ -41,6 +41,7 @@ Network::Network(std::uint64_t seed) : rng_(seed) {
   // concurrent epoch are stamped with the executing event's delivery
   // time and canonical key, and replayed in key order at the barrier.
   journal_.set_stamp([this] { return loop_.event_key(); });
+  size_lanes();
   tracer_.bind_journal(&journal_);
   metrics_.add_source("net/frames_sent",
                       [this] { return stats().frames_sent; });
@@ -206,7 +207,7 @@ void Network::transmit(NodeId from, PortId port, Packet pkt) {
   if (pkt.frame_id == 0) {
     // First transmit of this emission; copies (switch forwarding,
     // floods) keep the id so duplicate suppression can recognise them.
-    pkt.frame_id = mint_frame_id();
+    pkt.frame_id = tracer_.new_frame_id(from);
   }
   if (pkt.trace_id == 0) {
     // Untraced frame: mint a fresh causal id so per-hop spans of one
@@ -311,7 +312,7 @@ void Network::transmit(NodeId from, PortId port, Packet pkt) {
 
 [[gnu::noinline]] void Network::hand_off(const EventKey& key, NodeId dst,
                                          EventLoop::Callback&& fn) {
-  handoff_.local().emplace_back(key, dst, std::move(fn));
+  lanes_.local().handoff.emplace_back(key, dst, std::move(fn));
 }
 
 void Network::deliver_now(NodeId from, NodeId dst, PortId dst_port,
@@ -386,20 +387,21 @@ void Network::fold_digest(std::uint64_t h) {
   const EventKey key = loop_.event_key();
   const std::uint64_t idx = key.b != 0 ? EventLoop::next_in_event()
                                        : outside_event_folds_++;
-  DigestLane& lane = digest_lanes_.local();
-  lane.sum += mix64(h ^ key_hash(key, idx));
-  ++lane.count;
+  DigestSum& digest = lanes_.local().digest;
+  digest.sum += mix64(h ^ key_hash(key, idx));
+  ++digest.count;
 }
 
 std::uint64_t Network::merge_epoch_logs() {
-  // Land the epoch's cross-shard deliveries first.  Landing order across
-  // lanes is irrelevant: the stamped key decides execution order.  A
-  // key behind dst's wheel clock can only mean the horizon exceeded
-  // the lookahead proof; the wheel aborts on it under strict mode
-  // ("lookahead violation").
+  // Land the epoch's cross-shard deliveries first (only shard lanes
+  // park any: the control lane runs no epoch work).  Landing order
+  // across lanes is irrelevant: the stamped key decides execution
+  // order.  A key behind dst's wheel clock can only mean the horizon
+  // exceeded the lookahead proof; the wheel aborts on it under strict
+  // mode ("lookahead violation").
   std::uint64_t landed = 0;
-  for (std::uint32_t lane = 0; lane < handoff_.size(); ++lane) {
-    std::vector<KeyedEvent>& parked = handoff_[lane];
+  for (std::uint32_t lane = 0; lane < loop_.shard_count(); ++lane) {
+    std::vector<KeyedEvent>& parked = lanes_[lane].handoff;
     shard_profiler_.sample_handoffs(lane, parked.size());
     for (KeyedEvent& h : parked) {
       loop_.land(h.key, h.exec_src, std::move(h.fn));
@@ -439,34 +441,10 @@ std::uint32_t Network::enable_sharding(const ShardPlan& plan) {
     shards = 1;
   }
   loop_.configure_shards(shards, plan.shard_of);
-  const std::uint32_t lanes = shards + 1;  // + control lane
-  payload_pool_.configure_lanes(lanes);
-  // The tracer needs no reconfiguration: its ids are partitioned per
-  // source node (see obs/trace.hpp), which is both race-free under any
-  // shard count and — because trace ids ride in frame headers and thus
-  // feed the wire digest — the only striping that keeps the digest
-  // shard-count-invariant.
-  // Re-stripe the frame-id allocator above everything already minted.
-  // Frame ids are sim-internal (never serialized into frame bytes), so
-  // unlike trace ids they may be lane-strided without touching the
-  // digest.
-  std::uint64_t hi = 0;
-  for (std::uint64_t counter : frame_id_lanes_) hi = std::max(hi, counter);
-  frame_id_base_ += (hi + 1) * frame_id_stride_;
-  frame_id_lanes_.configure(lanes);
-  for (std::uint64_t& counter : frame_id_lanes_) counter = 0;
-  frame_id_stride_ = lanes;
-  // Merge-then-grow the remaining laned state so nothing is lost.
-  const TrafficStats merged = stats();
-  stats_lanes_.configure(lanes);
-  reset_stats();
-  stats_lanes_[0] = merged;
-  const DigestLane digest = digest_total();
-  digest_lanes_.configure(lanes);
-  for (DigestLane& lane : digest_lanes_) lane = DigestLane{};
-  digest_lanes_[0] = digest;
-  journal_.configure_lanes(lanes);
-  handoff_.configure(shards);
+  // The tracer's ids (frame, trace, span) are per source node, so they
+  // need nothing here.  The lanes only grow, and every laned sum (the
+  // counters, the digest) reads the same over more lanes.
+  size_lanes();
   loop_.set_parallel_driver(nullptr);
   runner_.reset();
   if (shards > 1) {
@@ -476,11 +454,24 @@ std::uint32_t Network::enable_sharding(const ShardPlan& plan) {
     }
     if (shard_profile_requested_ || env_truthy("OBJRPC_SHARD_PROFILE")) {
       shard_profiler_.arm(metrics_, shards);
+      metrics_.add_source("shard/epochs", [this] {
+        return runner_ != nullptr ? runner_->epochs() : 0;
+      });
+      metrics_.add_source("shard/cross_frames", [this] {
+        return runner_ != nullptr ? runner_->cross_frames() : 0;
+      });
       tracer_.set_aux_chrome_source(
           [this] { return shard_profiler_.chrome_events(); });
     }
   }
   return shards;
+}
+
+void Network::size_lanes() {
+  const std::uint32_t lanes = loop_.shard_count() + 1;  // + control lane
+  lanes_.configure(lanes);
+  payload_pool_.configure_lanes(lanes);
+  journal_.configure_lanes(lanes);
 }
 
 std::uint32_t Network::maybe_shard_from_env() {

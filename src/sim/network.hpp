@@ -4,13 +4,16 @@
 // by full-duplex links with propagation delay, finite bandwidth, optional
 // drop-tail queues, and optional loss.  All behaviour is deterministic in
 // the seed — and independent of the shard count (DESIGN.md §16): every
-// frame-scoped allocator below is either per-direction (the loss RNG),
-// SHARD_LANED (frame ids, traffic counters, payload pool), or keyed by
-// the canonical event order (delivery), so a 1-shard and an 8-shard run
-// produce byte-identical wire traffic.  A delivery to another shard's
-// node sent inside a concurrent epoch is the same stamped event a
-// direct insert would schedule; it waits in the sending lane's handoff
-// vector until the barrier lands it (merge_epoch_logs).
+// id a frame carries (frame, trace and span ids) is minted per source
+// node, the loss RNG is per direction, and delivery is keyed by the
+// canonical event order, so a 1-shard and an 8-shard run produce
+// byte-identical wire traffic and the same frame ids.  The per-lane
+// state (traffic counters, digest sums, handoffs, payload pool,
+// observer journal) has one lane per shard plus the control lane.  A
+// delivery to another shard's node sent inside a concurrent epoch is
+// the same stamped event a direct insert would schedule; it waits in
+// the sending lane's handoff vector until the barrier lands it
+// (merge_epoch_logs).
 #pragma once
 
 #include <functional>
@@ -232,21 +235,22 @@ class Network {
   /// concurrently in parallel runs, so read at quiesce or barriers).
   TrafficStats stats() const {
     TrafficStats s;
-    for (const TrafficStats& lane : stats_lanes_) {
-      s.frames_sent += lane.frames_sent;
-      s.frames_delivered += lane.frames_delivered;
-      s.frames_dropped_queue += lane.frames_dropped_queue;
-      s.frames_dropped_loss += lane.frames_dropped_loss;
-      s.frames_dropped_ttl += lane.frames_dropped_ttl;
-      s.frames_dropped_down += lane.frames_dropped_down;
-      s.frames_dropped_dead += lane.frames_dropped_dead;
-      s.bytes_sent += lane.bytes_sent;
-      s.bytes_delivered += lane.bytes_delivered;
+    for (const Lane& lane : lanes_) {
+      const TrafficStats& l = lane.stats;
+      s.frames_sent += l.frames_sent;
+      s.frames_delivered += l.frames_delivered;
+      s.frames_dropped_queue += l.frames_dropped_queue;
+      s.frames_dropped_loss += l.frames_dropped_loss;
+      s.frames_dropped_ttl += l.frames_dropped_ttl;
+      s.frames_dropped_down += l.frames_dropped_down;
+      s.frames_dropped_dead += l.frames_dropped_dead;
+      s.bytes_sent += l.bytes_sent;
+      s.bytes_delivered += l.bytes_delivered;
     }
     return s;
   }
   CROSS_SHARD void reset_stats() {
-    for (TrafficStats& lane : stats_lanes_) lane = TrafficStats{};
+    for (Lane& lane : lanes_) lane.stats = TrafficStats{};
   }
 
   /// Observation taps: each sees every delivered frame, in registration
@@ -261,8 +265,9 @@ class Network {
   // --- sharding (DESIGN.md §16) --------------------------------------
 
   /// Partition the fabric per `plan` (see sim/shard.hpp).  Reconfigures
-  /// the event loop's wheels, re-stripes every SHARD_LANED allocator,
-  /// and (for >1 shard) spins up the parallel runner.  Setup-time only.
+  /// the event loop's wheels, gives every SHARD_LANED structure one lane
+  /// per shard plus the control lane (size_lanes), and (for >1 shard)
+  /// spins up the parallel runner.  Setup-time only, at most once.
   /// Returns the shard count actually applied (1 if the plan was
   /// rejected, e.g. zero-latency cross-shard links).
   ///
@@ -271,7 +276,7 @@ class Network {
   /// fabric-global event order via the observer journal, which defers
   /// their callbacks during an epoch and replays them at the barrier in
   /// canonical key order (DESIGN.md §17).  OBJRPC_SHARDS_SERIAL=1 is the
-  /// one kill switch: the partition and its laned allocators stay, no
+  /// one kill switch: the partition and its laned state stay, no
   /// runner (and no worker thread) is built, and the loop's key-merge
   /// runs every window on the calling thread.
   std::uint32_t enable_sharding(const ShardPlan& plan);
@@ -409,13 +414,11 @@ class Network {
   /// handoffs with their stamped keys, then replay the observer journal
   /// in canonical key order.  Returns the number of handoffs landed.
   std::uint64_t merge_epoch_logs();
-  /// Fabric-unique frame id from the executing lane's strided allocator.
-  HOT_PATH std::uint64_t mint_frame_id() {
-    const std::uint32_t lane = exec_lane_below(frame_id_lanes_.size());
-    return frame_id_base_ + frame_id_lanes_[lane]++ * frame_id_stride_ +
-           lane + 1;
-  }
-  TrafficStats& lane_stats() { return stats_lanes_.local(); }
+  /// Give every SHARD_LANED structure (lanes_, the payload pool, the
+  /// observer journal) one lane per shard plus the control lane: the
+  /// one place a lane count is set.  Setup-time only.
+  void size_lanes();
+  TrafficStats& lane_stats() { return lanes_.local().stats; }
 
   // Shard affinity (DESIGN.md §15/§16): `ports_`/`nodes_` rows belong
   // to the shard that owns the node; SHARD_LANED members are replicated
@@ -425,7 +428,7 @@ class Network {
   /// Setup-time randomness only (see rng()).
   Rng rng_;
   obs::MetricsRegistry metrics_;
-  /// Trace/span id allocation is laned inside the tracer; recording is
+  /// Mints frame, trace and span ids per source node; recording is
   /// armed-only and defers through the observer journal in concurrent
   /// runs (DESIGN.md §17).
   obs::Tracer tracer_;
@@ -452,38 +455,37 @@ class Network {
   CROSS_SHARD std::vector<std::vector<SimTime>> node_flips_;
   /// The latest of all node_flips_ (-1: none yet).
   CROSS_SHARD SimTime last_flip_at_ = -1;
-  /// Per-lane traffic counters; stats() merges them.
-  SHARD_LANED PerLane<TrafficStats> stats_lanes_;
-  /// Per-shard-lane cross-shard deliveries of the current epoch, each
-  /// with the routed key its sender stamped and its receiver as
-  /// exec_src.  Unordered and growable: the key, not the append order,
-  /// decides execution order, so a lane's vector needs no bound.
-  SHARD_LANED PerLane<std::vector<KeyedEvent>> handoff_;
   std::vector<PacketTap> taps_;
   NodeObserver node_observer_;
-  /// Frame ids: strided per-lane counters (id = base + c*stride +
-  /// lane + 1), unique fabric-wide without synchronization.  Re-strided
-  /// by enable_sharding; ids never feed the wire digest.
-  SHARD_LANED PerLane<std::uint64_t> frame_id_lanes_;
-  std::uint64_t frame_id_stride_ = 1;
-  std::uint64_t frame_id_base_ = 0;
 
-  // Wire digest state: each lane sums the keyed hashes of the facts it
-  // folds; the digest is the sum over lanes.
-  struct DigestLane {
+  /// Wire digest share: the sum of the keyed hashes of the facts
+  /// folded, and their count.  The digest is the sum over lanes.
+  struct DigestSum {
     std::uint64_t sum = 0;
     std::uint64_t count = 0;
   };
-  DigestLane digest_total() const {
-    DigestLane t;
-    for (const DigestLane& lane : digest_lanes_) {
-      t.sum += lane.sum;
-      t.count += lane.count;
+  /// One execution lane's state.  Only the thread running the lane
+  /// touches it during an epoch (lanes_.local()); stats(), the digest
+  /// and the barrier read across lanes with the workers parked.
+  struct Lane {
+    TrafficStats stats;
+    DigestSum digest;
+    /// Cross-shard deliveries of the current epoch, each with the
+    /// routed key its sender stamped and its receiver as exec_src.
+    /// Unordered and growable: the key, not the append order, decides
+    /// execution order, so the vector needs no bound.
+    std::vector<KeyedEvent> handoff;
+  };
+  SHARD_LANED PerLane<Lane> lanes_;
+  DigestSum digest_total() const {
+    DigestSum t;
+    for (const Lane& lane : lanes_) {
+      t.sum += lane.digest.sum;
+      t.count += lane.digest.count;
     }
     return t;
   }
   bool wire_digest_armed_ = false;
-  SHARD_LANED PerLane<DigestLane> digest_lanes_;
   /// Position of the next fact folded outside any event.  Only the
   /// coordinator folds there (quiesce, control-lane code), workers
   /// parked.

@@ -66,7 +66,6 @@ class MatchActionTable {
 
   std::uint64_t hits() const { return hits_; }
   std::uint64_t misses() const { return misses_; }
-  void reset_counters() { hits_ = misses_ = 0; }
 
  private:
   std::uint32_t key_bits_;

@@ -283,7 +283,7 @@ bool ShardRunner::run_window(SimTime limit) {
     for (auto& w : loop.wheels_) {
       if (w->now() > loop.global_now_) loop.global_now_ = w->now();
     }
-    if (prof.armed()) prof.end_drain(cross_frames_);
+    if (prof.armed()) prof.end_drain();
   }
   if (net_.barrier_hook_) net_.barrier_hook_();
   return true;

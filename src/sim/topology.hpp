@@ -121,8 +121,6 @@ struct FatTreeTopology {
   std::uint32_t switch_count() const {
     return 5 * params.k * params.k / 4;
   }
-  /// Every switch has degree k.
-  std::uint32_t switch_degree() const { return params.k; }
   std::uint64_t total_links() const {
     return 3ull * host_count();  // host + edge-agg + agg-core tiers
   }

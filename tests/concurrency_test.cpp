@@ -11,11 +11,17 @@
 //
 // gtest assertions are not thread-safe, so worker threads only record
 // into their own slots; all asserting happens on the main thread after
-// join.
+// join.  Worker threads hand their clusters back too, and the main
+// thread destroys them in worker order, so the digest lines each
+// Cluster appends to $CHECK_DIGEST_FILE at teardown come out in the
+// same order on every run (tools/determinism_audit compares them).
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <cstdlib>
+#include <memory>
+#include <optional>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -26,23 +32,54 @@
 namespace objrpc {
 namespace {
 
+/// Sets (or, given null, unsets) one environment variable for its
+/// scope, then restores what the harness had.
+class ScopedEnv {
+ public:
+  ScopedEnv(const char* name, const char* value) : name_(name) {
+    if (const char* old = std::getenv(name)) saved_ = old;
+    if (value != nullptr) {
+      setenv(name, value, /*overwrite=*/1);
+    } else {
+      unsetenv(name);
+    }
+  }
+  ~ScopedEnv() {
+    if (saved_) {
+      setenv(name_, saved_->c_str(), /*overwrite=*/1);
+    } else {
+      unsetenv(name_);
+    }
+  }
+  ScopedEnv(const ScopedEnv&) = delete;
+  ScopedEnv& operator=(const ScopedEnv&) = delete;
+
+ private:
+  const char* name_;
+  std::optional<std::string> saved_;
+};
+
 /// One complete service/netsync workload on a private Cluster: create,
 /// fetch, write-invalidate, atomics.  The counter word sits at
 /// kDataStart, so the write stores `seed` and the atomics add 4*7 on
 /// top: the deterministic result is seed + 28.  `epochs` receives the
-/// worker rounds of a sharded run.
+/// worker rounds of a sharded run.  With `keep`, the cluster is left
+/// there for the caller to destroy; otherwise it dies on return.
 std::uint64_t run_service_workload(std::uint64_t seed, bool* ok,
                                    int check_invariants = 1,
                                    bool arm_tracer = false,
-                                   std::uint64_t* epochs = nullptr) {
+                                   std::uint64_t* epochs = nullptr,
+                                   std::unique_ptr<Cluster>* keep = nullptr) {
   *ok = false;
+  std::unique_ptr<Cluster> owned;
+  std::unique_ptr<Cluster>& cluster = keep != nullptr ? *keep : owned;
   ClusterConfig cfg;
   cfg.fabric.scheme = DiscoveryScheme::controller;
   cfg.fabric.seed = seed;
   cfg.check_invariants = check_invariants;  // the checker's hooks must be as
                                             // isolated as the protocol state
                                             // they observe
-  auto cluster = Cluster::build(cfg);
+  cluster = Cluster::build(cfg);
   // Sharded runs (OBJRPC_SHARDS): run every window on the workers;
   // left to itself the runner would keep this workload's windows (one
   // op in flight, mostly one busy shard) on the coordinator.
@@ -106,16 +143,19 @@ TEST(ConcurrencyTest, IndependentClustersInParallelThreads) {
   std::vector<std::uint64_t> results(kThreads, 0);
   // NOT vector<bool>: bit-packed slots would themselves race.
   std::vector<std::uint8_t> ok(kThreads, 0);
+  std::vector<std::unique_ptr<Cluster>> clusters(kThreads);
   std::vector<std::thread> workers;
   workers.reserve(kThreads);
   for (int t = 0; t < kThreads; ++t) {
-    workers.emplace_back([t, &results, &ok] {
+    workers.emplace_back([t, &results, &ok, &clusters] {
       bool worker_ok = false;
-      results[t] = run_service_workload(/*seed=*/11 + 2 * t, &worker_ok);
+      results[t] = run_service_workload(/*seed=*/11 + 2 * t, &worker_ok, 1,
+                                        false, nullptr, &clusters[t]);
       ok[t] = worker_ok ? 1 : 0;
     });
   }
   for (auto& th : workers) th.join();
+  for (auto& c : clusters) c.reset();
   for (int t = 0; t < kThreads; ++t) {
     EXPECT_TRUE(ok[t]) << "worker " << t << " failed";
     EXPECT_EQ(results[t], (11u + 2 * t) + 4 * 7) << "worker " << t;
@@ -131,16 +171,19 @@ TEST(ConcurrencyTest, SameSeedThreadsProduceIdenticalResults) {
   std::vector<std::uint64_t> results(kThreads, 0);
   // NOT vector<bool>: bit-packed slots would themselves race.
   std::vector<std::uint8_t> ok(kThreads, 0);
+  std::vector<std::unique_ptr<Cluster>> clusters(kThreads);
   std::vector<std::thread> workers;
   workers.reserve(kThreads);
   for (int t = 0; t < kThreads; ++t) {
-    workers.emplace_back([t, &results, &ok] {
+    workers.emplace_back([t, &results, &ok, &clusters] {
       bool worker_ok = false;
-      results[t] = run_service_workload(/*seed=*/42, &worker_ok);
+      results[t] = run_service_workload(/*seed=*/42, &worker_ok, 1, false,
+                                        nullptr, &clusters[t]);
       ok[t] = worker_ok ? 1 : 0;
     });
   }
   for (auto& th : workers) th.join();
+  for (auto& c : clusters) c.reset();
   for (int t = 0; t < kThreads; ++t) {
     EXPECT_TRUE(ok[t]) << "worker " << t << " failed";
     EXPECT_EQ(results[t], results[0]) << "worker " << t << " diverged";
@@ -150,8 +193,8 @@ TEST(ConcurrencyTest, SameSeedThreadsProduceIdenticalResults) {
 // The sharded event loop is the one place the library ITSELF spawns
 // threads: OBJRPC_SHARDS=4 partitions the fabric by subtree and runs
 // one worker per shard under the BSP epoch protocol (src/sim/shard.cpp
-// — lock-free cross-shard rings, a mutexed spill path, barrier
-// handshakes, laned allocators).  This leg runs unobserved so TSan
+// — per-lane handoff vectors landed at the barrier, the spin-then-park
+// barrier, laned state).  This leg runs unobserved so TSan
 // exercises the bare epoch machinery; the armed leg below layers the
 // observer journal on top.  Beyond freedom from races, the sharded run
 // must produce the bit-exact sequential result (DESIGN.md §16).
@@ -162,13 +205,17 @@ TEST(ConcurrencyTest, ShardedLoopWorkloadMatchesSequential) {
   ASSERT_TRUE(serial_ok);
   ASSERT_EQ(serial, 33u + 4 * 7);
 
-  setenv("OBJRPC_SHARDS", "4", /*overwrite=*/1);
   bool sharded_ok = false;
   std::uint64_t epochs = 0;
-  const std::uint64_t sharded =
-      run_service_workload(/*seed=*/33, &sharded_ok, /*check_invariants=*/0,
-                           /*arm_tracer=*/false, &epochs);
-  unsetenv("OBJRPC_SHARDS");
+  std::uint64_t sharded = 0;
+  {
+    // The concurrent runner, whatever the harness's environment.
+    const ScopedEnv shards("OBJRPC_SHARDS", "4");
+    const ScopedEnv no_kill_switch("OBJRPC_SHARDS_SERIAL", nullptr);
+    sharded = run_service_workload(/*seed=*/33, &sharded_ok,
+                                   /*check_invariants=*/0,
+                                   /*arm_tracer=*/false, &epochs);
+  }
   ASSERT_TRUE(sharded_ok);
   EXPECT_GT(epochs, 10u) << "the workers barely ran";
   EXPECT_EQ(sharded, serial) << "sharded run diverged from sequential";
@@ -189,13 +236,16 @@ TEST(ConcurrencyTest, ArmedObserversOnShardedLoopRaceFree) {
   ASSERT_TRUE(serial_ok);  // includes checker()->clean()
   ASSERT_EQ(serial, 53u + 4 * 7);
 
-  setenv("OBJRPC_SHARDS", "4", /*overwrite=*/1);
   bool sharded_ok = false;
   std::uint64_t epochs = 0;
-  const std::uint64_t sharded =
-      run_service_workload(/*seed=*/53, &sharded_ok, /*check_invariants=*/1,
-                           /*arm_tracer=*/true, &epochs);
-  unsetenv("OBJRPC_SHARDS");
+  std::uint64_t sharded = 0;
+  {
+    const ScopedEnv shards("OBJRPC_SHARDS", "4");
+    const ScopedEnv no_kill_switch("OBJRPC_SHARDS_SERIAL", nullptr);
+    sharded = run_service_workload(/*seed=*/53, &sharded_ok,
+                                   /*check_invariants=*/1,
+                                   /*arm_tracer=*/true, &epochs);
+  }
   ASSERT_TRUE(sharded_ok);
   EXPECT_GT(epochs, 10u) << "the workers barely ran";
   EXPECT_EQ(sharded, serial) << "armed sharded run diverged";
@@ -209,6 +259,7 @@ TEST(ConcurrencyTest, LogLevelFlipsWhileClustersRun) {
   const LogLevel before = Log::level();
   std::vector<std::uint8_t> ok(2, 0);
   std::vector<std::uint64_t> results(2, 0);
+  std::vector<std::unique_ptr<Cluster>> clusters(2);
   std::thread flipper([] {
     for (int i = 0; i < 200; ++i) {
       Log::set_level(i % 2 ? LogLevel::error : LogLevel::off);
@@ -216,14 +267,16 @@ TEST(ConcurrencyTest, LogLevelFlipsWhileClustersRun) {
   });
   std::vector<std::thread> workers;
   for (int t = 0; t < 2; ++t) {
-    workers.emplace_back([t, &results, &ok] {
+    workers.emplace_back([t, &results, &ok, &clusters] {
       bool worker_ok = false;
-      results[t] = run_service_workload(/*seed=*/7 + t, &worker_ok);
+      results[t] = run_service_workload(/*seed=*/7 + t, &worker_ok, 1, false,
+                                        nullptr, &clusters[t]);
       ok[t] = worker_ok ? 1 : 0;
     });
   }
   flipper.join();
   for (auto& th : workers) th.join();
+  for (auto& c : clusters) c.reset();
   Log::set_level(before);
   for (int t = 0; t < 2; ++t) {
     EXPECT_TRUE(ok[t]) << "worker " << t << " failed";

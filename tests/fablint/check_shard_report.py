@@ -9,11 +9,12 @@ exactly the regression this test exists to catch.  Asserts:
 
   * the report is valid JSON with the five inventory arrays,
   * each array the annotated tree is known to populate is non-empty,
-  * a few load-bearing entries are present (Network's topology state and
-    the runner's spill queue, the laned frame-id / pool free-list
-    arrays, the timing-wheel capability guards).  (Tracer ids are
-    per-NODE, not per-lane — they feed the wire digest and must stay
-    shard-count-invariant — so they are deliberately absent here.)
+  * a few load-bearing entries are present, each as a (class, member)
+    pair: Network's topology state, the three laned structures
+    (Network's lane block, BufferPool's free lists, ShardJournal's
+    record lanes), the timing-wheel capability guards.  (Frame, trace
+    and span ids are per-NODE, not per-lane — what a run shows must not
+    depend on the shard count — so no id allocator appears here.)
 
 Usage: check_shard_report.py <fablint-binary> <src-dir>
 """
@@ -53,22 +54,28 @@ def main() -> int:
         else:
             print(f"  {key}: {len(entries)} entries")
 
-    def names(key):
-        return {e.get("member", "") for e in report.get(key, [])}
+    def pairs(key):
+        return {(e.get("class", ""), e.get("member", ""))
+                for e in report.get(key, [])}
 
     expectations = [
-        ("cross_shard_state", "node_up_", "Network's topology up/down map"),
-        ("cross_shard_state", "node_flips_", "Network's node transition log"),
-        ("laned_state", "frame_id_lanes_", "laned frame-id allocators"),
-        ("laned_state", "lanes_", "laned pool free lists"),
-        ("laned_state", "handoff_", "per-lane cross-shard handoffs"),
-        ("laned_state", "digest_lanes_", "per-lane wire digest sums"),
-        ("shard_guarded_state", "buckets_", "TimingWheel buckets"),
+        ("cross_shard_state", "objrpc::Network", "node_up_",
+         "Network's topology up/down map"),
+        ("cross_shard_state", "objrpc::Network", "node_flips_",
+         "Network's node transition log"),
+        ("laned_state", "objrpc::Network", "lanes_",
+         "Network's lane block (stats, digest sums, handoffs)"),
+        ("laned_state", "objrpc::BufferPool", "lanes_",
+         "laned pool free lists"),
+        ("laned_state", "objrpc::obs::ShardJournal", "lanes_",
+         "laned observer journal"),
+        ("shard_guarded_state", "objrpc::TimingWheel", "buckets_",
+         "TimingWheel buckets"),
     ]
-    for key, name, what in expectations:
-        if name not in names(key):
-            sys.stderr.write(f"shard report: {what} ('{name}') missing "
-                             f"from {key}\n")
+    for key, cls, member, what in expectations:
+        if (cls, member) not in pairs(key):
+            sys.stderr.write(f"shard report: {what} ('{cls}::{member}') "
+                             f"missing from {key}\n")
             ok = False
 
     print("shard report ok" if ok else "shard report FAILED")

@@ -132,13 +132,15 @@ struct RunResult {
 
 /// Order-sensitive fold over a tap observation — if replay order differs
 /// from the serial driver's delivery order by even one swap, the digests
-/// diverge.
+/// diverge.  The frame id is folded too: what a tap sees must not depend
+/// on the shard count.
 void fold_tap(std::uint64_t& d, NodeId from, NodeId to, const Packet& pkt) {
   auto mix = [&d](std::uint64_t v) {
     d ^= v + 0x9E3779B97F4A7C15ULL + (d << 6) + (d >> 2);
   };
   mix(from);
   mix(to);
+  mix(pkt.frame_id);
   mix(pkt.data.size());
   for (std::uint8_t b : pkt.data) mix(b);
 }
