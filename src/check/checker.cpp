@@ -406,12 +406,12 @@ void InvariantChecker::on_quiesce() {
     // Partial reassemblies are only a leak once they are eligible for
     // the channel's own idle expiry AND the sender is alive (a live
     // sender either finished or gave up; its partial will never grow).
-    const SimDuration idle = rel.config().reassembly_idle;
     for (const auto& snap : rel.inbound_snapshot()) {
       auto sit = addr_to_node_.find(snap.src);
       const bool sender_alive =
           sit != addr_to_node_.end() && net_.node_up(sit->second);
-      if (sender_alive && now - snap.last_activity > idle) {
+      if (sender_alive &&
+          now - snap.last_activity > ReliableChannel::kReassemblyIdle) {
         violation(ViolationClass::leaked_reassembly, ObjectId{},
                   fmt("%s holds a partial reassembly (msg %u from %s, %u/%u "
                       "fragments) idle past expiry at quiesce",

@@ -65,18 +65,16 @@ std::unique_ptr<Cluster> Cluster::build(const ClusterConfig& cfg) {
   if (!cluster->trace_file_.empty()) {
     cluster->fabric_->network().tracer().arm();
   }
-  cluster->placement_engine_ = PlacementEngine(cfg.placement);
   cluster->code_ = std::make_unique<CodeRegistry>(
       IdAllocator(cluster->fabric_->network().rng().fork(0xC0DE)));
   for (std::size_t i = 0; i < cluster->fabric_->host_count(); ++i) {
-    cluster->fetchers_.push_back(std::make_unique<ObjectFetcher>(
-        cluster->fabric_->service(i), cfg.fetch));
+    cluster->fetchers_.push_back(
+        std::make_unique<ObjectFetcher>(cluster->fabric_->service(i)));
     cluster->runtimes_.push_back(std::make_unique<InvokeRuntime>(
         cluster->fabric_->service(i), *cluster->code_,
         *cluster->fetchers_.back()));
     cluster->replicas_.push_back(std::make_unique<ReplicaManager>(
-        cluster->fabric_->service(i), *cluster->fetchers_.back(),
-        cfg.replica));
+        cluster->fabric_->service(i), *cluster->fetchers_.back()));
     HostProfile prof;
     prof.addr = cluster->fabric_->host(i).addr();
     prof.compute_ops_per_ns =

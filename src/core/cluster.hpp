@@ -23,9 +23,6 @@ namespace objrpc {
 
 struct ClusterConfig {
   FabricConfig fabric{};
-  FetchConfig fetch{};
-  PlacementConfig placement{};
-  ReplicaConfig replica{};
   /// Per-host compute rates (ops/ns); padded with 1.0 if shorter than
   /// the host count.
   std::vector<double> compute_rates{};

@@ -206,12 +206,12 @@ void ObjectFetcher::on_chunk_resp(const Frame& f) {
     pf.buffer.assign(pf.total_size, 0);
     pf.source = f.src_host;  // lock onto whoever answered
     pf.version = f.obj_version;
-    for (std::uint64_t off = 0; off < pf.total_size; off += cfg_.chunk_bytes) {
+    for (std::uint64_t off = 0; off < pf.total_size; off += kChunkBytes) {
       pf.outstanding_chunks.insert(off);
       ++counters_.chunks_requested;
       send_chunk_req(f.object, pf, off,
                      static_cast<std::uint32_t>(std::min<std::uint64_t>(
-                         cfg_.chunk_bytes, pf.total_size - off)));
+                         kChunkBytes, pf.total_size - off)));
     }
     return;
   }

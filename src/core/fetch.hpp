@@ -31,9 +31,8 @@
 
 namespace objrpc {
 
+/// Per-pull deadline and attempt budget.
 struct FetchConfig {
-  /// Chunk payload size for pulls.
-  std::uint32_t chunk_bytes = 1400;
   SimDuration timeout = 20 * kMillisecond;
   int max_attempts = 4;
 };
@@ -155,6 +154,9 @@ class ObjectFetcher {
   void on_invalidate_ack(const Frame& f);
   void complete(ObjectId id, Status s);
   void run_prefetch(const Object& fetched);
+
+  /// Chunk payload size for pulls.
+  static constexpr std::uint32_t kChunkBytes = 1400;
 
   ObjNetService& service_;
   FetchConfig cfg_;

@@ -11,7 +11,7 @@ Result<PlacementDecision> PlacementEngine::decide(
     return Error{Errc::invalid_argument, "no candidate executors"};
   }
   PlacementDecision decision;
-  const double bytes_per_ns = cfg_.bandwidth_bps / 8.0 / 1e9;
+  const double bytes_per_ns = kBandwidthBps / 8.0 / 1e9;
 
   std::uint64_t touched_bytes = 0;
   for (const auto& a : req.args) touched_bytes += a.bytes;
@@ -38,7 +38,7 @@ Result<PlacementDecision> PlacementEngine::decide(
     score.feasible = move_bytes <= cand.mem_available;
     score.transfer = static_cast<SimDuration>(
                          static_cast<double>(move_bytes) / bytes_per_ns) +
-                     static_cast<SimDuration>(remote_objects) * cfg_.rtt;
+                     static_cast<SimDuration>(remote_objects) * kRtt;
     const double ops = req.code.fixed_ops +
                        req.code.ops_per_byte *
                            static_cast<double>(touched_bytes);

@@ -55,13 +55,6 @@ struct PlacementRequest {
   HostAddr invoker = kUnspecifiedHost;
 };
 
-struct PlacementConfig {
-  /// Fabric bandwidth used for transfer estimates.
-  double bandwidth_bps = 10e9;
-  /// Fabric round-trip estimate, charged once per remote object moved.
-  SimDuration rtt = 40 * kMicrosecond;
-};
-
 struct PlacementDecision {
   HostAddr executor = kUnspecifiedHost;
   /// Estimated completion time.
@@ -81,15 +74,16 @@ struct PlacementDecision {
 
 class PlacementEngine {
  public:
-  explicit PlacementEngine(PlacementConfig cfg = {}) : cfg_(cfg) {}
-
   /// Score all candidates; fails if none is feasible.
   Result<PlacementDecision> decide(
       const PlacementRequest& req,
       const std::vector<HostProfile>& candidates) const;
 
  private:
-  PlacementConfig cfg_;
+  /// Fabric bandwidth used for transfer estimates.
+  static constexpr double kBandwidthBps = 10e9;
+  /// Fabric round-trip estimate, charged once per remote object moved.
+  static constexpr SimDuration kRtt = 40 * kMicrosecond;
 };
 
 }  // namespace objrpc

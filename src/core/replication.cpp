@@ -12,11 +12,9 @@ namespace {
 constexpr std::size_t kReplicaHeaderBase = 8 + 4 + 1 + 4;
 }  // namespace
 
-ReplicaManager::ReplicaManager(ObjNetService& service, ObjectFetcher& fetcher,
-                               ReplicaConfig cfg)
+ReplicaManager::ReplicaManager(ObjNetService& service, ObjectFetcher& fetcher)
     : service_(service),
       fetcher_(fetcher),
-      cfg_(cfg),
       probe_timer_(service.host().event_loop(), service.host().id(),
                    [this](ObjectId id) { on_probe_timeout(id); }),
       recovery_timer_(service.host().event_loop(), service.host().id(),
@@ -228,7 +226,7 @@ void ReplicaManager::suspect_home(ObjectId id) {
   probe.object = id;
   probe.epoch = it->second.epoch;
   service_.host().send_frame(std::move(probe));
-  probe_timer_.arm(id, cfg_.probe_timeout);
+  probe_timer_.arm(id, kProbeTimeout);
 }
 
 void ReplicaManager::on_probe_timeout(ObjectId id) {
@@ -373,7 +371,7 @@ void ReplicaManager::on_revival() {
       probe.epoch = home.epoch;
       service_.host().send_frame(std::move(probe));
     }
-    recovery_timer_.arm(id, cfg_.recovery_timeout);
+    recovery_timer_.arm(id, kRecoveryTimeout);
   }
 }
 

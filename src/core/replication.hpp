@@ -27,7 +27,7 @@
 // RECOVERING: it serves nothing and probes its old members; a reply
 // carrying a higher epoch demotes it (store entry dropped — the
 // promoted lineage owns history now), while silence for
-// `recovery_timeout` means no promotion happened and it resumes.
+// kRecoveryTimeout means no promotion happened and it resumes.
 // Stale-epoch invalidates from a not-yet-recovered old home are
 // rejected and answered with an epoch_reply fence.
 //
@@ -45,19 +45,16 @@
 
 namespace objrpc {
 
-struct ReplicaConfig {
-  /// How long a liveness probe to the home may go unanswered before the
-  /// prober declares it dead (designated replica: promotes itself).
-  SimDuration probe_timeout = 5 * kMillisecond;
-  /// How long a revived home waits for a higher-epoch fence from its old
-  /// members before resuming authority.
-  SimDuration recovery_timeout = 10 * kMillisecond;
-};
-
 class ReplicaManager {
  public:
-  ReplicaManager(ObjNetService& service, ObjectFetcher& fetcher,
-                 ReplicaConfig cfg = {});
+  /// How long a liveness probe to the home may go unanswered before the
+  /// prober declares it dead (designated replica: promotes itself).
+  static constexpr SimDuration kProbeTimeout = 5 * kMillisecond;
+  /// How long a revived home waits for a higher-epoch fence from its old
+  /// members before resuming authority.
+  static constexpr SimDuration kRecoveryTimeout = 10 * kMillisecond;
+
+  ReplicaManager(ObjNetService& service, ObjectFetcher& fetcher);
 
   /// Called on the HOME host: push a read replica of `id` to `dst`.
   /// Completes when the replica host has installed it.  The first
@@ -182,7 +179,6 @@ class ReplicaManager {
 
   ObjNetService& service_;
   ObjectFetcher& fetcher_;
-  ReplicaConfig cfg_;
   /// Replica side: object -> home/epoch/successor knowledge.
   std::unordered_map<ObjectId, ReplicaInfo> primaries_;
   /// Home side: object -> epoch + pushed replica membership.

@@ -7,9 +7,8 @@
 
 namespace objrpc {
 
-ControllerNode::ControllerNode(Network& net, NodeId id, std::string name,
-                               HostConfig cfg)
-    : HostNode(net, id, std::move(name), cfg) {
+ControllerNode::ControllerNode(Network& net, NodeId id, std::string name)
+    : HostNode(net, id, std::move(name)) {
   set_handler(MsgType::advertise, [this](const Frame& f) { on_advertise(f); });
   set_handler(MsgType::withdraw, [this](const Frame& f) { on_withdraw(f); });
   set_handler(MsgType::advertise_replica,
@@ -193,7 +192,7 @@ void ControllerNode::on_punted(const Frame& f, PortId /*in_port*/) {
   // build the packet directly.
   Packet pkt = redirected.to_packet();
   if (!control_ports_.empty()) {
-    loop().schedule_after(config().processing_delay,
+    loop().schedule_after(kProcessingDelay,
                           [this, pkt = std::move(pkt)]() mutable {
                             send(control_ports_.front(), std::move(pkt));
                           });
@@ -271,7 +270,7 @@ void ControllerNode::send_to_switch(std::size_t switch_idx, MsgType type,
   f.payload = std::move(payload);
   Packet pkt = f.to_packet();
   const PortId port = control_ports_.at(switch_idx);
-  loop().schedule_after(config().processing_delay,
+  loop().schedule_after(kProcessingDelay,
                         [this, port, pkt = std::move(pkt)]() mutable {
                           send(port, std::move(pkt));
                         });

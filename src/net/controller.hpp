@@ -24,8 +24,7 @@ namespace objrpc {
 /// a dedicated control link and programs their tables remotely.
 class ControllerNode : public HostNode {
  public:
-  ControllerNode(Network& net, NodeId id, std::string name,
-                 HostConfig cfg = {});
+  ControllerNode(Network& net, NodeId id, std::string name);
 
   /// Register the switches under management; `control_port[i]` is this
   /// node's port leading to switch i.  Call after links are wired.

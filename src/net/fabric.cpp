@@ -143,9 +143,7 @@ std::unique_ptr<Fabric> Fabric::build(const FabricConfig& cfg) {
   // Hosts, round-robin across switches.
   std::vector<NodeId> host_ids;
   for (std::size_t i = 0; i < cfg.num_hosts; ++i) {
-    HostConfig hc = cfg.host_cfg;
-    hc.id_seed = i;
-    auto& h = net.add_node<HostNode>("host" + std::to_string(i), hc);
+    auto& h = net.add_node<HostNode>("host" + std::to_string(i), i);
     fabric->hosts_.push_back(&h);
     host_ids.push_back(h.id());
     net.connect(h.id(), switch_ids[i % switch_ids.size()], cfg.host_link);
@@ -155,7 +153,7 @@ std::unique_ptr<Fabric> Fabric::build(const FabricConfig& cfg) {
   std::vector<PortId> ctrl_ports;
   std::vector<PortId> punt_ports;
   if (cfg.scheme == DiscoveryScheme::controller) {
-    auto& ctrl = net.add_node<ControllerNode>("controller", cfg.host_cfg);
+    auto& ctrl = net.add_node<ControllerNode>("controller");
     fabric->controller_ = &ctrl;
     for (NodeId sw : switch_ids) {
       auto [cport, sport] = net.connect(ctrl.id(), sw, cfg.ctrl_link);

@@ -34,7 +34,6 @@ struct FabricConfig {
   LinkParams ctrl_link{};    // controller <-> switch
 
   SwitchConfig switch_cfg{};
-  HostConfig host_cfg{};
   E2EConfig e2e_cfg{};
   ReliableConfig reliable_cfg{};
 };

@@ -4,11 +4,10 @@
 
 namespace objrpc {
 
-HostNode::HostNode(Network& net, NodeId id, std::string name, HostConfig cfg)
+HostNode::HostNode(Network& net, NodeId id, std::string name,
+                   std::uint64_t id_seed)
     : NetworkNode(net, id, std::move(name)),
-      cfg_(cfg),
-      store_(cfg.store_capacity),
-      ids_(net.rng().fork(0x9057'0000ULL + cfg.id_seed + id)) {
+      ids_(net.rng().fork(0x9057'0000ULL + id_seed + id)) {
   metrics_.attach(net.metrics(), this->name() + "/host");
   metrics_.add("frames_in", [this] { return counters_.frames_in; });
   metrics_.add("frames_out", [this] { return counters_.frames_out; });
@@ -25,9 +24,9 @@ void HostNode::send_frame(Frame frame) {
     // Software time between the protocol decision and the NIC.
     net().tracer().leaf_span(frame.trace.trace, frame.trace.parent, id(),
                              std::string("tx:") + msg_type_name(frame.type),
-                             loop().now(), loop().now() + cfg_.processing_delay);
+                             loop().now(), loop().now() + kProcessingDelay);
   }
-  loop().schedule_after(cfg_.processing_delay,
+  loop().schedule_after(kProcessingDelay,
                         [this, pkt = std::move(pkt)]() mutable {
                           send(0, std::move(pkt));
                         });
@@ -76,7 +75,7 @@ void HostNode::receive(PortId /*in_port*/, Packet pkt, SimTime arrived) {
     // Software time between frame arrival and the protocol handler.
     net().tracer().leaf_span(frame->trace.trace, frame->trace.parent, id(),
                              std::string("rx:") + msg_type_name(frame->type),
-                             arrived, arrived + cfg_.processing_delay);
+                             arrived, arrived + kProcessingDelay);
   }
   // Take the key slot a separate dispatch event would have taken, so
   // this host's later events keep their keys.

@@ -14,22 +14,19 @@
 
 namespace objrpc {
 
-struct HostConfig {
-  /// Object store byte budget (0 = unlimited).
-  std::uint64_t store_capacity = 0;
-  /// Software latency between frame arrival and protocol handling (and
-  /// between a handler's decision and its frame hitting the wire is
-  /// folded in here too, once per hop).
-  SimDuration processing_delay = 2 * kMicrosecond;
-  /// Seed label for this host's ID-allocation substream.
-  std::uint64_t id_seed = 0;
-};
-
 class HostNode : public NetworkNode {
  public:
   using FrameHandler = std::function<void(const Frame&)>;
 
-  HostNode(Network& net, NodeId id, std::string name, HostConfig cfg = {});
+  /// Software latency between frame arrival and protocol handling (and
+  /// between a handler's decision and its frame hitting the wire), paid
+  /// once per hop in each direction.
+  static constexpr SimDuration kProcessingDelay = 2 * kMicrosecond;
+
+  /// `id_seed` labels this host's ID-allocation substream.  The store
+  /// is unlimited.
+  HostNode(Network& net, NodeId id, std::string name,
+           std::uint64_t id_seed = 0);
 
   /// Protocol-level address (NodeId + 1, so 0 stays "unspecified").
   HostAddr addr() const { return static_cast<HostAddr>(id()) + 1; }
@@ -37,7 +34,6 @@ class HostNode : public NetworkNode {
   ObjectStore& store() { return store_; }
   const ObjectStore& store() const { return store_; }
   IdAllocator& ids() { return ids_; }
-  const HostConfig& config() const { return cfg_; }
 
   /// Stamp src_host, encode, and transmit after the processing delay.
   HOT_PATH void send_frame(Frame frame);
@@ -47,12 +43,10 @@ class HostNode : public NetworkNode {
   /// Fallback for types without a dedicated handler.
   void set_default_handler(FrameHandler handler);
 
-  /// The software stack's fixed latency (cfg.processing_delay).
-  SimDuration receive_residence() const override {
-    return cfg_.processing_delay;
-  }
+  /// The software stack's fixed latency (kProcessingDelay).
+  SimDuration receive_residence() const override { return kProcessingDelay; }
   /// NIC filtering (as of `arrived`) and protocol dispatch, in the one
-  /// delivery event at `arrived` + processing_delay.
+  /// delivery event at `arrived` + kProcessingDelay.
   HOT_PATH void receive(PortId in_port, Packet pkt,
                         SimTime arrived) override;
   /// A frame handed straight to the NIC (tests, chaos injection).
@@ -86,7 +80,6 @@ class HostNode : public NetworkNode {
  private:
   HOT_PATH void dispatch(Frame frame);
 
-  HostConfig cfg_;
   ObjectStore store_;
   IdAllocator ids_;
   /// Direct-indexed by the 8-bit frame type: dispatch is one load, no

@@ -79,7 +79,7 @@ void ReliableChannel::send(HostAddr dst, MsgType inner_type, ObjectId object,
   ++counters_.messages_sent;
 
   for (std::uint32_t i = 0; i < frag_count; ++i) send_fragment(msg_id, i);
-  timer_.arm(msg_id, cfg_.rto);
+  timer_.arm(msg_id, kRto);
 }
 
 void ReliableChannel::send_fragment(std::uint32_t msg_id,
@@ -113,7 +113,7 @@ void ReliableChannel::on_deadline(std::uint32_t msg_id) {
     // Acks are flowing; restart the timer instead of retransmitting.
     out.progressed = false;
     out.retries = 0;
-    timer_.arm(msg_id, cfg_.rto);
+    timer_.arm(msg_id, kRto);
     return;
   }
   if (++out.retries > cfg_.max_retries) {
@@ -124,7 +124,7 @@ void ReliableChannel::on_deadline(std::uint32_t msg_id) {
   // Retransmit everything still unacked (copy: sending mutates nothing
   // but iteration safety matters if callbacks reenter).
   std::vector<std::uint32_t> pending(out.unacked.begin(), out.unacked.end());
-  const SimDuration backoff = cfg_.rto << std::min(out.retries, 10);
+  const SimDuration backoff = kRto << std::min(out.retries, 10);
   counters_.retransmissions += pending.size();
   if (host_.tracer().armed()) {
     host_.tracer().instant(out.trace.trace, out.trace.parent, host_.id(),
@@ -250,7 +250,7 @@ std::size_t ReliableChannel::expire_idle() {
   // time predicate — visit order never matters.
   std::vector<InboundKey> idle;
   inbound_.for_each([&](const InboundKey& key, const Inbound& in) {
-    if (now - in.last_activity > cfg_.reassembly_idle) idle.push_back(key);
+    if (now - in.last_activity > kReassemblyIdle) idle.push_back(key);
   });
   for (const InboundKey& key : idle) inbound_.erase(key);
   counters_.reassembly_expired += idle.size();

@@ -26,26 +26,30 @@
 
 namespace objrpc {
 
+/// Fragment size and retry budget.  The channel's timers are fixed
+/// (ReliableChannel::kRto, kReassemblyIdle).
 struct ReliableConfig {
   /// Max payload bytes per fragment.
   std::uint32_t mtu = 1400;
-  /// Initial retransmission timeout for unacked fragments; doubles per
-  /// retry round (large messages legitimately take many RTTs to drain
-  /// through a link — backoff keeps the timer from firing spuriously
-  /// while fragments are still queued).
-  SimDuration rto = 500 * kMicrosecond;
   /// Give up after this many retransmission rounds.
   int max_retries = 10;
-  /// Partial reassembly state with no fragment arrivals for this long is
-  /// garbage-collected (the sender crashed or gave up mid-message).
-  /// Must exceed the sender's worst-case retry gap (rto << min(retries,
-  /// 10)) or a slow-but-alive sender's message would be dismembered.
-  SimDuration reassembly_idle = 2 * kSecond;
 };
 
 /// A host-wide reliable messaging endpoint.
 class ReliableChannel {
  public:
+  /// Initial retransmission timeout for unacked fragments; doubles per
+  /// retry round, up to 10 doublings (large messages legitimately take
+  /// many RTTs to drain through a link — backoff keeps the timer from
+  /// firing spuriously while fragments are still queued).
+  static constexpr SimDuration kRto = 500 * kMicrosecond;
+  /// Partial reassembly state with no fragment arrivals for this long is
+  /// garbage-collected (the sender crashed or gave up mid-message).
+  static constexpr SimDuration kReassemblyIdle = 2 * kSecond;
+  static_assert(kReassemblyIdle > (kRto << 10),
+                "a slow-but-alive sender's longest retry gap must not "
+                "expire its partial message at the receiver");
+
   using StatusCallback = std::function<void(Status)>;
   /// Invoked on complete reassembly of an inbound message.
   using MessageHandler = std::function<void(
@@ -79,7 +83,7 @@ class ReliableChannel {
   const Counters& counters() const { return counters_; }
 
   /// Drop partial inbound reassemblies idle longer than
-  /// `reassembly_idle`.  Runs lazily whenever a new inbound message
+  /// kReassemblyIdle.  Runs lazily whenever a new inbound message
   /// starts; exposed for tests and for explicit housekeeping.
   std::size_t expire_idle();
 
@@ -88,8 +92,6 @@ class ReliableChannel {
   std::size_t outbound_in_progress() const { return outbound_.size(); }
   /// Retransmission deadlines, keyed by message id.
   const DeadlineTimer<std::uint32_t>& deadline_timer() const { return timer_; }
-
-  const ReliableConfig& config() const { return cfg_; }
 
   /// Snapshot of a partial inbound reassembly (invariant checker: leaked
   /// reassembly detection at quiesce).

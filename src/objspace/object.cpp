@@ -213,10 +213,6 @@ Result<std::uint64_t> Object::alloc(std::uint64_t n, std::uint64_t align) {
   return start;
 }
 
-std::uint64_t Object::bytes_free() const {
-  return fot_region_start() - alloc_top_;
-}
-
 Object Object::clone_as(ObjectId new_id) const {
   Object copy(new_id, buf_);
   copy.alloc_top_ = alloc_top_;

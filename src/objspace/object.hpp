@@ -132,7 +132,6 @@ class Object {
   /// returns the offset of the new region (zero-filled).
   Result<std::uint64_t> alloc(std::uint64_t n, std::uint64_t align = 8);
   std::uint64_t bytes_allocated() const { return alloc_top_ - kDataStart; }
-  std::uint64_t bytes_free() const;
 
   // --- movement ---
   /// The byte-exact wire image.  Copying these bytes to another host and

@@ -126,7 +126,7 @@ Result<SparseModel> build_sparse_model(ObjectStore& store, IdAllocator& ids,
     if (Status st = shard->store_ptr(*base + 16, next); !st) return st.error();
     // Column indices then values.
     for (std::uint64_t i = 0; i < spec.nnz_per_shard; ++i) {
-      const std::uint64_t col = rng.next_below(spec.feature_dim);
+      const std::uint64_t col = rng.next_below(SparseModelSpec::kFeatureDim);
       if (Status st = shard->write_u64(*base + kShardHeader + i * 8, col);
           !st)
         return st.error();

@@ -84,10 +84,12 @@ class ObjLinkedList {
 // Row r owns entries [r*nnz/rows, (r+1)*nnz/rows).
 // ---------------------------------------------------------------------------
 struct SparseModelSpec {
+  /// Column space for indices (the activation vector's length).
+  static constexpr std::uint64_t kFeatureDim = 4096;
+
   std::uint64_t shards = 4;
   std::uint64_t rows_per_shard = 64;
   std::uint64_t nnz_per_shard = 1024;
-  std::uint64_t feature_dim = 4096;  // column space for indices
   std::uint64_t seed = 1;
 };
 

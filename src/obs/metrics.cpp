@@ -122,9 +122,7 @@ MetricsSnapshot MetricsRegistry::snapshot() const {
   return snap;
 }
 
-namespace {
-
-void append_escaped(std::string& out, const std::string& s) {
+void append_json_string(std::string& out, const std::string& s) {
   out += '"';
   for (char c : s) {
     if (c == '"' || c == '\\') out += '\\';
@@ -132,6 +130,8 @@ void append_escaped(std::string& out, const std::string& s) {
   }
   out += '"';
 }
+
+namespace {
 
 void append_f(std::string& out, double v) {
   char buf[64];
@@ -153,7 +153,7 @@ std::string MetricsSnapshot::to_json() const {
   for (const auto& [name, v] : counters) {
     out += first ? "\n    " : ",\n    ";
     first = false;
-    append_escaped(out, name);
+    append_json_string(out, name);
     out += ": ";
     append_u(out, v);
   }
@@ -162,7 +162,7 @@ std::string MetricsSnapshot::to_json() const {
   for (const auto& [name, v] : gauges) {
     out += first ? "\n    " : ",\n    ";
     first = false;
-    append_escaped(out, name);
+    append_json_string(out, name);
     out += ": ";
     append_f(out, v);
   }
@@ -171,7 +171,7 @@ std::string MetricsSnapshot::to_json() const {
   for (const auto& [name, h] : histograms) {
     out += first ? "\n    " : ",\n    ";
     first = false;
-    append_escaped(out, name);
+    append_json_string(out, name);
     out += ": {\"count\": ";
     append_u(out, h.count);
     out += ", \"sum\": ";

@@ -111,6 +111,10 @@ struct MetricsSnapshot {
   std::string to_json() const;
 };
 
+/// Append `s` to `out` as a quoted JSON string, backslash-escaping `"`
+/// and `\`.  The one escaper of the metrics and trace exporters.
+void append_json_string(std::string& out, const std::string& s);
+
 /// The process-wide metric namespace for one simulation.  Owned by the
 /// Network (every component can reach it via `net().metrics()`), so one
 /// deployment = one registry = one snapshot.

@@ -111,7 +111,10 @@ class ShardProfiler {
   EpochRec cur_{};
 
   /// SHARD_LANED: lanes_[lane] is written only by the thread running
-  /// that lane.
+  /// that lane.  K lanes, not the K + 1 of the structures
+  /// Network::size_lanes sizes: the control lane runs no epoch work, so
+  /// it never begins or ends an exec.  begin_exec/end_exec index it
+  /// unchecked; a lane outside 0..K-1 is a driver bug.
   SHARD_LANED std::vector<LaneSeries> lanes_;
   std::vector<EpochRec> epochs_;  ///< bounded by kMaxChromeEpochs
   std::vector<HandoffRec> handoffs_;  ///< bounded by kMaxChromeEpochs * lanes

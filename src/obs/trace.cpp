@@ -4,6 +4,8 @@
 #include <cinttypes>
 #include <cstdio>
 
+#include "obs/metrics.hpp"
+
 namespace objrpc::obs {
 
 void Tracer::set_process_name(std::uint32_t node, std::string name) {
@@ -81,15 +83,6 @@ std::vector<SpanRecord> Tracer::spans_of(std::uint64_t trace) const {
 
 namespace {
 
-void append_escaped(std::string& out, const std::string& s) {
-  out += '"';
-  for (char c : s) {
-    if (c == '"' || c == '\\') out += '\\';
-    out += c;
-  }
-  out += '"';
-}
-
 /// Simulated nanoseconds -> trace_event microseconds.
 void append_us(std::string& out, SimTime ns) {
   char buf[48];
@@ -130,7 +123,7 @@ std::string Tracer::chrome_trace_json() const {
     out += "{\"ph\": \"M\", \"name\": \"process_name\", \"pid\": ";
     append_u(out, node);
     out += ", \"tid\": 0, \"args\": {\"name\": ";
-    append_escaped(out, name);
+    append_json_string(out, name);
     out += "}}";
   }
 
@@ -138,7 +131,7 @@ std::string Tracer::chrome_trace_json() const {
     const SimTime end = s.open() ? horizon : s.end;
     sep();
     out += "{\"ph\": \"X\", \"name\": ";
-    append_escaped(out, s.name);
+    append_json_string(out, s.name);
     out += ", \"pid\": ";
     append_u(out, s.node);
     out += ", \"tid\": ";
@@ -159,7 +152,7 @@ std::string Tracer::chrome_trace_json() const {
   for (const auto& i : instants_) {
     sep();
     out += "{\"ph\": \"i\", \"s\": \"t\", \"name\": ";
-    append_escaped(out, i.name);
+    append_json_string(out, i.name);
     out += ", \"pid\": ";
     append_u(out, i.node);
     out += ", \"tid\": ";
@@ -176,7 +169,7 @@ std::string Tracer::chrome_trace_json() const {
   for (const auto& c : counters_) {
     sep();
     out += "{\"ph\": \"C\", \"name\": ";
-    append_escaped(out, c.name);
+    append_json_string(out, c.name);
     out += ", \"pid\": ";
     append_u(out, c.node);
     out += ", \"ts\": ";

@@ -46,9 +46,8 @@ void DirectoryService::resolve(RpcClient& client, HostAddr dir,
               });
 }
 
-LoadBalancer::LoadBalancer(HostNode& host, std::vector<HostAddr> backends,
-                           RpcCostModel cost)
-    : host_(host), backends_(std::move(backends)), cost_(cost) {
+LoadBalancer::LoadBalancer(HostNode& host, std::vector<HostAddr> backends)
+    : host_(host), backends_(std::move(backends)) {
   host_.set_handler(MsgType::invoke_req,
                     [this](const Frame& f) { on_request(f); });
   host_.set_handler(MsgType::invoke_resp,
@@ -72,7 +71,7 @@ void LoadBalancer::on_request(const Frame& f) {
   out.payload = fwd.encode();
   // Proxying re-frames the request: pay a marshalling step.
   host_.event_loop().schedule_after(
-      cost_.marshal_time(env->body.size()),
+      rpc_marshal_time(env->body.size()),
       [this, out = std::move(out)]() mutable {
         host_.send_frame(std::move(out));
       });
@@ -94,7 +93,7 @@ void LoadBalancer::on_response(const Frame& f) {
   out.seq = relay.caller_call_id;
   out.payload = back.encode();
   host_.event_loop().schedule_after(
-      cost_.marshal_time(env->body.size()),
+      rpc_marshal_time(env->body.size()),
       [this, out = std::move(out)]() mutable {
         host_.send_frame(std::move(out));
       });

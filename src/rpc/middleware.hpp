@@ -42,8 +42,7 @@ class DirectoryService {
 /// proxy hop (and its marshalling) to every call.
 class LoadBalancer {
  public:
-  LoadBalancer(HostNode& host, std::vector<HostAddr> backends,
-               RpcCostModel cost = {});
+  LoadBalancer(HostNode& host, std::vector<HostAddr> backends);
 
   std::uint64_t relayed() const { return relayed_; }
 
@@ -53,7 +52,6 @@ class LoadBalancer {
 
   HostNode& host_;
   std::vector<HostAddr> backends_;
-  RpcCostModel cost_;
   std::size_t next_backend_ = 0;
   /// LB-local call id -> (original caller, original call id).
   struct Relay {

@@ -4,9 +4,8 @@
 
 namespace objrpc {
 
-RpcClient::RpcClient(HostNode& host, RpcCostModel cost)
+RpcClient::RpcClient(HostNode& host)
     : host_(host),
-      cost_(cost),
       timer_(host.event_loop(), host.id(),
              [this](std::uint64_t call_id) { attempt(call_id); }) {
   host_.set_handler(MsgType::invoke_resp,
@@ -54,7 +53,7 @@ void RpcClient::attempt(std::uint64_t call_id) {
 
   // Serialize-then-send: marshalling burns simulated CPU time first.
   host_.event_loop().schedule_after(
-      cost_.marshal_time(p.args.size()), [this, f = std::move(f)]() mutable {
+      rpc_marshal_time(p.args.size()), [this, f = std::move(f)]() mutable {
         host_.send_frame(std::move(f));
       });
   timer_.arm(call_id, p.opts.timeout);
@@ -76,7 +75,7 @@ void RpcClient::on_response(const Frame& f) {
   // Deserialize-result cost before the caller sees it.
   const std::uint64_t call_id = env->call_id;
   host_.event_loop().schedule_after(
-      cost_.marshal_time(env->body.size()),
+      rpc_marshal_time(env->body.size()),
       [this, call_id, body = std::move(env->body)]() mutable {
         finish(call_id, std::move(body));
       });
@@ -92,8 +91,7 @@ void RpcClient::finish(std::uint64_t call_id, Result<Bytes> result) {
   if (p.cb) p.cb(std::move(result), p.stats);
 }
 
-RpcServer::RpcServer(HostNode& host, RpcCostModel cost)
-    : host_(host), cost_(cost) {
+RpcServer::RpcServer(HostNode& host) : host_(host) {
   host_.set_handler(MsgType::invoke_req,
                     [this](const Frame& f) { on_request(f); });
 }
@@ -118,7 +116,7 @@ void RpcServer::on_request(const Frame& f) {
   const HostAddr caller = f.src_host;
   const std::uint64_t call_id = env->call_id;
   host_.event_loop().schedule_after(
-      cost_.marshal_time(env->body.size()),
+      rpc_marshal_time(env->body.size()),
       [this, caller, call_id, handler = &it->second,
        body = std::move(env->body)]() {
         (*handler)(caller, body, [this, caller, call_id](Result<Bytes> r) {
@@ -148,7 +146,7 @@ void RpcServer::send_reply(HostAddr dst, std::uint64_t call_id,
   f.payload = env.encode();
   // Serialize-result cost before the reply leaves.
   host_.event_loop().schedule_after(
-      cost_.marshal_time(body_size), [this, f = std::move(f)]() mutable {
+      rpc_marshal_time(body_size), [this, f = std::move(f)]() mutable {
         host_.send_frame(std::move(f));
       });
 }

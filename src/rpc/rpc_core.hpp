@@ -2,7 +2,7 @@
 //
 // The cost model is explicit: every call pays serialization at four
 // points (encode args, decode args, encode result, decode result), and
-// the configured marshalling rate converts payload bytes into simulated
+// the fixed marshalling rate converts payload bytes into simulated
 // CPU time — the "70% of processing time" §2 attributes to
 // deserializing and loading at request time.  Larger arguments therefore
 // hurt twice: wire time and marshalling time.  Compare ObjNetService,
@@ -18,18 +18,15 @@
 
 namespace objrpc {
 
-/// Marshalling cost model applied by both client and server.
-struct RpcCostModel {
-  /// Fixed software overhead per marshalling step.
-  SimDuration fixed = 1 * kMicrosecond;
-  /// Marshalling throughput, in nanoseconds per byte (2 GB/s ~= 0.5).
-  double ns_per_byte = 0.5;
-
-  SimDuration marshal_time(std::size_t bytes) const {
-    return fixed + static_cast<SimDuration>(ns_per_byte *
-                                            static_cast<double>(bytes));
-  }
-};
+/// Simulated CPU time of one marshalling step over `bytes` of payload,
+/// charged alike by client, server and proxy: a fixed 1 us of software
+/// overhead plus 0.5 ns per byte (2 GB/s).
+constexpr SimDuration rpc_marshal_time(std::size_t bytes) {
+  constexpr SimDuration kFixed = 1 * kMicrosecond;
+  constexpr double kNsPerByte = 0.5;
+  return kFixed +
+         static_cast<SimDuration>(kNsPerByte * static_cast<double>(bytes));
+}
 
 struct RpcCallOptions {
   SimDuration timeout = 50 * kMillisecond;
@@ -51,7 +48,7 @@ using RpcResponseCallback =
 /// Client stub: location-addressed calls with at-least-once retry.
 class RpcClient {
  public:
-  explicit RpcClient(HostNode& host, RpcCostModel cost = {});
+  explicit RpcClient(HostNode& host);
 
   /// Invoke `method` on the service at `dst` with serialized `args`.
   void call(HostAddr dst, const std::string& method, Bytes args,
@@ -84,7 +81,6 @@ class RpcClient {
   void on_response(const Frame& f);
 
   HostNode& host_;
-  RpcCostModel cost_;
   std::unordered_map<std::uint64_t, PendingCall> pending_;
   std::uint64_t next_call_id_ = 1;
   /// An attempt's deadline retries the call (attempt).
@@ -100,7 +96,7 @@ class RpcServer {
   using MethodHandler =
       std::function<void(HostAddr caller, ByteSpan args, ReplyFn reply)>;
 
-  explicit RpcServer(HostNode& host, RpcCostModel cost = {});
+  explicit RpcServer(HostNode& host);
 
   void register_method(const std::string& name, MethodHandler handler);
 
@@ -117,7 +113,6 @@ class RpcServer {
   void send_reply(HostAddr dst, std::uint64_t call_id, Result<Bytes> result);
 
   HostNode& host_;
-  RpcCostModel cost_;
   std::unordered_map<std::string, MethodHandler> methods_;
   Counters counters_;
 };

@@ -6,7 +6,7 @@
 // the client/server runtimes: arguments and results are schema-described
 // Messages, encoded on call, decoded on dispatch, re-encoded for the
 // reply, and decoded again at the caller.  Four marshalling steps per
-// call, each one also charged in simulated time by the cost model.
+// call, each one also charged in simulated time (rpc_marshal_time).
 #pragma once
 
 #include "rpc/rpc_core.hpp"
@@ -20,9 +20,8 @@ using TypedResponseCallback =
 /// Client stub for schema-checked calls.
 class TypedRpcClient {
  public:
-  TypedRpcClient(HostNode& host, const SchemaRegistry& registry,
-                 RpcCostModel cost = {})
-      : client_(host, cost), codec_(registry) {}
+  TypedRpcClient(HostNode& host, const SchemaRegistry& registry)
+      : client_(host), codec_(registry) {}
 
   /// Call `method` with `args`; the reply is decoded against
   /// `response_schema`.  Encoding failures surface before any traffic.
@@ -44,9 +43,8 @@ class TypedRpcServer {
   using TypedHandler = std::function<void(HostAddr caller, const Message&,
                                           TypedReplyFn reply)>;
 
-  TypedRpcServer(HostNode& host, const SchemaRegistry& registry,
-                 RpcCostModel cost = {})
-      : server_(host, cost), codec_(registry) {}
+  TypedRpcServer(HostNode& host, const SchemaRegistry& registry)
+      : server_(host), codec_(registry) {}
 
   /// Register `name` taking `request_schema` messages.  Malformed or
   /// wrong-schema requests are rejected with `malformed` before the

@@ -112,13 +112,6 @@ void EgressScheduler::drain(PortId port) {
   schedule_drain(port, 0);
 }
 
-std::uint64_t EgressScheduler::tenant_backlog(PortId port,
-                                              std::uint32_t tenant) const {
-  if (port >= ports_.size()) return 0;
-  auto tit = ports_[port].tenants.find(tenant);
-  return tit == ports_[port].tenants.end() ? 0 : tit->second.queued_bytes;
-}
-
 std::uint64_t EgressScheduler::tenant_sent_bytes(std::uint32_t tenant) const {
   const std::uint64_t* bytes = sent_bytes_by_tenant_.find(tenant);
   return bytes == nullptr ? 0 : *bytes;

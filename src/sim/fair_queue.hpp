@@ -134,8 +134,6 @@ class EgressScheduler {
   /// invariant requires 0 at quiesce: an armed scheduler always has a
   /// drain event pending while anything is queued.
   std::uint64_t backlog_bytes() const { return backlog_bytes_; }
-  /// Bytes queued for one tenant on one port (tests).
-  std::uint64_t tenant_backlog(PortId port, std::uint32_t tenant) const;
   /// Total bytes the scheduler has sent for `tenant` (all ports).
   std::uint64_t tenant_sent_bytes(std::uint32_t tenant) const;
 

@@ -249,9 +249,6 @@ class Network {
     }
     return s;
   }
-  CROSS_SHARD void reset_stats() {
-    for (Lane& lane : lanes_) lane.stats = TrafficStats{};
-  }
 
   /// Observation taps: each sees every delivered frame, in registration
   /// order; they must not mutate the simulation.  Under the concurrent

@@ -10,11 +10,12 @@ exactly the regression this test exists to catch.  Asserts:
   * the report is valid JSON with the five inventory arrays,
   * each array the annotated tree is known to populate is non-empty,
   * a few load-bearing entries are present, each as a (class, member)
-    pair: Network's topology state, the three laned structures
+    pair: Network's topology state, the four laned structures
     (Network's lane block, BufferPool's free lists, ShardJournal's
-    record lanes), the timing-wheel capability guards.  (Frame, trace
-    and span ids are per-NODE, not per-lane — what a run shows must not
-    depend on the shard count — so no id allocator appears here.)
+    record lanes, ShardProfiler's per-lane series), the timing-wheel
+    capability guards.  (Frame, trace and span ids are per-NODE, not
+    per-lane — what a run shows must not depend on the shard count — so
+    no id allocator appears here.)
 
 Usage: check_shard_report.py <fablint-binary> <src-dir>
 """
@@ -69,6 +70,8 @@ def main() -> int:
          "laned pool free lists"),
         ("laned_state", "objrpc::obs::ShardJournal", "lanes_",
          "laned observer journal"),
+        ("laned_state", "objrpc::obs::ShardProfiler", "lanes_",
+         "the profiler's per-lane series (K lanes, no control lane)"),
         ("shard_guarded_state", "objrpc::TimingWheel", "buckets_",
          "TimingWheel buckets"),
     ]

@@ -398,7 +398,7 @@ TEST(Failover, ProbeOfDeadHomeTimesOutOnSchedule) {
     c.service(2).write(GlobalPtr{w.id, Object::kDataStart}, u64_bytes(2),
                        nullptr);
   });
-  const SimDuration probe_timeout = ReplicaConfig{}.probe_timeout;
+  const SimDuration probe_timeout = ReplicaManager::kProbeTimeout;
   c.loop().run_until(t1 + probe_timeout - 1);
   EXPECT_EQ(replica.probing_count(), 1u);
   EXPECT_FALSE(replica.is_home(w.id));

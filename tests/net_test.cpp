@@ -958,15 +958,15 @@ TEST(Reliable, CutLinkFailsOnSchedule) {
               Bytes(100, 1), [&](Status s) { ok += s.is_ok() ? 1 : 0; });
     }
   });
-  fabric->loop().run_until(t0 + ch.config().rto / 2);
+  fabric->loop().run_until(t0 + ReliableChannel::kRto / 2);
   EXPECT_EQ(ok, 8);
   EXPECT_EQ(ch.counters().retransmissions, 0u);
   EXPECT_LE(ch.deadline_timer().events_pending(), 1u);
   fabric->settle();
   EXPECT_EQ(ch.deadline_timer().events_pending(), 0u);
 
-  // The link is cut: eleven deadlines, each twice the last (rto << 0
-  // through rto << 10), then the retry budget is spent.
+  // The link is cut: eleven deadlines, each twice the last (kRto << 0
+  // through kRto << 10), then the retry budget is spent.
   fabric->network().set_link_up(h1, 0, false);
   const SimTime t1 = fabric->loop().now();
   Status sent = Status::ok();
@@ -981,7 +981,7 @@ TEST(Reliable, CutLinkFailsOnSchedule) {
   fabric->settle();
   ASSERT_FALSE(sent.is_ok());
   EXPECT_EQ(sent.error().code, Errc::timeout);
-  EXPECT_EQ(failed_at - t1, ch.config().rto * 2047);
+  EXPECT_EQ(failed_at - t1, ReliableChannel::kRto * 2047);
   EXPECT_EQ(ch.counters().failures, 1u);
   EXPECT_EQ(ch.counters().retransmissions, 10u);
 }
@@ -1250,9 +1250,10 @@ TEST(Subscriptions, LiveDeliveryThroughSwitch) {
 
 // --- fused receive residence on hosts -------------------------------------------
 //
-// A host's processing delay is folded into its delivery event, which runs
-// at arrival + processing_delay.  Liveness is judged at arrival (the
-// network's drop) and again at dispatch (a crash inside the residence).
+// A host's processing delay is folded into its delivery event, which
+// runs at arrival + HostNode::kProcessingDelay.  Liveness is judged at
+// arrival (the network's drop) and again at dispatch (a crash inside the
+// residence).
 
 struct HostPair {
   Network net{3};
@@ -1283,9 +1284,9 @@ TEST(HostNode, CrashInsideResidenceSkipsDispatchOnly) {
     p.send();
     p.net.loop().run();
     ASSERT_EQ(p.handled.size(), 1u);
-    EXPECT_EQ(p.handled[0], arrive + p.b.config().processing_delay);
+    EXPECT_EQ(p.handled[0], arrive + HostNode::kProcessingDelay);
   }
-  const SimDuration residence = HostConfig{}.processing_delay;
+  const SimDuration residence = HostNode::kProcessingDelay;
   // Down at arrival: the network drops it; the host never sees it.
   {
     HostPair p;

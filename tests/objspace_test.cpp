@@ -589,7 +589,7 @@ TEST(SparseModel, InferenceVisitsAllShards) {
   spec.nnz_per_shard = 64;
   auto model = build_sparse_model(store, ids, spec);
   ASSERT_TRUE(model);
-  Activation x(spec.feature_dim, 1.0);
+  Activation x(SparseModelSpec::kFeatureDim, 1.0);
   auto y = sparse_infer(model->first_shard, x, store_resolver(store));
   ASSERT_TRUE(y);
   EXPECT_EQ(y->size(), model->total_rows);
@@ -603,7 +603,7 @@ TEST(SparseModel, InferenceDeterministic) {
   auto m2 = build_sparse_model(s2, ids2, spec);
   ASSERT_TRUE(m1);
   ASSERT_TRUE(m2);
-  Activation x(spec.feature_dim);
+  Activation x(SparseModelSpec::kFeatureDim);
   Rng rng(77);
   for (auto& v : x) v = rng.next_double();
   auto y1 = sparse_infer(m1->first_shard, x, store_resolver(s1));
@@ -619,7 +619,7 @@ TEST(SparseModel, ZeroActivationGivesZeroOutput) {
   SparseModelSpec spec;
   auto model = build_sparse_model(store, ids, spec);
   ASSERT_TRUE(model);
-  Activation x(spec.feature_dim, 0.0);
+  Activation x(SparseModelSpec::kFeatureDim, 0.0);
   auto y = sparse_infer(model->first_shard, x, store_resolver(store));
   ASSERT_TRUE(y);
   for (double v : *y) EXPECT_DOUBLE_EQ(v, 0.0);
@@ -632,7 +632,7 @@ TEST(SparseModel, ShardsSurviveByteMovement) {
   spec.shards = 2;
   auto model = build_sparse_model(src, ids, spec);
   ASSERT_TRUE(model);
-  Activation x(spec.feature_dim, 0.5);
+  Activation x(SparseModelSpec::kFeatureDim, 0.5);
   auto y_before = sparse_infer(model->first_shard, x, store_resolver(src));
   ASSERT_TRUE(y_before);
   // Byte-copy every shard to another store.

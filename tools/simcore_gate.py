@@ -3,7 +3,7 @@
 
 Compares a fresh BENCH_simcore.json against the committed baseline
 (bench/BENCH_simcore.baseline.json) and fails if any gated throughput
-metric regressed past its tolerance.  Two kinds of checks:
+metric regressed past its tolerance.  Four kinds of checks:
 
   1. Relative — each metric gates against the baseline with its own
      tolerance.  `speedup_vs_legacy` is a ratio of two measurements
