@@ -22,14 +22,21 @@ namespace objrpc::bench {
 inline void run_sequential(int n,
                            std::function<void(int, std::function<void()>)> step,
                            std::function<void()> done) {
-  auto advance = std::make_shared<std::function<void(int)>>();
+  // The chain holds itself only weakly; each step's continuation holds
+  // it strongly, so it is freed once the last step completes (a strong
+  // self-capture would leak every chain).
+  using Advance = std::function<void(int)>;
+  auto advance = std::make_shared<Advance>();
   *advance = [n, step = std::move(step), done = std::move(done),
-              advance](int i) {
+              weak = std::weak_ptr<Advance>(advance)](int i) {
     if (i >= n) {
       done();
       return;
     }
-    step(i, [advance, i] { (*advance)(i + 1); });
+    step(i, [self = weak.lock(), i] {
+      const auto keep = self;  // outlives this continuation if it is freed
+      (*keep)(i + 1);
+    });
   };
   (*advance)(0);
 }
@@ -49,30 +56,6 @@ struct LatencySummary {
     return {s.mean(), s.percentile(50.0), s.percentile(99.0),
             s.percentile(99.9)};
   }
-};
-
-/// Open-loop response-time bookkeeping (avoids coordinated omission).
-///
-/// A closed-loop driver measures latency from the moment it SENDS each
-/// request — but it only sends when the previous reply came back, so a
-/// stall quietly suppresses the very samples that would have recorded
-/// it.  An open-loop arrival process fixes the schedule in advance: each
-/// operation has an INTENDED arrival time, and its response time runs
-/// from that intent, including any time spent queued behind a stalled
-/// predecessor.  Both series are kept — `resp` (from intended arrival,
-/// the honest open-loop number) and `svc` (from actual send, the
-/// old-style column) — so a bench can print them side by side and the
-/// gap itself exposes the omission.
-struct OpenLoopSamples {
-  SampleSet resp;  ///< completion - intended arrival
-  SampleSet svc;   ///< completion - actual send
-
-  void record(SimTime intended, SimTime sent, SimTime completed) {
-    resp.add(static_cast<double>(completed - intended));
-    svc.add(static_cast<double>(completed - sent));
-  }
-  LatencySummary response_summary() const { return LatencySummary::of(resp); }
-  LatencySummary service_summary() const { return LatencySummary::of(svc); }
 };
 
 /// Fixed-width table printing.  Rows are also recorded so a bench can

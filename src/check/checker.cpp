@@ -242,8 +242,7 @@ void InvariantChecker::check_emission(const WireEvent& ev) {
       break;
     }
     case MsgType::push_frag: {
-      std::uint32_t msg_id, frag_idx, frag_count;
-      unpack_frag_seq(ev.seq, msg_id, frag_idx, frag_count);
+      const auto [msg_id, frag_idx, frag_count] = unpack_frag_seq(ev.seq);
       ++frags_[{ev.src, ev.dst, msg_id, frag_idx}].sent;
       break;
     }
@@ -251,8 +250,7 @@ void InvariantChecker::check_emission(const WireEvent& ev) {
       // Acks echo the fragment's packed seq; the original sender is the
       // ack's destination.  An ack for a fragment never delivered to the
       // acker would falsely complete a transfer that did not happen.
-      std::uint32_t msg_id, frag_idx, frag_count;
-      unpack_frag_seq(ev.seq, msg_id, frag_idx, frag_count);
+      const auto [msg_id, frag_idx, frag_count] = unpack_frag_seq(ev.seq);
       auto it = frags_.find({ev.dst, ev.src, msg_id, frag_idx});
       if (it == frags_.end() || it->second.delivered == 0) {
         violation(ViolationClass::forged_ack, ev.object,
@@ -271,8 +269,7 @@ void InvariantChecker::check_emission(const WireEvent& ev) {
 void InvariantChecker::check_delivery(const WireEvent& ev) {
   switch (ev.type) {
     case MsgType::push_frag: {
-      std::uint32_t msg_id, frag_idx, frag_count;
-      unpack_frag_seq(ev.seq, msg_id, frag_idx, frag_count);
+      const auto [msg_id, frag_idx, frag_count] = unpack_frag_seq(ev.seq);
       auto& fc = frags_[{ev.src, ev.dst, msg_id, frag_idx}];
       ++fc.delivered;
       if (fc.delivered > fc.sent) {

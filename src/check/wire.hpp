@@ -48,15 +48,4 @@ struct WireEvent {
 /// Human-readable protocol address ("host 3", "inc-cache(switch 2)").
 std::string addr_to_string(HostAddr addr);
 
-/// The reliable channel's fragment-seq packing, re-derived from the wire
-/// format (reliable.hpp documents it; the checker must not depend on the
-/// channel's private helpers).
-inline void unpack_frag_seq(std::uint64_t seq, std::uint32_t& msg_id,
-                            std::uint32_t& frag_idx,
-                            std::uint32_t& frag_count) {
-  msg_id = static_cast<std::uint32_t>(seq >> 32);
-  frag_idx = static_cast<std::uint32_t>((seq >> 16) & 0xFFFF);
-  frag_count = static_cast<std::uint32_t>(seq & 0xFFFF);
-}
-
 }  // namespace objrpc::check

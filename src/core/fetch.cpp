@@ -6,9 +6,8 @@
 
 namespace objrpc {
 
-ObjectFetcher::ObjectFetcher(ObjNetService& service, FetchConfig cfg)
+ObjectFetcher::ObjectFetcher(ObjNetService& service)
     : service_(service),
-      cfg_(cfg),
       timer_(service.host().event_loop(), service.host().id(),
              [this](ObjectId id) { on_deadline(id); }) {
   HostNode& host = service_.host();
@@ -100,7 +99,7 @@ void ObjectFetcher::start(ObjectId id) {
   auto it = pending_.find(id);
   if (it == pending_.end()) return;
   PendingFetch& pf = it->second;
-  if (++pf.attempts > cfg_.max_attempts) {
+  if (++pf.attempts > kMaxAttempts) {
     complete(id, Error{Errc::timeout, "fetch attempts exhausted"});
     return;
   }
@@ -120,7 +119,7 @@ void ObjectFetcher::start(ObjectId id) {
     }
     it2->second.source = out->dst;
     send_chunk_req(id, it2->second, 0, 0);  // stat
-    timer_.arm(id, cfg_.timeout);
+    timer_.arm(id, kTimeout);
   });
 }
 

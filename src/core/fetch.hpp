@@ -31,17 +31,16 @@
 
 namespace objrpc {
 
-/// Per-pull deadline and attempt budget.
-struct FetchConfig {
-  SimDuration timeout = 20 * kMillisecond;
-  int max_attempts = 4;
-};
-
 using FetchCallback = std::function<void(Status)>;
 
 class ObjectFetcher {
  public:
-  ObjectFetcher(ObjNetService& service, FetchConfig cfg = {});
+  /// Per-attempt deadline of a pull.
+  static constexpr SimDuration kTimeout = 20 * kMillisecond;
+  /// Attempts a pull makes before it fails with a timeout.
+  static constexpr int kMaxAttempts = 4;
+
+  explicit ObjectFetcher(ObjNetService& service);
 
   /// Make `id` locally resident (no-op if it already is).  On success
   /// the object is in the host's store, marked as a cached replica.
@@ -159,7 +158,6 @@ class ObjectFetcher {
   static constexpr std::uint32_t kChunkBytes = 1400;
 
   ObjNetService& service_;
-  FetchConfig cfg_;
   std::shared_ptr<Prefetcher> prefetcher_ = std::make_shared<NoPrefetcher>();
   std::unordered_map<ObjectId, PendingFetch> pending_;
   std::unordered_set<ObjectId> cached_;

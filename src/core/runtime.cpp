@@ -81,7 +81,6 @@ Result<InvokeRuntime::DecodedInvoke> InvokeRuntime::decode_invoke(
 void InvokeRuntime::execute_local(FuncId fn, std::vector<GlobalPtr> args,
                                   Bytes inline_arg, InvokeCallback cb,
                                   InvokeOptions opts) {
-  ++counters_.local_executions;
   auto stats = std::make_shared<InvokeStats>();
   stats->started_at = service_.host().event_loop().now();
   stats->executor = service_.host().addr();
@@ -172,7 +171,6 @@ void InvokeRuntime::invoke_at(HostAddr executor, FuncId fn,
                   opts);
     return;
   }
-  ++counters_.remote_invocations;
   const std::uint64_t token = next_token_++;
   PendingInvoke& p = pending_[token];
   p.cb = std::move(cb);
@@ -223,7 +221,6 @@ void InvokeRuntime::on_invoke_req(const Frame& f) {
     Log::warn("invoke", "malformed invoke_req dropped");
     return;
   }
-  ++counters_.requests_served;
   const HostAddr caller = f.src_host;
   const std::uint64_t seq = f.seq;
   const std::uint32_t tenant = f.tenant;

@@ -97,9 +97,6 @@ class InvokeRuntime {
 
   // fablint:allow(raw-counter) feeds the figure benches directly
   struct Counters {
-    std::uint64_t local_executions = 0;
-    std::uint64_t remote_invocations = 0;
-    std::uint64_t requests_served = 0;
     std::uint64_t fault_rounds = 0;
     std::uint64_t failures = 0;
   };

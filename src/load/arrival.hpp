@@ -4,7 +4,7 @@
 // An open-loop driver fixes WHEN operations arrive independently of how
 // fast the system answers them — the defining property that lets a
 // bench observe queueing delay instead of accidentally suppressing it
-// (bench_util.hpp::OpenLoopSamples explains the coordinated-omission
+// (loadgen.hpp's LoadGenerator explains the coordinated-omission
 // trap).  Three arrival shapes cover the workloads the paper's fabric
 // must survive:
 //

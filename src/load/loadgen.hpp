@@ -11,11 +11,15 @@
 // issued-operation stream folds into a digest the determinism tests
 // compare across runs.
 //
-// Measurement follows the open-loop discipline (bench_util.hpp
-// ::OpenLoopSamples): every operation's response time runs from its
-// INTENDED arrival, so time spent queued client-side — behind a
-// saturated in-flight window — is charged to the system, not silently
-// omitted.  Per-tenant response/service histograms and operation
+// Measurement follows the open-loop discipline, which avoids
+// coordinated omission: a closed-loop driver measures latency from the
+// moment it SENDS each request, but it only sends when the previous
+// reply came back, so a stall quietly suppresses the very samples that
+// would have recorded it.  Here every operation's response time runs
+// from its INTENDED arrival, so time spent queued client-side — behind
+// a saturated in-flight window — is charged to the system, not silently
+// omitted; the service time (from the actual send) is kept beside it,
+// and the gap between the two exposes the omission.  Per-tenant response/service histograms and operation
 // counters live in the cluster's obs registry under load/<tenant>/...,
 // and report() condenses them into per-tenant SLO rows (p50/p99/p999 +
 // goodput).

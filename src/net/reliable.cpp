@@ -94,7 +94,7 @@ void ReliableChannel::send_fragment(std::uint32_t msg_id,
   f.type = MsgType::push_frag;
   f.dst_host = out.dst;
   f.object = out.object;
-  f.seq = pack_seq(msg_id, frag_idx, out.frag_count);
+  f.seq = pack_frag_seq({msg_id, frag_idx, out.frag_count});
   f.offset = static_cast<std::uint64_t>(out.inner_type);
   f.length = static_cast<std::uint32_t>(hi - lo);
   f.payload.assign(out.payload.begin() + static_cast<std::ptrdiff_t>(lo),
@@ -136,8 +136,7 @@ void ReliableChannel::on_deadline(std::uint32_t msg_id) {
 }
 
 void ReliableChannel::on_push_frag(const Frame& f) {
-  std::uint32_t msg_id, frag_idx, frag_count;
-  unpack_seq(f.seq, msg_id, frag_idx, frag_count);
+  const auto [msg_id, frag_idx, frag_count] = unpack_frag_seq(f.seq);
   if (frag_count == 0 || frag_idx >= frag_count) {
     Log::warn("reliable", "bad fragment indices");
     return;
@@ -202,8 +201,7 @@ void ReliableChannel::on_push_frag(const Frame& f) {
 }
 
 void ReliableChannel::on_frag_ack(const Frame& f) {
-  std::uint32_t msg_id, frag_idx, frag_count;
-  unpack_seq(f.seq, msg_id, frag_idx, frag_count);
+  const auto [msg_id, frag_idx, frag_count] = unpack_frag_seq(f.seq);
   Outbound* found = outbound_.find(msg_id);
   if (found == nullptr) return;
   Outbound& out = *found;

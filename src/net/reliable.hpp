@@ -8,9 +8,10 @@
 // No handshakes, no congestion windows, no byte streams.
 //
 // Wire mapping: fragments travel as MsgType::push_frag frames whose
-// `seq` packs (message id | fragment index | fragment count) and whose
-// `offset` carries the *inner* message type to deliver on reassembly.
-// Acks echo the fragment's seq in a MsgType::frag_ack frame.
+// `seq` packs (message id | fragment index | fragment count; see
+// FragSeq) and whose `offset` carries the *inner* message type to
+// deliver on reassembly.  Acks echo the fragment's seq in a
+// MsgType::frag_ack frame.
 #pragma once
 
 #include <algorithm>
@@ -25,6 +26,27 @@
 #include "sim/deadline_timer.hpp"
 
 namespace objrpc {
+
+/// A fragment's place in its message, as packed into a push_frag or
+/// frag_ack frame's `seq`: the message id in bits 63..32, the fragment
+/// index in 31..16 and the fragment count in 15..0.  The channel and the
+/// invariant checker both read the wire through this one definition.
+struct FragSeq {
+  std::uint32_t msg_id = 0;
+  std::uint32_t frag_idx = 0;
+  std::uint32_t frag_count = 0;
+};
+
+inline std::uint64_t pack_frag_seq(const FragSeq& s) {
+  return (static_cast<std::uint64_t>(s.msg_id) << 32) |
+         (static_cast<std::uint64_t>(s.frag_idx) << 16) | s.frag_count;
+}
+
+inline FragSeq unpack_frag_seq(std::uint64_t seq) {
+  return {static_cast<std::uint32_t>(seq >> 32),
+          static_cast<std::uint32_t>((seq >> 16) & 0xFFFF),
+          static_cast<std::uint32_t>(seq & 0xFFFF)};
+}
 
 /// Fragment size and retry budget.  The channel's timers are fixed
 /// (ReliableChannel::kRto, kReassemblyIdle).
@@ -169,18 +191,6 @@ class ReliableChannel {
       return static_cast<std::size_t>(x);
     }
   };
-
-  static std::uint64_t pack_seq(std::uint32_t msg_id, std::uint32_t frag_idx,
-                                std::uint32_t frag_count) {
-    return (static_cast<std::uint64_t>(msg_id) << 32) |
-           (static_cast<std::uint64_t>(frag_idx) << 16) | frag_count;
-  }
-  static void unpack_seq(std::uint64_t seq, std::uint32_t& msg_id,
-                         std::uint32_t& frag_idx, std::uint32_t& frag_count) {
-    msg_id = static_cast<std::uint32_t>(seq >> 32);
-    frag_idx = static_cast<std::uint32_t>((seq >> 16) & 0xFFFF);
-    frag_count = static_cast<std::uint32_t>(seq & 0xFFFF);
-  }
 
   HOT_PATH void send_fragment(std::uint32_t msg_id, std::uint32_t frag_idx);
   /// No full ack in time: restart on progress, retransmit, or give up.

@@ -40,17 +40,15 @@ ObjNetService::ObjNetService(HostNode& host,
       reliable_(host, reliable_cfg),
       timer_(host.event_loop(), host.id(),
              [this](std::uint64_t token) { on_deadline(token); }) {
-  host_.set_handler(MsgType::read_req,
-                    [this](const Frame& f) { on_read_req(f); });
-  host_.set_handler(MsgType::write_req,
-                    [this](const Frame& f) { on_write_req(f); });
+  for (MsgType kind :
+       {MsgType::read_req, MsgType::write_req, MsgType::atomic_req}) {
+    host_.set_handler(kind, [this](const Frame& f) { on_access_req(f); });
+  }
   host_.set_handler(MsgType::read_resp,
                     [this](const Frame& f) { on_response(f); });
   host_.set_handler(MsgType::write_resp,
                     [this](const Frame& f) { on_response(f); });
   host_.set_handler(MsgType::nack, [this](const Frame& f) { on_nack(f); });
-  host_.set_handler(MsgType::atomic_req,
-                    [this](const Frame& f) { on_atomic_req(f); });
   host_.set_handler(MsgType::atomic_resp,
                     [this](const Frame& f) { on_response(f); });
   host_.set_handler(MsgType::discover_req,
@@ -76,7 +74,6 @@ Result<ObjectPtr> ObjNetService::create_object_with_id(ObjectId id,
 
 void ObjNetService::read(GlobalPtr ptr, std::uint32_t length, ReadCallback cb,
                          AccessOptions opts) {
-  ++counters_.reads_issued;
   begin({.kind = MsgType::read_req,
          .ptr = ptr,
          .length = length,
@@ -86,7 +83,6 @@ void ObjNetService::read(GlobalPtr ptr, std::uint32_t length, ReadCallback cb,
 
 void ObjNetService::write(GlobalPtr ptr, Bytes data, WriteAckCallback cb,
                           AccessOptions opts) {
-  ++counters_.writes_issued;
   begin({.kind = MsgType::write_req,
          .ptr = ptr,
          .length = static_cast<std::uint32_t>(data.size()),  // before the move
@@ -150,42 +146,6 @@ void ObjNetService::finish(std::uint64_t token, Result<Bytes> result) {
   }
 }
 
-Result<AtomicResponse> ObjNetService::apply_atomic(ObjectId id,
-                                                   std::uint64_t offset,
-                                                   const AtomicRequest& req) {
-  auto obj = host_.store().get(id);
-  if (!obj) return Error{Errc::not_found, "object not resident"};
-  auto old = (*obj)->read_u64(offset);
-  if (!old) return old.error();
-  std::uint64_t word = *old;
-  const AtomicResponse resp = apply_atomic_op(word, req);
-  if (resp.applied) {
-    if (Status s = (*obj)->write_u64(offset, word); !s) return s.error();
-    ++counters_.atomics_served;
-    notify_write(id);
-  }
-  return resp;
-}
-
-void ObjNetService::on_atomic_req(const Frame& f) {
-  // Atomics mutate: replicas redirect to the home, caches NACK.
-  if (!admit_mutation(f)) return;
-  auto req = decode_atomic_request(f.payload);
-  if (!req) {
-    send_nack(f, Errc::malformed);
-    return;
-  }
-  auto result = apply_atomic(f.object, f.offset, *req);
-  if (!result) {
-    send_nack(f, result.error().code);
-    return;
-  }
-  Frame resp = reply_to(f, MsgType::atomic_resp);
-  resp.offset = f.offset;
-  resp.payload = encode_atomic_response(*result);
-  host_.send_frame(std::move(resp));
-}
-
 void ObjNetService::start_attempt(std::uint64_t token) {
   Pending* found = pending_.find(token);
   if (found == nullptr) return;
@@ -195,48 +155,17 @@ void ObjNetService::start_attempt(std::uint64_t token) {
     finish(token, Error{Errc::timeout, "access attempts exhausted"});
     return;
   }
-  // Local fast path: the object may already be resident (home copy or,
-  // for reads only, a coherent cached replica).  Mutations must hold
-  // authority AND not be owed to another home (a read replica's local
-  // writes go through the write-through path like everyone else's).
-  const bool redirected_away =
-      p.kind != MsgType::read_req && write_redirector_ &&
-      write_redirector_(p.ptr.object).has_value();
-  if (const ObjectPtr* resident = host_.store().find(p.ptr.object)) {
-    // Hold the object itself: the guards below are user callbacks.
-    const ObjectPtr local = *resident;
-    if (p.kind == MsgType::read_req) {
-      if (may_serve_read(p.ptr.object)) {
-        auto span = local->read(p.ptr.offset, p.length);
-        if (span) {
-          finish(token, Bytes(span->begin(), span->end()));
-        } else {
-          finish(token, span.error());
-        }
-        return;
-      }
-      // Possibly-stale local copy (recovering home): read remotely.
-    } else if (!redirected_away && is_authoritative(p.ptr.object)) {
-      if (p.kind == MsgType::write_req) {
-        Status s = local->write(p.ptr.offset, p.data);
-        if (s) notify_write(p.ptr.object);
-        finish(token, s ? Result<Bytes>(Bytes{}) : s.error());
-      } else {
-        auto req = decode_atomic_request(p.data);
-        if (!req) {
-          finish(token, Error{Errc::malformed, "bad atomic"});
-          return;
-        }
-        auto r = apply_atomic(p.ptr.object, p.ptr.offset, *req);
-        finish(token, r ? Result<Bytes>(encode_atomic_response(*r))
-                        : r.error());
-      }
-      return;
-    }
-    // Mutation against a local non-authoritative copy: fall through to
-    // the network path, which will reach (or be redirected to) the home.
-  }
+  // Local fast path: serve the access here unless this host may not
+  // (the object is not held, a guard denies, or a replica owes the
+  // mutation to the home); the network path then reaches, or is
+  // redirected to, a holder that may.
   const ObjectId object = p.ptr.object;
+  Served local = serve(p.kind, object, p.ptr.offset, p.length, p.data);
+  const Errc code = local.result ? Errc::ok : local.result.error().code;
+  if (code != Errc::not_found && code != Errc::moved) {
+    finish(token, std::move(local.result));
+    return;
+  }
   discovery_->resolve(object, [this, token](Result<ResolveOutcome> out) {
     Pending* found2 = pending_.find(token);
     if (found2 == nullptr) return;
@@ -277,60 +206,62 @@ void ObjNetService::on_deadline(std::uint64_t token) {
   start_attempt(token);
 }
 
-void ObjNetService::on_read_req(const Frame& f) {
-  auto obj = host_.store().get(f.object);
-  if (!obj || !may_serve_read(f.object)) {
-    send_nack(f, Errc::not_found);
-    return;
-  }
-  auto span = (*obj)->read(f.offset, f.length);
-  if (!span) {
-    send_nack(f, span.error().code);
-    return;
-  }
-  ++counters_.reads_served;
-  Frame resp = reply_to(f, MsgType::read_resp);
-  resp.offset = f.offset;
-  resp.length = f.length;
-  resp.payload.assign(span->begin(), span->end());
-  host_.send_frame(std::move(resp));
-}
-
-void ObjNetService::on_write_req(const Frame& f) {
-  // A non-home holder that knows the home redirects the writer there
-  // (replica write-through); anything else NACKs so the writer
-  // rediscovers the authoritative holder.
-  if (!admit_mutation(f)) return;
-  auto obj = host_.store().get(f.object);
-  if (!obj) {
-    send_nack(f, Errc::not_found);
-    return;
-  }
-  Status s = (*obj)->write(f.offset, f.payload);
-  if (!s) {
-    send_nack(f, s.error().code);
-    return;
-  }
-  ++counters_.writes_served;
-  notify_write(f.object);
-  Frame resp = reply_to(f, MsgType::write_resp);
-  resp.offset = f.offset;
-  resp.length = f.length;
-  host_.send_frame(std::move(resp));
-}
-
-bool ObjNetService::admit_mutation(const Frame& f) {
-  if (write_redirector_) {
-    if (auto home = write_redirector_(f.object)) {
-      send_nack(f, Errc::moved, *home);
-      return false;
+ObjNetService::Served ObjNetService::serve(MsgType kind, ObjectId object,
+                                           std::uint64_t offset,
+                                           std::uint32_t length,
+                                           ByteSpan payload) {
+  // A mutation owed to the home (a read replica's write-through) is
+  // redirected there before anything else looks at the object.
+  if (kind != MsgType::read_req && write_redirector_) {
+    if (auto home = write_redirector_(object)) {
+      return {Errc::moved, *home};
     }
   }
-  if (!is_authoritative(f.object)) {
-    send_nack(f, Errc::not_found);
-    return false;
+  const ObjectPtr* resident = host_.store().find(object);
+  if (resident == nullptr) return {Errc::not_found};
+  // Hold the object itself: the guards below are user callbacks.
+  const ObjectPtr obj = *resident;
+  if (kind == MsgType::read_req) {
+    // A revived home may hold possibly-stale bytes until it is verified.
+    if (!may_serve_read(object)) return {Errc::not_found};
+    auto span = obj->read(offset, length);
+    if (!span) return {span.error()};
+    return {Bytes(span->begin(), span->end())};
   }
-  return true;
+  // Only the home mutates: a cached copy would split the history.
+  if (!is_authoritative(object)) return {Errc::not_found};
+  if (kind == MsgType::write_req) {
+    if (Status s = obj->write(offset, payload); !s) return {s.error()};
+    notify_write(object);
+    return {Bytes{}};
+  }
+  auto req = decode_atomic_request(payload);
+  if (!req) return {Error{Errc::malformed, "bad atomic"}};
+  auto old = obj->read_u64(offset);
+  if (!old) return {old.error()};
+  std::uint64_t word = *old;
+  const AtomicResponse resp = apply_atomic_op(word, *req);
+  if (resp.applied) {
+    if (Status s = obj->write_u64(offset, word); !s) return {s.error()};
+    ++counters_.atomics_served;
+    notify_write(object);
+  }
+  return {encode_atomic_response(resp)};
+}
+
+void ObjNetService::on_access_req(const Frame& f) {
+  Served served = serve(f.type, f.object, f.offset, f.length, f.payload);
+  if (!served.result) {
+    send_nack(f, served.result.error().code, served.home);
+    return;
+  }
+  if (f.type == MsgType::read_req) ++counters_.reads_served;
+  if (f.type == MsgType::write_req) ++counters_.writes_served;
+  Frame resp = reply_to(f, response_type(f.type));
+  resp.offset = f.offset;
+  if (f.type != MsgType::atomic_req) resp.length = f.length;
+  resp.payload = std::move(*served.result);
+  host_.send_frame(std::move(resp));
 }
 
 void ObjNetService::on_response(const Frame& f) {
@@ -378,7 +309,6 @@ void ObjNetService::move_object(ObjectId id, HostAddr dst, MoveCallback cb) {
     if (cb) cb(Error{Errc::not_found, "cannot move absent object"});
     return;
   }
-  ++counters_.moves_started;
   // Byte-level copy: the object's wire image IS its serialized form.
   Bytes image = (*obj)->raw_bytes();
   reliable_.send(dst, MsgType::object_adopt, id, std::move(image),
@@ -391,7 +321,6 @@ void ObjNetService::move_object(ObjectId id, HostAddr dst, MoveCallback cb) {
                    // discovery withdraw any advertisement.
                    (void)host_.store().remove(id);
                    discovery_->on_departed(id);
-                   ++counters_.moves_completed;
                    if (cb) cb(Status::ok());
                  });
 }
@@ -417,7 +346,6 @@ void ObjNetService::on_object_adopt(ObjectId object, Bytes payload) {
 }
 
 void ObjNetService::send_nack(const Frame& cause, Errc code, HostAddr hint) {
-  ++counters_.nacks_sent;
   Frame nack = reply_to(cause, MsgType::nack);
   nack.payload = encode_nack_payload(code, hint);
   host_.send_frame(std::move(nack));

@@ -100,8 +100,9 @@ class ObjNetService {
 
   /// Redirect for writes that land on a non-home holder (e.g. a read
   /// replica): maps the object to the host that should take the write.
-  /// Checked before the authority NACK; the frame is forwarded verbatim
-  /// (original requester stays the reply target).
+  /// Checked before the authority NACK; the holder NACKs the request
+  /// `moved` with that host as the hint, and the requester retries
+  /// there.
   using WriteRedirector = std::function<std::optional<HostAddr>(ObjectId)>;
   void set_write_redirector(WriteRedirector r) {
     write_redirector_ = std::move(r);
@@ -122,17 +123,12 @@ class ObjNetService {
     return !read_guard_ || read_guard_(id);
   }
 
-  // fablint:allow(raw-counter) aggregates sub-counters registered individually
+  // fablint:allow(raw-counter) read via counters() by tests and perfbench
   struct Counters {
-    std::uint64_t reads_issued = 0;
-    std::uint64_t writes_issued = 0;
     std::uint64_t reads_served = 0;
     std::uint64_t writes_served = 0;
-    std::uint64_t nacks_sent = 0;
     std::uint64_t nacks_received = 0;
     std::uint64_t discover_replies_sent = 0;
-    std::uint64_t moves_started = 0;
-    std::uint64_t moves_completed = 0;
     std::uint64_t objects_adopted = 0;
     std::uint64_t timeouts = 0;
     std::uint64_t atomics_issued = 0;
@@ -175,20 +171,28 @@ class ObjNetService {
   /// success `result` holds the response payload: a read's bytes, a
   /// write's (ignored) payload, an atomic's encoded AtomicResponse.
   void finish(std::uint64_t token, Result<Bytes> result);
-  /// Apply an atomic op against a locally resident object.
-  Result<AtomicResponse> apply_atomic(ObjectId id, std::uint64_t offset,
-                                      const AtomicRequest& req);
   /// An attempt's deadline passed: retry, or give up (start_attempt).
   void on_deadline(std::uint64_t token);
 
+  /// What `serve` answers: the response payload, or the error to
+  /// report.  `home` names the home when the error is `moved`.
+  struct Served {
+    Result<Bytes> result;
+    HostAddr home = kUnspecifiedHost;
+  };
+  /// The one access step, for remote requests and the local fast path
+  /// alike: apply a read, write or atomic (`kind` is its request type)
+  /// to `object` as this host holds it.  Answers `not_found` when the
+  /// object is not held here or this host may not serve the access (the
+  /// read guard denies, a mutation lacks authority), `moved` when a
+  /// replica redirects a mutation to the home, and otherwise the
+  /// object's own error or the response payload.
+  Served serve(MsgType kind, ObjectId object, std::uint64_t offset,
+               std::uint32_t length, ByteSpan payload);
+
   // Inbound handlers.
-  void on_read_req(const Frame& f);
-  void on_write_req(const Frame& f);
-  void on_atomic_req(const Frame& f);
-  /// A mutation request's prologue: redirect it to the home (NACK
-  /// moved) or refuse it without authority (NACK not_found).  True when
-  /// this host may apply it.
-  bool admit_mutation(const Frame& f);
+  /// A read_req, write_req or atomic_req: serve it, then reply or NACK.
+  void on_access_req(const Frame& f);
   void on_response(const Frame& f);
   void on_nack(const Frame& f);
   void on_discover_req(const Frame& f);

@@ -105,9 +105,6 @@ MetricsSnapshot MetricsRegistry::snapshot() const {
   for (const auto& [name, fn] : sources_) {
     snap.counters.emplace_back(name, fn ? fn() : 0);
   }
-  for (const auto& [name, g] : gauges_) {
-    snap.gauges.emplace_back(name, g.value());
-  }
   for (const auto& [name, h] : histograms_) {
     MetricsSnapshot::HistView v;
     v.count = h.count();
@@ -156,15 +153,6 @@ std::string MetricsSnapshot::to_json() const {
     append_json_string(out, name);
     out += ": ";
     append_u(out, v);
-  }
-  out += "\n  },\n  \"gauges\": {";
-  first = true;
-  for (const auto& [name, v] : gauges) {
-    out += first ? "\n    " : ",\n    ";
-    first = false;
-    append_json_string(out, name);
-    out += ": ";
-    append_f(out, v);
   }
   out += "\n  },\n  \"histograms\": {";
   first = true;

@@ -2,7 +2,7 @@
 //
 // Before this layer every module grew its own ad-hoc counter struct —
 // useful per-instance, invisible in aggregate.  The registry gives every
-// counter, gauge, and histogram in a simulation one namespace, one
+// counter and histogram in a simulation one namespace, one
 // deterministic snapshot order (sorted by name), and one JSON export the
 // benches and CI can diff.
 //
@@ -11,8 +11,8 @@
 // the component that counts, evaluated at snapshot time.  The
 // per-module Counters structs (ReliableChannel, ObjectFetcher,
 // ControllerNode, ...) join the registry this way, without changing
-// their accessors or any increment site.  Gauges and histograms are
-// owned by the registry.
+// their accessors or any increment site.  Histograms are owned by the
+// registry.
 //
 // Determinism contract: a snapshot is a pure read — it never reorders,
 // allocates ids, or draws randomness — and iterates std::map (sorted by
@@ -28,17 +28,6 @@
 #include "common/annotations.hpp"
 
 namespace objrpc::obs {
-
-/// A point-in-time level (queue depth, bytes cached, ...).
-class Gauge {
- public:
-  void set(double v) { value_ = v; }
-  void add(double d) { value_ += d; }
-  double value() const { return value_; }
-
- private:
-  double value_ = 0.0;
-};
 
 /// A log-scale (power-of-two) histogram over non-negative u64 samples.
 //
@@ -105,7 +94,6 @@ struct MetricsSnapshot {
   };
   /// Counter sources, sorted by name.
   std::vector<std::pair<std::string, std::uint64_t>> counters;
-  std::vector<std::pair<std::string, double>> gauges;
   std::vector<std::pair<std::string, HistView>> histograms;
 
   std::string to_json() const;
@@ -124,7 +112,6 @@ class MetricsRegistry {
 
   // CROSS_SHARD: one registry serves the whole fabric; components on
   // any future shard register and bump through these accessors.
-  CROSS_SHARD Gauge& gauge(const std::string& name) { return gauges_[name]; }
   CROSS_SHARD Histogram& histogram(const std::string& name) {
     return histograms_[name];
   }
@@ -147,12 +134,11 @@ class MetricsRegistry {
   std::string to_json() const { return snapshot().to_json(); }
 
   std::size_t size() const {
-    return gauges_.size() + histograms_.size() + sources_.size();
+    return histograms_.size() + sources_.size();
   }
 
  private:
   // std::map: snapshot order is name order, never hash layout.
-  std::map<std::string, Gauge> gauges_;
   std::map<std::string, Histogram> histograms_;
   std::map<std::string, Source> sources_;
 };

@@ -30,7 +30,7 @@ void ShardProfiler::arm(MetricsRegistry& metrics, std::uint32_t workers) {
   h_replay_ = &metrics.histogram("shard/replay_host_ns");
   h_util_ = &metrics.histogram("shard/lane_utilization_pct");
   h_handoff_ = &metrics.histogram("shard/ring_occupancy");
-  metrics.gauge("shard/lanes").set(static_cast<double>(workers));
+  metrics.add_source("shard/lanes", [workers] { return workers; });
 }
 
 void ShardProfiler::begin_exec(std::uint32_t lane) {

@@ -64,7 +64,6 @@ void RpcClient::on_response(const Frame& f) {
   if (!env) return;
   auto it = pending_.find(env->call_id);
   if (it == pending_.end()) return;  // duplicate / late
-  it->second.stats.bytes_received += f.payload.size();
   if (env->kind == RpcKind::error) {
     ++counters_.errors;
     finish(env->call_id,

@@ -38,7 +38,6 @@ struct RpcCallStats {
   SimTime started_at = 0;
   SimTime finished_at = 0;
   std::uint64_t bytes_sent = 0;
-  std::uint64_t bytes_received = 0;
   SimDuration elapsed() const { return finished_at - started_at; }
 };
 

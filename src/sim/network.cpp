@@ -219,7 +219,6 @@ void Network::transmit(NodeId from, PortId port, Packet pkt) {
     pkt.trace_id = tracer_.new_trace_id(from);
   }
   const SimTime send_now = loop_.now();
-  if (pkt.created_at == 0) pkt.created_at = send_now;
   if (pkt.hops >= Packet::kMaxHops) {
     ++lane_stats().frames_dropped_ttl;
     payload_pool_.release(std::move(pkt.data));

@@ -47,8 +47,6 @@ struct Packet {
   /// Switch hops so far; the network drops frames exceeding a TTL to
   /// contain accidental broadcast loops.
   std::uint32_t hops = 0;
-  /// When the original send happened (set once).
-  SimTime created_at = 0;
 
   /// Bytes occupied on the wire (payload + fixed framing overhead).
   std::uint64_t wire_size() const { return data.size() + kFrameOverhead; }
@@ -63,7 +61,6 @@ struct Packet {
     p.span_parent = span_parent;
     p.tenant = tenant;
     p.hops = hops;
-    p.created_at = created_at;
     return p;
   }
 

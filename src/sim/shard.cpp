@@ -93,8 +93,6 @@ bool spin_until(std::uint32_t pauses, Pred done) {
 
 // --- ShardPlan -------------------------------------------------------
 
-ShardPlan ShardPlan::single() { return ShardPlan{}; }
-
 SimDuration ShardPlan::min_cross_latency(
     Network& net, const std::vector<std::uint32_t>& shard_of) {
   SimDuration best = 0;

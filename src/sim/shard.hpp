@@ -77,9 +77,6 @@ struct ShardPlan {
   /// conservative horizon).
   SimDuration lookahead = 0;
 
-  /// The trivial plan: everything on one shard (serial execution).
-  static ShardPlan single();
-
   /// Leaf-spine subtree partition: leaf l (and every host hanging off
   /// it) goes to shard l % shards; spines — which touch every leaf —
   /// are spread round-robin.  Cross-shard links are exactly the

@@ -248,7 +248,6 @@ TEST_P(FetchTest, InFlightChunkRespCannotResurrectStaleReplica) {
 TEST_P(FetchTest, MissingObjectFails) {
   auto cluster = Cluster::build(small_cluster(GetParam()));
   Status fetched{Errc::ok};
-  FetchConfig quick;
   // (config is baked in; rely on discovery failure / punt drop + retries)
   cluster->fetcher(0).fetch(ObjectId{9, 9}, [&](Status s) { fetched = s; });
   cluster->settle();
@@ -331,7 +330,7 @@ TEST(FetchTimeout, CompletedPullsDeadlineSparesTheNextPull) {
   cluster->settle();
   fetcher.evict(id);
   const SimTime t0 = cluster->loop().now();
-  const SimDuration timeout = FetchConfig{}.timeout;
+  const SimDuration timeout = ObjectFetcher::kTimeout;
   SimTime first_took = 0;
   SimTime second_took = 0;
   on_host(*cluster, 0, t0, [&] {

@@ -575,7 +575,14 @@ INSTANTIATE_TEST_SUITE_P(Schemes, SchemeParam,
 // --- access lifecycle -----------------------------------------------------------
 
 enum class AccessKind { read, write, fetch_add, cas };
-enum class Terminal { remote_ok, local_ok, nack, discovery_failure, exhausted };
+enum class Terminal {
+  remote_ok,
+  local_ok,
+  nack,
+  local_nack,
+  discovery_failure,
+  exhausted
+};
 
 const char* access_kind_name(AccessKind k) {
   switch (k) {
@@ -599,6 +606,8 @@ const char* terminal_name(Terminal t) {
       return "LocalOk";
     case Terminal::nack:
       return "OutOfRangeNack";
+    case Terminal::local_nack:
+      return "LocalOutOfRange";
     case Terminal::discovery_failure:
       return "DiscoveryFailure";
     case Terminal::exhausted:
@@ -614,12 +623,16 @@ class AccessLifecycle
     : public ::testing::TestWithParam<std::tuple<AccessKind, Terminal>> {};
 
 // Every access kind, on every terminal path, completes exactly once with
-// the expected status and leaves nothing pending.
+// the expected status and leaves nothing pending.  An access to the
+// issuer's own object completes without a frame, and reports the same
+// error the remote NACK path does.
 TEST_P(AccessLifecycle, CompletesExactlyOnce) {
   const auto [kind, path] = GetParam();
   auto fabric = Fabric::build(base_config(DiscoveryScheme::e2e));
   ObjNetService& svc = fabric->service(0);
-  GlobalPtr ptr = make_test_object(*fabric, path == Terminal::local_ok ? 0 : 1);
+  const bool local =
+      path == Terminal::local_ok || path == Terminal::local_nack;
+  GlobalPtr ptr = make_test_object(*fabric, local ? 0 : 1);
   // make_test_object's pattern, read as the u64 the atomics operate on.
   const std::uint64_t word = 0x0706050403020100ull;
   AccessOptions opts;
@@ -629,6 +642,7 @@ TEST_P(AccessLifecycle, CompletesExactlyOnce) {
     case Terminal::local_ok:
       break;
     case Terminal::nack:
+    case Terminal::local_nack:
       ptr.offset = 1 << 20;
       want = Errc::out_of_range;
       break;
@@ -647,6 +661,7 @@ TEST_P(AccessLifecycle, CompletesExactlyOnce) {
       break;
   }
 
+  const std::uint64_t frames_before = fabric->network().stats().frames_sent;
   int calls = 0;
   Errc got = Errc::unavailable;
   auto on_atomic = [&](Result<AtomicResponse> r, const AccessStats&) {
@@ -690,6 +705,9 @@ TEST_P(AccessLifecycle, CompletesExactlyOnce) {
   EXPECT_EQ(calls, 1);
   EXPECT_EQ(got, want);
   EXPECT_EQ(svc.pending_access_count(), 0u);
+  if (local) {
+    EXPECT_EQ(fabric->network().stats().frames_sent, frames_before);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -699,6 +717,7 @@ INSTANTIATE_TEST_SUITE_P(
                                          AccessKind::cas),
                        ::testing::Values(Terminal::remote_ok,
                                          Terminal::local_ok, Terminal::nack,
+                                         Terminal::local_nack,
                                          Terminal::discovery_failure,
                                          Terminal::exhausted)),
     [](const auto& test) {
